@@ -61,7 +61,6 @@ EXAMPLE_CONFIG = {
     "seed": 12345,
     "inversion": {"quantities": ["S"], "tau": 1.05, "max_outer": 15, "max_cg": 50},
     "kernels": {"pairs": [["S", "S"]], "targets": [[0.3, -0.25]], "band_count": 1},
-    "workers": 1,
 }
 
 
@@ -117,6 +116,14 @@ def build_frequencies(cfg: dict) -> List[medium.FrequencyContext]:
         2.0 * np.pi * f["f_min_hz"],
         2.0 * np.pi * f["f_max_hz"],
         power=f.get("power", 1.0),
+    )
+
+
+def _reference_medium(cfg: dict, grid: greens.Grid) -> medium.MediumParams:
+    """Uniform medium at the configured reference values."""
+    ref = cfg["medium"].get("reference", {})
+    return medium.uniform_medium(
+        grid, c=ref.get("c", 1.0), rho=ref.get("rho", 1.0), gamma=ref.get("gamma", 0.0)
     )
 
 
@@ -183,12 +190,7 @@ def _axis_cuts(grid: greens.Grid, values: np.ndarray, through_idx: int):
 
 def cmd_hologram(cfg: dict, out: Path, archives: Path, workers: int = 1) -> List[str]:
     grid = build_grid(cfg)
-    reference = medium.uniform_medium(
-        grid,
-        c=cfg["medium"].get("reference", {}).get("c", 1.0),
-        rho=cfg["medium"].get("reference", {}).get("rho", 1.0),
-        gamma=cfg["medium"].get("reference", {}).get("gamma", 0.0),
-    )
+    reference = _reference_medium(cfg, grid)
     freqs = build_frequencies(cfg)
     pupils = cfg.get("hologram", {}).get("pupils")
     out.mkdir(parents=True, exist_ok=True)
@@ -246,13 +248,7 @@ def cmd_hologram(cfg: dict, out: Path, archives: Path, workers: int = 1) -> List
 
 def cmd_kernels(cfg: dict, out: Path, workers: int = 1) -> List[str]:
     grid = build_grid(cfg)
-    ref_desc = cfg["medium"].get("reference", {})
-    reference = medium.uniform_medium(
-        grid,
-        c=ref_desc.get("c", 1.0),
-        rho=ref_desc.get("rho", 1.0),
-        gamma=ref_desc.get("gamma", 0.0),
-    )
+    reference = _reference_medium(cfg, grid)
     kcfg = cfg.get("kernels", {})
     pairs = [tuple(p) for p in kcfg.get("pairs", [["S", "S"]])]
     band_count = kcfg.get("band_count", cfg["frequencies"]["count"])
@@ -317,13 +313,7 @@ def cmd_invert(
 ) -> List[str]:
     grid = build_grid(cfg)
     truth = medium.medium_from_descriptor(grid, cfg["medium"])
-    ref_desc = cfg["medium"].get("reference", {})
-    q0 = medium.uniform_medium(
-        grid,
-        c=ref_desc.get("c", 1.0),
-        rho=ref_desc.get("rho", 1.0),
-        gamma=ref_desc.get("gamma", 0.0),
-    )
+    q0 = _reference_medium(cfg, grid)
     icfg = dict(cfg.get("inversion", {}))
     quantities = tuple(quantities or icfg.get("quantities", ["S"]))
     # the initial source strength matters for the scalar ingressions: start
@@ -444,7 +434,8 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment JSON document")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--workers", type=int, default=1)
+        if name != "invert":
+            p.add_argument("--workers", type=int, default=1)
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         if name in ("hologram", "invert"):
             p.add_argument(

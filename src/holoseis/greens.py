@@ -25,6 +25,8 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+import struct
+import tempfile
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -564,9 +566,17 @@ def assemble_green(
         key = f"{grid.content_hash()}_{complex(k).real:.17g}_{complex(k).imag:.17g}_{dim}d"
         cache_path = os.path.join(cache_dir, key + ".hsm")
         if os.path.exists(cache_path):
-            kernel = _io.read_matrix(cache_path)
-            logger.debug("Green kernel loaded from cache %s", cache_path)
-            return GreensOperator(grid=grid, k_ref=complex(k), dim=dim, _kernel=kernel)
+            try:
+                kernel = _io.read_matrix(cache_path)
+                if kernel.shape != (n, n):
+                    raise UsageError(f"cached kernel has shape {kernel.shape}")
+            except (UsageError, struct.error) as exc:
+                logger.warning(
+                    "unreadable Green cache entry %s (%s); reassembling", cache_path, exc
+                )
+            else:
+                logger.debug("Green kernel loaded from cache %s", cache_path)
+                return GreensOperator(grid=grid, k_ref=complex(k), dim=dim, _kernel=kernel)
 
     diff = grid.nodes[:, None, :] - grid.nodes[None, :, :]
     r = np.sqrt(np.sum(diff**2, axis=-1))
@@ -581,7 +591,15 @@ def assemble_green(
 
     if cache_path:
         os.makedirs(cache_dir, exist_ok=True)
-        _io.write_matrix(cache_path, kernel)
+        # write beside the entry, then rename, so readers never see a partial file
+        fd, tmp_path = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        os.close(fd)
+        try:
+            _io.write_matrix(tmp_path, kernel)
+            os.replace(tmp_path, cache_path)
+        except BaseException:
+            os.unlink(tmp_path)
+            raise
         logger.debug("Green kernel cached to %s", cache_path)
     return GreensOperator(grid=grid, k_ref=complex(k), dim=dim, _kernel=kernel)
 

@@ -47,7 +47,13 @@ from .medium import (
     recast,
     uniform_medium,
 )
-from .stochastic import CovarianceOperator, RealizationSet, forward_covariance
+from .stochastic import (
+    CovarianceOperator,
+    RealizationSet,
+    _boundary_block,
+    _receiver_block,
+    forward_covariance,
+)
 
 SCALAR_QUANTITIES = ("S", "c", "gamma", "rho")
 ALL_QUANTITIES = SCALAR_QUANTITIES + ("u",)
@@ -61,14 +67,11 @@ __all__ = [
     "LinearizedModel",
     "diag_product",
     "build_model",
-    "build_propagators",
     "lindsey_braun_pair",
     "apply_derivative",
     "apply_adjoint",
     "backprop_realizations",
-    "hologram_intensity",
     "hologram_expectation",
-    "forward_backward",
     "sensitivity_kernel",
     "apply_kernel",
     "weighted_residual",
@@ -82,19 +85,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 @dataclass
 class PropagatorPair:
-    """Forward/backward propagator matrices for one quantity.
+    """Egression/ingression propagators (n_rec, n_int) of a hologram."""
 
-    h_alpha is always the receiver-restricted Green block.  For scalar
-    quantities h_beta is the source-weighted ingression; for flow components
-    h_beta_flow[i] carries the i-th gradient of the ingression divided by
-    rho^{1/2} c.  Pupil masks zero excluded receiver rows.
-    """
-
-    quantity: str
     h_alpha: np.ndarray
-    h_beta: Optional[np.ndarray] = None
-    h_beta_flow: Optional[Tuple[np.ndarray, ...]] = None
-    pupils: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    h_beta: np.ndarray
 
 
 @dataclass
@@ -102,7 +96,6 @@ class Hologram:
     """Pointwise egression-ingression correlation on the interior nodes."""
 
     values: np.ndarray
-    quantity: str
     omega: float
 
 
@@ -152,20 +145,6 @@ def diag_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Model assembly at one parameter state
 # ---------------------------------------------------------------------------
-def _pupil_masks(
-    grid: Grid, pupils: Optional[Tuple[Sequence[int], Sequence[int]]]
-) -> Tuple[np.ndarray, np.ndarray]:
-    n_rec = grid.n_receivers
-    if pupils is None:
-        full = np.ones(n_rec)
-        return full, full.copy()
-    m1 = np.zeros(n_rec)
-    m2 = np.zeros(n_rec)
-    m1[np.asarray(pupils[0], dtype=int)] = 1.0
-    m2[np.asarray(pupils[1], dtype=int)] = 1.0
-    return m1, m2
-
-
 @dataclass
 class LinearizedModel:
     """Forward stack at one iterate: Green's operator, propagators, g-factors."""
@@ -175,13 +154,12 @@ class LinearizedModel:
     freq: FrequencyContext
     hp: HelmholtzParams
     g: GreensOperator
-    h_alpha: np.ndarray  # (n_rec, n_int), pupil-1 masked
-    beta_scalar: Optional[np.ndarray]  # (n_rec, n_int), pupil-2 masked
+    h_alpha: np.ndarray  # (n_rec, n_int)
+    beta_scalar: Optional[np.ndarray]  # (n_rec, n_int)
     beta_flow: Optional[Tuple[np.ndarray, ...]]  # plain-gradient ingressions
     gv: Dict[str, PartialV]
     ga: Dict[str, np.ndarray]
     boundary_src: Optional[np.ndarray] = None
-    pupil_masks: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def covariance(self) -> CovarianceOperator:
         return forward_covariance(self.hp, self.g, self.boundary_src)
@@ -193,18 +171,14 @@ def build_model(
     quantities: Sequence[str] = ("S",),
     g_ref: Optional[GreensOperator] = None,
     boundary_src: Optional[np.ndarray] = None,
-    beta_method: str = "product",
-    pupils: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
 ) -> LinearizedModel:
     """Assemble the linearized covariance model at one parameter state.
 
     The reference Green's operator (uniform medium at the reference values)
     is assembled if not supplied, then moved to the iterate through the
-    second-kind resolvent update.  beta_method selects the ingression
-    assembly: 'product' evaluates the exact S-weighted Green product,
-    'imag-shortcut' uses the damping-equipartition identity
-    H_beta ~ Pi/(4 i omega) (G - conj(G)), valid for flow-free media with
-    S = Pi gamma / c^2 filling the domain.
+    second-kind resolvent update.  The scalar ingression is the exact
+    S-weighted Green product (plus the boundary-source term), and the flow
+    ingressions are its gradients on the shared stencil.
     """
     for q in quantities:
         if q not in ALL_QUANTITIES:
@@ -221,37 +195,19 @@ def build_model(
     delta = helmholtz_delta(hp_ref, hp, grid)
     g = g_ref if delta.is_zero() else update_green(g_ref, delta)
 
-    mask1, mask2 = _pupil_masks(grid, pupils)
-    rows = g.rows(grid.receiver_idx)
-    a_full = rows[:, grid.interior_idx]
-    h_alpha = mask1[:, None] * a_full
-
-    need_beta = any(q in ("c", "gamma", "rho", "u") for q in quantities)
+    rows, h_alpha = _receiver_block(g)
     beta_scalar = None
     beta_flow = None
-    if need_beta:
-        if beta_method == "product":
-            w_int = grid.interior_weights
-            m_block = a_full * (hp.S * w_int)[None, :]
-            beta_scalar = g.mul_kernel_hermitian(
-                m_block, grid.interior_idx, grid.interior_idx
+    if any(q != "S" for q in quantities):
+        m_block = h_alpha * (hp.S * grid.interior_weights)[None, :]
+        beta_scalar = g.mul_kernel_hermitian(
+            m_block, grid.interior_idx, grid.interior_idx
+        )
+        if boundary_src is not None:
+            mb = _boundary_block(rows[:, grid.receiver_idx], boundary_src, grid)
+            beta_scalar = beta_scalar + g.mul_kernel_hermitian(
+                mb, grid.interior_idx, grid.receiver_idx
             )
-            if boundary_src is not None:
-                b = np.asarray(boundary_src)
-                w_rec = grid.receiver_weights
-                a_bnd = rows[:, grid.receiver_idx]
-                if b.ndim == 1:
-                    mb = a_bnd * (b * w_rec)[None, :]
-                else:
-                    mb = a_bnd @ (w_rec[:, None] * b * w_rec[None, :])
-                beta_scalar = beta_scalar + g.mul_kernel_hermitian(
-                    mb, grid.interior_idx, grid.receiver_idx
-                )
-        elif beta_method == "imag-shortcut":
-            beta_scalar = (freq.power / (4j * freq.omega)) * (a_full - a_full.conj())
-        else:
-            raise UsageError(f"unknown beta_method {beta_method!r}")
-        beta_scalar = mask2[:, None] * beta_scalar
         if "u" in quantities or (
             "c" in quantities and params.u is not None and np.any(params.u)
         ):
@@ -276,85 +232,25 @@ def build_model(
         gv=gv,
         ga=ga,
         boundary_src=boundary_src,
-        pupil_masks=(mask1, mask2),
-    )
-
-
-def build_propagators(
-    quantity: str,
-    hp: HelmholtzParams,
-    g: GreensOperator,
-    s_field: Optional[np.ndarray] = None,
-    pupils: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
-    params: Optional[MediumParams] = None,
-    boundary_src: Optional[np.ndarray] = None,
-) -> PropagatorPair:
-    """Forward/backward propagator pair for one quantity tag.
-
-    For the source strength the ingression equals the egression.  Scalar
-    quantities get the S-weighted Green product; flow components get its
-    gradient after division by rho^{1/2} c (which requires the physical
-    parameters).
-    """
-    if quantity not in ALL_QUANTITIES:
-        raise UsageError(f"unknown quantity {quantity!r}")
-    grid = g.grid
-    mask1, mask2 = _pupil_masks(grid, pupils)
-    rows = g.rows(grid.receiver_idx)
-    a_full = rows[:, grid.interior_idx]
-    h_alpha = mask1[:, None] * a_full
-    if quantity == "S":
-        return PropagatorPair(
-            quantity="S",
-            h_alpha=h_alpha,
-            h_beta=mask2[:, None] * a_full,
-            pupils=(mask1, mask2),
-        )
-    if s_field is None:
-        raise UsageError("backward propagators need the source strength field")
-    w_int = grid.interior_weights
-    m_block = a_full * (s_field * w_int)[None, :]
-    beta = g.mul_kernel_hermitian(m_block, grid.interior_idx, grid.interior_idx)
-    if boundary_src is not None:
-        b = np.asarray(boundary_src)
-        a_bnd = rows[:, grid.receiver_idx]
-        w_rec = grid.receiver_weights
-        mb = a_bnd * (b * w_rec)[None, :] if b.ndim == 1 else a_bnd @ (
-            w_rec[:, None] * b * w_rec[None, :]
-        )
-        beta = beta + g.mul_kernel_hermitian(mb, grid.interior_idx, grid.receiver_idx)
-    beta = mask2[:, None] * beta
-    if quantity in ("c", "gamma", "rho"):
-        return PropagatorPair(
-            quantity=quantity, h_alpha=h_alpha, h_beta=beta, pupils=(mask1, mask2)
-        )
-    # flow: gradient of the ingression divided by rho^{1/2} c
-    if params is None:
-        raise UsageError("flow propagators need the physical parameters")
-    scale = 1.0 / (np.sqrt(params.rho) * params.c)
-    dmats = grid.gradient_matrices()
-    flow = tuple(((beta * scale[None, :]) @ d_i.T.tocsc()) for d_i in dmats)
-    return PropagatorPair(
-        quantity="u",
-        h_alpha=h_alpha,
-        h_beta=beta,
-        h_beta_flow=flow,
-        pupils=(mask1, mask2),
     )
 
 
 def lindsey_braun_pair(
     g: GreensOperator, pupils: Optional[Tuple[Sequence[int], Sequence[int]]] = None
 ) -> PropagatorPair:
-    """Classical choice H_alpha = H_beta = Tr G used for feature maps."""
-    grid = g.grid
-    mask1, mask2 = _pupil_masks(grid, pupils)
-    a_full = g.rows(grid.receiver_idx)[:, grid.interior_idx]
+    """Classical choice H_alpha = H_beta = Tr G used for feature maps.
+
+    Pupils are two receiver index lists; each propagator keeps only the rows
+    of its pupil.  Without pupils both propagators are the same array.
+    """
+    _, a_int = _receiver_block(g)
+    if pupils is None:
+        return PropagatorPair(h_alpha=a_int, h_beta=a_int)
+    masks = np.zeros((2, g.grid.n_receivers))
+    masks[0, np.asarray(pupils[0], dtype=int)] = 1.0
+    masks[1, np.asarray(pupils[1], dtype=int)] = 1.0
     return PropagatorPair(
-        quantity="S",
-        h_alpha=mask1[:, None] * a_full,
-        h_beta=mask2[:, None] * a_full,
-        pupils=(mask1, mask2),
+        h_alpha=masks[0][:, None] * a_int, h_beta=masks[1][:, None] * a_int
     )
 
 
@@ -488,7 +384,7 @@ def backprop_realizations(
     Corr; batches are accumulated in a fixed order so results are
     reproducible run to run.
     """
-    beta = pair.h_beta if pair.h_beta is not None else pair.h_alpha
+    beta = pair.h_beta
     fields = realizations.fields
     n = fields.shape[0]
     if n < 1:
@@ -499,30 +395,18 @@ def backprop_realizations(
         phi_a = blk @ pair.h_alpha.conj()  # (b, n_int)
         phi_b = phi_a if beta is pair.h_alpha else blk @ beta.conj()
         acc += np.sum(phi_a * phi_b.conj(), axis=0)
-    return Hologram(values=acc / n, quantity=pair.quantity, omega=realizations.omega)
-
-
-def hologram_intensity(
-    pair: PropagatorPair,
-    realizations: RealizationSet,
-    receiver_weights: np.ndarray,
-) -> Hologram:
-    """Lindsey-Braun hologram intensity I(x) = (1/N) sum phi_a conj(phi_b)."""
-    return backprop_realizations(pair, realizations, receiver_weights)
+    return Hologram(values=acc / n, omega=realizations.omega)
 
 
 def hologram_expectation(pair: PropagatorPair, cov: CovarianceOperator) -> Hologram:
     """Expected hologram E[I](x) = Diag(H_alpha* C H_beta)."""
-    beta = pair.h_beta if pair.h_beta is not None else pair.h_alpha
     w = cov.weights
     phi = pair.h_alpha.conj().T @ (w[:, None] * cov.matrix * w[None, :])
-    return Hologram(
-        values=np.einsum("yr,ry->y", phi, beta), quantity=pair.quantity, omega=0.0
-    )
+    return Hologram(values=np.einsum("yr,ry->y", phi, pair.h_beta), omega=0.0)
 
 
 # ---------------------------------------------------------------------------
-# Forward-backward operators and sensitivity kernels
+# Noise weighting and sensitivity kernels
 # ---------------------------------------------------------------------------
 def _weight_sandwich(weight: Optional[NoiseWeight], w_rec: np.ndarray) -> np.ndarray:
     """W N W for a noise weight, or plain diag(w) for the identity weight."""
@@ -543,23 +427,6 @@ def weight_trace_product(weight: NoiseWeight, cov: CovarianceOperator) -> float:
     w = weight.weights
     comp = weight.gamma_n @ (w[:, None] * cov.matrix)  # kernel of Gamma o C
     return float(np.real(np.sum(np.diag(comp) * w)))
-
-
-def forward_backward(
-    pair: PropagatorPair,
-    weight: Optional[NoiseWeight],
-    receiver_weights: np.ndarray,
-    budget_bytes: int = KERNEL_BUDGET_BYTES,
-) -> np.ndarray:
-    """Forward-backward operator F = H_alpha^* Gamma_n H_beta on the interior."""
-    beta = pair.h_beta if pair.h_beta is not None else pair.h_alpha
-    n_int = pair.h_alpha.shape[1]
-    if 16 * n_int * n_int > budget_bytes:
-        raise MemoryBudgetError(
-            f"forward-backward operator needs {16 * n_int**2 / 1e9:.2f} GB"
-        )
-    wnw = _weight_sandwich(weight, receiver_weights)
-    return pair.h_alpha.conj().T @ wnw @ beta
 
 
 def _f_blocks(

@@ -8,10 +8,10 @@ solves the Lavrentiev-weighted normal equation
 
 by conjugate gradients, matrix-free through the holographic derivative and
 adjoint (only Gamma_n is ever needed, never its square root).  The
-regularization follows the power law alpha_n = alpha_0 * 0.9^n with alpha_0
-the largest eigenvalue of the first normal operator; the loop stops by a
-discrepancy rule whose noise level comes from the separable trace
-tr(C_4) = tr(C)^2 of the realization-noise covariance.
+regularization follows the power law alpha_n = alpha_0 * ALPHA_DECAY^n
+(ALPHA_DECAY = 0.9) with alpha_0 the largest eigenvalue of the first normal
+operator; the loop stops by a discrepancy rule whose noise level comes from
+the separable trace tr(C_4) = tr(C)^2 of the realization-noise covariance.
 
 Mass-conserving flow updates replace the normal equation by the saddle-point
 system with the divergence constraint enforced through a Lagrange
@@ -22,7 +22,7 @@ divergence check.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,12 +62,12 @@ __all__ = [
     "power_iteration",
     "irgnm_step",
     "run_irgnm",
-    "constrained_flow_step",
     "reduce_constraint_rows",
     "load_checkpoint",
 ]
 
 SCALAR_INVERTIBLE = ("S", "c", "gamma", "rho")
+ALPHA_DECAY = 0.9  # ratio of successive regularization parameters
 NONNEGATIVE_QUANTITIES = ("S", "c")
 
 
@@ -90,7 +90,6 @@ class InversionConfig:
     quantities: Tuple[str, ...]
     alpha0: Optional[float] = None  # None: largest eigenvalue by power iteration
     alpha0_scale: float = 1.0  # multiplier on the power-iteration eigenvalue
-    alpha_decay: float = 0.9
     tau: float = 1.05
     beta: Optional[float] = None  # None: 0.1 tr(C_n)/dim per frequency
     max_outer: int = 15
@@ -98,7 +97,6 @@ class InversionConfig:
     cg_tol: float = 1e-6
     weighted: bool = True
     smoothing_width: float = 0.0
-    beta_method: str = "product"
     boundary_src: Optional[np.ndarray] = None
     constraint: Optional["ConstraintOperator"] = None
     checkpoint_dir: Optional[str] = None
@@ -127,7 +125,7 @@ class InversionState:
 
     @property
     def alpha_n(self) -> float:
-        return self.alpha_0 * 0.9**self.iteration
+        return self.alpha_0 * ALPHA_DECAY**self.iteration
 
 
 @dataclass
@@ -140,18 +138,6 @@ class ConstraintOperator:
     @classmethod
     def from_medium(cls, grid: Grid, rho: np.ndarray) -> "ConstraintOperator":
         return cls(matrix=flow_divergence_matrix(grid, rho), grid=grid)
-
-    def kernel_basis(self, max_vectors: int = 16) -> np.ndarray:
-        """Orthonormal basis of the discrete null space (dense SVD, small grids)."""
-        from scipy.linalg import null_space
-
-        basis = null_space(self.matrix.toarray())
-        return basis[:, :max_vectors]
-
-    def annihilation_residual(self, basis: np.ndarray) -> float:
-        if basis.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.matrix @ basis)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +323,6 @@ def _build_stack(
             quantities=config.quantities,
             g_ref=g_ref,
             boundary_src=config.boundary_src,
-            beta_method=config.beta_method,
         )
         cov = model.covariance()
         weight = None
@@ -670,6 +655,13 @@ def _constrained_step_from_stack(
     config: InversionConfig,
     alpha: float,
 ) -> Tuple[np.ndarray, dict]:
+    """One mass-conserving Gauss-Newton flow update via the KKT system.
+
+        [ C'* (Gamma x Gamma) C' + alpha Id    R* ] [du]   [ C'* (Gamma x Gamma)(Corr - C) ]
+        [ R                                    0  ] [mu] = [ 0 ]
+
+    The returned update satisfies |R du| <= 1e-8 |du|.
+    """
     constraint = config.constraint
     r_full = constraint.matrix
     r_rows = reduce_constraint_rows(r_full)
@@ -712,41 +704,3 @@ def _constrained_step_from_stack(
         )
     delta = space.unpack(delta_flat)["u"]
     return delta, info
-
-
-def constrained_flow_step(
-    state: InversionState,
-    data: Sequence[FrequencyData],
-    constraint: ConstraintOperator,
-    config: Optional[InversionConfig] = None,
-    alpha: Optional[float] = None,
-) -> Tuple[np.ndarray, dict]:
-    """One mass-conserving Gauss-Newton flow update via the KKT system.
-
-    Solves
-
-        [ C'* (Gamma x Gamma) C' + alpha Id    R* ] [du]   [ C'* (Gamma x Gamma)(Corr - C) ]
-        [ R                                    0  ] [mu] = [ 0 ]
-
-    (the multiplier is rescaled by alpha relative to the textbook form, which
-    leaves du unchanged and conditions the system better).  The returned
-    update satisfies |R du| <= 1e-8 |du|.
-    """
-    if config is None:
-        config = InversionConfig(
-            grid=state.q_n.grid,
-            q0=state.q_0,
-            quantities=("u",),
-            constraint=constraint,
-        )
-    elif config.constraint is None:
-        config = replace(config, constraint=constraint)
-    greens_cache: Dict[float, GreensOperator] = {}
-    stack = _build_stack(state.q_n, data, config, greens_cache)
-    space = ParameterSpace(config.grid, ("u",))
-    if alpha is None:
-        normal_mat = _flow_normal_matrix(stack, space, config)
-        alpha = power_iteration(
-            lambda v: normal_mat @ (space.weights * v), space.size, weights=space.weights
-        )
-    return _constrained_step_from_stack(stack, space, config, alpha=float(alpha))

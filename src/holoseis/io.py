@@ -77,10 +77,10 @@ def read_matrix(path) -> np.ndarray:
         (rank,) = struct.unpack("<Q", f.read(8))
         shape = struct.unpack("<" + "Q" * rank, f.read(8 * rank))
         count = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(f.read(16 * count), dtype=np.complex128)
-        if data.size != count:
+        payload = f.read(16 * count)
+        if len(payload) != 16 * count:
             raise UsageError(f"{path}: truncated payload")
-        return data.reshape(shape).copy()
+        return np.frombuffer(payload, dtype=np.complex128).reshape(shape).copy()
 
 
 @dataclass

@@ -251,14 +251,8 @@ class PartialV:
         return out
 
 
-def partial_v(
-    q_name: str, params: MediumParams, freq: FrequencyContext, dq: Optional[np.ndarray] = None
-) -> PartialV:
-    """Coefficient fields of the v-derivative for one physical quantity.
-
-    The optional dq is accepted for signature symmetry with apply-style
-    callers and is not needed to form the coefficients.
-    """
+def partial_v(q_name: str, params: MediumParams, freq: FrequencyContext) -> PartialV:
+    """Coefficient fields of the v-derivative for one physical quantity."""
     grid = params.grid
     omega = freq.omega
     c, rho, gamma = params.c, params.rho, params.gamma
@@ -318,9 +312,7 @@ def partial_v(
     raise UsageError(f"unknown quantity {q_name!r}")
 
 
-def partial_A(
-    q_name: str, params: MediumParams, freq: FrequencyContext, dq: Optional[np.ndarray] = None
-) -> np.ndarray:
+def partial_A(q_name: str, params: MediumParams, freq: FrequencyContext) -> np.ndarray:
     """Coefficient of the A-derivative: [d_q A](dq) = coeff * dq (pointwise).
 
     Returns shape (n, d) for q='c' (coeff per component, zero without flow)

@@ -2,9 +2,9 @@
 
 Evaluation is delegated to the AMOS routines wrapped by :mod:`scipy.special`,
 which handle complex arguments for all families used here.  This module adds
-the domain guards, the z = 0 special cases, recurrence-based derivatives, and
-a uniform calling convention (integer order, complex argument) relied on by
-the Green's-function assembly in :mod:`holoseis.greens`.
+the domain guards, the z = 0 special cases, and a uniform calling convention
+(integer order, complex argument) relied on by the Green's-function assembly
+in :mod:`holoseis.greens`.
 
 Conventions
 -----------
@@ -19,46 +19,22 @@ All functions are pure and stateless; they may be called concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special as _sp
 
 from .errors import DomainError, SingularityError, UsageError
 
 __all__ = [
-    "SpecialFunctionResult",
     "MAX_ORDER",
     "bessel_j",
     "bessel_y",
     "hankel_h1",
     "spherical_bessel",
-    "bessel_j_derivative",
-    "bessel_y_derivative",
     "hankel_h1_array",
 ]
 
 MAX_ORDER: int = 200
 OVERFLOW_GUARD: float = 1e4
-
-
-@dataclass(frozen=True)
-class SpecialFunctionResult:
-    """Value of one special-function evaluation together with its inputs.
-
-    Attributes
-    ----------
-    value : complex
-        Function value (dimensionless).
-    order : int
-        Integer order n >= 0.
-    argument : complex
-        Evaluation point z.
-    """
-
-    value: complex
-    order: int
-    argument: complex
 
 
 def _check_order(n: int) -> int:
@@ -137,28 +113,6 @@ def spherical_bessel(kind: str, n: int, z: complex) -> complex:
     raise UsageError(f"kind must be 'j' or 'h1', got {kind!r}")
 
 
-def bessel_j_derivative(n: int, z: complex) -> complex:
-    """d/dz J_n(z) via the recurrence J_n' = J_{n-1} - (n/z) J_n (J_0' = -J_1)."""
-    n = _check_order(n)
-    z = _check_argument(z)
-    if n == 0:
-        return -bessel_j(1, z)
-    if z == 0:
-        raise SingularityError("derivative recurrence needs z != 0 for n >= 1")
-    return bessel_j(n - 1, z) - (n / z) * bessel_j(n, z)
-
-
-def bessel_y_derivative(n: int, z: complex) -> complex:
-    """d/dz Y_n(z) via the recurrence Y_n' = Y_{n-1} - (n/z) Y_n (Y_0' = -Y_1)."""
-    n = _check_order(n)
-    z = _check_argument(z)
-    if z == 0:
-        raise SingularityError("Y_n' is singular at z = 0")
-    if n == 0:
-        return -bessel_y(1, z)
-    return bessel_y(n - 1, z) - (n / z) * bessel_y(n, z)
-
-
 def hankel_h1_array(n: int, z: np.ndarray) -> np.ndarray:
     """Vectorized H1_n over an array of complex arguments (no zero entries).
 
@@ -175,18 +129,3 @@ def hankel_h1_array(n: int, z: np.ndarray) -> np.ndarray:
             f"max |z| = {amax:.3g} exceeds overflow guard {OVERFLOW_GUARD:.0e}"
         )
     return _sp.hankel1(n, z)
-
-
-def evaluate(family: str, n: int, z: complex) -> SpecialFunctionResult:
-    """Evaluate one member of a family and return the tagged result record."""
-    if family == "J":
-        value = bessel_j(n, z)
-    elif family == "Y":
-        value = bessel_y(n, z)
-    elif family == "H1":
-        value = hankel_h1(n, z)
-    elif family in ("j", "h1"):
-        value = spherical_bessel(family, n, z)
-    else:
-        raise UsageError(f"unknown family {family!r}")
-    return SpecialFunctionResult(value=value, order=int(n), argument=complex(z))

@@ -18,12 +18,12 @@ fixed seed reproduces archives bit-identically regardless of batching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import UsageError
-from .greens import GreensOperator
+from .greens import Grid, GreensOperator
 from .medium import FrequencyContext, HelmholtzParams, MediumParams
 
 __all__ = [
@@ -110,9 +110,31 @@ def hs_norm(a: np.ndarray, weights: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-def _receiver_block(g: GreensOperator) -> np.ndarray:
-    grid = g.grid
-    return g.rows(grid.receiver_idx)
+def _receiver_block(g: GreensOperator) -> Tuple[np.ndarray, np.ndarray]:
+    """Receiver rows Tr G on all nodes, and their interior block H_alpha."""
+    rows = g.rows(g.grid.receiver_idx)
+    return rows, rows[:, g.grid.interior_idx]
+
+
+def _boundary_block(
+    a_bnd: np.ndarray, boundary_src: Union[np.ndarray, float], grid: Grid
+) -> np.ndarray:
+    """Receiver-to-boundary rows times the weighted boundary source.
+
+    boundary_src is a 1D array (diagonal strength M_B on the receiver nodes)
+    or a dense PSD kernel on them; the result is a_bnd M_B W or a_bnd W B W.
+    """
+    w_rec = grid.receiver_weights
+    b = np.asarray(boundary_src)
+    if b.ndim == 1:
+        if b.shape != (grid.n_receivers,):
+            raise UsageError("diagonal boundary source must match receiver count")
+        return a_bnd * (b * w_rec)[None, :]
+    if b.ndim == 2:
+        if b.shape != (grid.n_receivers, grid.n_receivers):
+            raise UsageError("boundary source kernel must be receivers x receivers")
+        return a_bnd @ (w_rec[:, None] * b * w_rec[None, :])
+    raise UsageError("boundary source must be 1D (diagonal) or 2D (kernel)")
 
 
 def forward_covariance(
@@ -129,26 +151,13 @@ def forward_covariance(
     s_field = hp.S
     if np.min(s_field) < 0:
         raise UsageError("source strength must be non-negative")
-    rows = _receiver_block(g)
-    a_int = rows[:, grid.interior_idx]
+    rows, a_int = _receiver_block(g)
     sw = s_field * grid.interior_weights
     cov = (a_int * sw[None, :]) @ a_int.conj().T
 
     if boundary_src is not None:
         a_bnd = rows[:, grid.receiver_idx]
-        w_rec = grid.receiver_weights
-        b = np.asarray(boundary_src)
-        if b.ndim == 1:
-            if b.shape != (grid.n_receivers,):
-                raise UsageError("diagonal boundary source must match receiver count")
-            cov += (a_bnd * (b * w_rec)[None, :]) @ a_bnd.conj().T
-        elif b.ndim == 2:
-            if b.shape != (grid.n_receivers, grid.n_receivers):
-                raise UsageError("boundary source kernel must be receivers x receivers")
-            wb = w_rec[:, None] * b * w_rec[None, :]
-            cov += a_bnd @ wb @ a_bnd.conj().T
-        else:
-            raise UsageError("boundary source must be 1D (diagonal) or 2D (kernel)")
+        cov += _boundary_block(a_bnd, boundary_src, grid) @ a_bnd.conj().T
 
     cov = 0.5 * (cov + cov.conj().T)  # exact Hermitian symmetry
     return CovarianceOperator(matrix=cov, weights=grid.receiver_weights.copy())
@@ -165,7 +174,7 @@ def sample_wavefields(
     if n_realizations < 1:
         raise UsageError("need at least one realization")
     grid = g.grid
-    a_int = _receiver_block(g)[:, grid.interior_idx]  # (n_rec, n_int)
+    _, a_int = _receiver_block(g)  # (n_rec, n_int)
     w = grid.interior_weights
     amp = np.sqrt(hp.S / (2.0 * w))  # per-node std of Re and Im parts
     n_int = grid.n_interior

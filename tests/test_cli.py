@@ -168,6 +168,13 @@ class TestExitCodes:
         p.write_text(json.dumps(cfg))
         assert cli.main(["synth", "--config", str(p), "--out", str(tmp_path)]) == 2
 
+    def test_invert_rejects_workers(self, tiny_config):
+        path, cfg, tmp = tiny_config
+        argv = ["invert", "--config", str(path), "--out", str(tmp), "--workers", "2"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
     def test_numerical_failure_is_3(self, tiny_config, tmp_path, monkeypatch):
         path, cfg, tmp = tiny_config
         out = tmp / "run"

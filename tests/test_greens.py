@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from holoseis import greens
+from holoseis import greens, io as hio
 from holoseis.errors import (
     DomainError,
     MemoryBudgetError,
@@ -190,6 +190,24 @@ class TestAssembly:
         assert list(tmp_path.iterdir())
         op2 = greens.assemble_green(grid, 5.0 + 0.1j)
         assert np.array_equal(op1.kernel, op2.kernel)
+
+    @pytest.mark.parametrize("damage", ["half-payload", "short-header", "wrong-shape"])
+    def test_unreadable_cache_entry_is_a_miss(self, grid, tmp_path, monkeypatch, damage):
+        monkeypatch.setenv(greens.CACHE_ENV_VAR, str(tmp_path))
+        fresh = greens.assemble_green(grid, 5.0 + 0.1j, use_cache=False)
+        greens.assemble_green(grid, 5.0 + 0.1j)
+        (entry,) = tmp_path.iterdir()
+        full = entry.stat().st_size
+        if damage == "wrong-shape":
+            hio.write_matrix(entry, np.zeros((2, 2), dtype=complex))
+        else:
+            with open(entry, "r+b") as f:
+                f.truncate(full // 2 + 3 if damage == "half-payload" else 20)
+        op = greens.assemble_green(grid, 5.0 + 0.1j)
+        assert np.array_equal(op.kernel, fresh.kernel)
+        # the entry is rewritten whole and no temporary file is left behind
+        assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+        assert entry.stat().st_size == full
 
     def test_3d_ball_assembly_reciprocity(self):
         g3 = greens.ball_grid_3d(

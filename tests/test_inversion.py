@@ -274,12 +274,17 @@ class TestIrgnmStep:
 
 
 class TestConstrainedFlow:
-    def test_divergence_operator_annihilates_kernel_basis(self, setting):
+    def test_divergence_operator_annihilates_stream_function_flow(self, setting):
+        # rho u = curl psi is in the kernel of the density-weighted divergence
         g, params, *_ = setting
-        constraint = inversion.ConstraintOperator.from_medium(g, params.rho)
-        basis = constraint.kernel_basis(max_vectors=8)
-        assert basis.shape[1] > 0
-        assert constraint.annihilation_residual(basis) < 1e-12
+        pts = g.interior_nodes
+        rho = 1.0 + 0.2 * np.exp(-np.sum(pts**2, axis=1) / 0.05)
+        psi = np.exp(-np.sum(pts**2, axis=1) / (2 * 0.15**2))
+        u = medium.stream_function_flow(g, psi, rho, amplitude=1.0)
+        constraint = inversion.ConstraintOperator.from_medium(g, rho)
+        resid = constraint.matrix @ u.ravel(order="F")
+        assert np.max(np.abs(u)) > 0.1
+        assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(u))
 
     def test_inactive_constraint_gives_zero_multiplier(self, setting):
         # stub normal operator = identity and a divergence-free rhs: the
@@ -319,8 +324,12 @@ class TestConstrainedFlow:
         data = [inversion.FrequencyData(freq=freq, corr=corr, n_realizations=400)]
         q0 = params.copy()
         constraint = inversion.ConstraintOperator.from_medium(g, params.rho)
+        config = inversion.InversionConfig(
+            grid=g, q0=q0, quantities=("u",), constraint=constraint
+        )
         state = inversion.InversionState(q_n=q0.copy(), q_0=q0, alpha_0=1.0)
-        du, info = inversion.constrained_flow_step(state, data, constraint)
+        du, _, info = inversion.irgnm_step(state, data, config)
+        assert np.any(du["u"])
         assert info["divergence_residual"] <= 1e-8 * max(info["update_norm"], 1e-300)
         assert info["kkt_relative_residual"] <= 1e-10
 
@@ -332,9 +341,20 @@ class TestConstrainedFlow:
             matrix=sparse.csr_matrix((g.n_interior, 2 * g.n_interior)), grid=g
         )
         data = [inversion.FrequencyData(freq=freq, corr=cov, n_realizations=10)]
+        config = inversion.InversionConfig(
+            grid=g, q0=params, quantities=("u",), constraint=bad
+        )
         state = inversion.InversionState(q_n=params.copy(), q_0=params, alpha_0=1.0)
         with pytest.raises(ConstraintDegenerateError):
-            inversion.constrained_flow_step(state, data, bad, alpha=1.0)
+            inversion.irgnm_step(state, data, config)
+
+    def test_removed_options_rejected(self, setting):
+        g, params, *_ = setting
+        for key, value in (("alpha_decay", 0.5), ("beta_method", "product")):
+            with pytest.raises(TypeError):
+                inversion.InversionConfig(
+                    grid=g, q0=params, quantities=("S",), **{key: value}
+                )
 
     def test_flow_inversion_requires_constraint(self, setting):
         g, params, *_ = setting
