@@ -8,6 +8,10 @@ The discrete convention throughout the package: a kernel matrix ``K`` of shape
 with quadrature weights ``w`` attached to the grid nodes, i.e. kernels are
 stored *without* weights and every application inserts them explicitly.
 
+The interior nodes lie on a lattice of step ``grid.spacing``, so the uniform
+reference kernel is evaluated once per distinct lattice offset and gathered
+into the interior block; only receiver rows are evaluated pair by pair.
+
 A perturbed medium enters through the second-kind identity
 
     G_q = [Id + G_0 (L_q - L_0)]^{-1} G_0,
@@ -25,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-import struct
 import tempfile
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -51,6 +54,9 @@ logger = logging.getLogger(__name__)
 EULER_GAMMA: float = 0.5772156649015328606
 DEFAULT_BUDGET_BYTES: int = 4 * 1024**3
 CACHE_ENV_VAR: str = "HOLOSEIS_CACHE"
+# in the Green cache key; bump when the kernel entries or the diagonal rule change
+KERNEL_VERSION: int = 2
+_GATHER_ROWS: int = 64  # interior rows per gather from the lattice-offset table
 
 __all__ = [
     "Grid",
@@ -94,7 +100,8 @@ class Grid:
         (nx, ny) row-major structure of the interior block; None for
         unstructured interiors (no finite-difference stencils available).
     spacing : float or None
-        Lattice spacing of the structured interior.
+        Lattice step of the interior nodes; assemble_green requires every
+        interior node to lie on this lattice.
     domain_measure : float or None
         Expected measure of the interior region, checked by validate().
     """
@@ -502,37 +509,38 @@ def green_modal(
 # ---------------------------------------------------------------------------
 # Dense assembly
 # ---------------------------------------------------------------------------
-def _pairwise_green(
-    dim: int, k: complex, xs: np.ndarray, ys: np.ndarray
-) -> np.ndarray:
-    """Kernel block G(x_i, y_j) for distinct point sets (no coincidences)."""
-    diff = xs[:, None, :] - ys[None, :, :]
-    r = np.sqrt(np.sum(diff**2, axis=-1))
-    if np.any(r == 0.0):
-        raise SingularityError("coincident points in off-diagonal block")
+def _diagonal_values(grid: Grid, k: complex, dim: int) -> np.ndarray:
+    """Regularized self-interaction of each interior node, from its cell measure.
+
+    Receiver self-entries are line/patch averages set by assemble_receiver_rows.
+    """
+    w = grid.interior_weights
+    if dim == 2:
+        return np.array([green_diagonal_2d(k, a) for a in np.sqrt(w / np.pi)])
+    return np.array([green_diagonal_3d(k, a) for a in np.cbrt(3.0 * w / (4.0 * np.pi))])
+
+
+def _radial_kernel(dim: int, k: complex, r: np.ndarray) -> np.ndarray:
+    """Uniform-medium kernel at distances r > 0, the array form of green_uniform."""
     if dim == 2:
         return 0.25j * hankel_h1_array(0, complex(k) * r)
-    return np.exp(1j * complex(k) * r) / (4.0 * np.pi * r)
+    if dim == 3:
+        return np.exp(1j * complex(k) * r) / (4.0 * np.pi * r)
+    raise UsageError(f"dim must be 2 or 3, got {dim}")
 
 
-def _diagonal_values(grid: Grid, k: complex, dim: int) -> np.ndarray:
-    """Regularized self-interaction per node, by node kind and cell measure."""
-    diag = np.empty(grid.n_nodes, dtype=np.complex128)
-    w = grid.weights
-    if dim == 2:
-        int_r = np.sqrt(w[grid.interior_idx] / np.pi)
-        diag[grid.interior_idx] = [green_diagonal_2d(k, a) for a in int_r]
-        diag[grid.receiver_idx] = [
-            _green_diagonal_line_2d(k, ell) for ell in w[grid.receiver_idx]
-        ]
-    else:
-        int_r = np.cbrt(3.0 * w[grid.interior_idx] / (4.0 * np.pi))
-        diag[grid.interior_idx] = [green_diagonal_3d(k, a) for a in int_r]
-        patch_r = np.sqrt(w[grid.receiver_idx] / np.pi)
-        diag[grid.receiver_idx] = (
-            1.0 / (2.0 * np.pi * patch_r) + 1j * complex(k) / (4.0 * np.pi)
-        )
-    return diag
+def _lattice_indices(grid: Grid) -> np.ndarray:
+    """Integer lattice index (n_int, d) of each interior node, from grid.spacing."""
+    if grid.spacing is None:
+        raise UsageError("grid has no lattice spacing")
+    pts = grid.interior_nodes
+    scaled = (pts - pts.min(axis=0)) / grid.spacing
+    lattice = np.rint(scaled).astype(np.int64)
+    if np.max(np.abs(scaled - lattice)) > 1e-9:
+        raise UsageError("interior nodes do not lie on a lattice of step grid.spacing")
+    if len(np.unique(lattice, axis=0)) != len(lattice):
+        raise UsageError("two interior nodes share a lattice point")
+    return lattice
 
 
 def assemble_green(
@@ -544,15 +552,19 @@ def assemble_green(
 ) -> "GreensOperator":
     """Assemble the dense uniform-medium Green's kernel on all grid nodes.
 
-    Off-diagonal entries are closed-form point evaluations; the diagonal is
-    the exact cell average of the leading singularity plus the constant terms
-    of the small-argument expansion, which keeps the nodal quadrature
-    consistent through the singularity.
+    Off-diagonal entries are closed-form point evaluations.  Between interior
+    nodes the kernel depends only on the lattice offsets |a_i|, so it is
+    evaluated once on the table of distances h sqrt(sum a_i^2) and gathered
+    into the interior block in row blocks; receiver rows come from
+    assemble_receiver_rows, their transpose (reciprocity) gives the receiver
+    columns.  The interior diagonal is the exact cell average of the leading
+    singularity plus the constant terms of the small-argument expansion.
 
     If the HOLOSEIS_CACHE environment variable points to a directory, the
-    kernel is cached there keyed by (grid hash, k, dim).
+    kernel is cached there keyed by (grid hash, k, dim, KERNEL_VERSION).
     """
     dim = grid.dim if dim is None else dim
+    k = complex(k)
     n = grid.n_nodes
     need = 16 * n * n
     if need > budget_bytes:
@@ -563,31 +575,39 @@ def assemble_green(
     cache_dir = os.environ.get(CACHE_ENV_VAR)
     cache_path = None
     if use_cache and cache_dir:
-        key = f"{grid.content_hash()}_{complex(k).real:.17g}_{complex(k).imag:.17g}_{dim}d"
+        key = f"{grid.content_hash()}_{k.real:.17g}_{k.imag:.17g}_{dim}d_v{KERNEL_VERSION}"
         cache_path = os.path.join(cache_dir, key + ".hsm")
         if os.path.exists(cache_path):
             try:
                 kernel = _io.read_matrix(cache_path)
                 if kernel.shape != (n, n):
                     raise UsageError(f"cached kernel has shape {kernel.shape}")
-            except (UsageError, struct.error) as exc:
+            except UsageError as exc:
                 logger.warning(
                     "unreadable Green cache entry %s (%s); reassembling", cache_path, exc
                 )
             else:
                 logger.debug("Green kernel loaded from cache %s", cache_path)
-                return GreensOperator(grid=grid, k_ref=complex(k), dim=dim, _kernel=kernel)
+                return GreensOperator(grid=grid, k_ref=k, dim=dim, _kernel=kernel)
 
-    diff = grid.nodes[:, None, :] - grid.nodes[None, :, :]
-    r = np.sqrt(np.sum(diff**2, axis=-1))
-    np.fill_diagonal(r, 1.0)  # placeholder; diagonal overwritten below
-    if dim == 2:
-        kernel = 0.25j * hankel_h1_array(0, complex(k) * r)
-    elif dim == 3:
-        kernel = np.exp(1j * complex(k) * r) / (4.0 * np.pi * r)
-    else:
-        raise UsageError(f"dim must be 2 or 3, got {dim}")
-    kernel[np.arange(n), np.arange(n)] = _diagonal_values(grid, k, dim)
+    if grid.n_interior + grid.n_receivers != n:
+        raise UsageError("every node must be an interior node or a receiver")
+    lattice = _lattice_indices(grid)
+    offsets = np.indices(lattice.max(axis=0) + 1, dtype=float)
+    r_table = grid.spacing * np.sqrt(np.sum(offsets**2, axis=0))
+    r_table.flat[0] = grid.spacing  # placeholder; the diagonal is overwritten below
+    table = _radial_kernel(dim, k, r_table)
+
+    kernel = np.empty((n, n), dtype=np.complex128)
+    int_idx = grid.interior_idx
+    for start in range(0, len(int_idx), _GATHER_ROWS):
+        block = lattice[start : start + _GATHER_ROWS]
+        steps = tuple(np.abs(np.subtract.outer(b, a)) for b, a in zip(block.T, lattice.T))
+        kernel[np.ix_(int_idx[start : start + _GATHER_ROWS], int_idx)] = table[steps]
+    rows = assemble_receiver_rows(grid, k, dim)
+    kernel[grid.receiver_idx, :] = rows
+    kernel[:, grid.receiver_idx] = rows.T
+    kernel[int_idx, int_idx] = _diagonal_values(grid, k, dim)
 
     if cache_path:
         os.makedirs(cache_dir, exist_ok=True)
@@ -601,7 +621,7 @@ def assemble_green(
             os.unlink(tmp_path)
             raise
         logger.debug("Green kernel cached to %s", cache_path)
-    return GreensOperator(grid=grid, k_ref=complex(k), dim=dim, _kernel=kernel)
+    return GreensOperator(grid=grid, k_ref=k, dim=dim, _kernel=kernel)
 
 
 def assemble_receiver_rows(grid: Grid, k: complex, dim: Optional[int] = None) -> np.ndarray:
@@ -615,13 +635,10 @@ def assemble_receiver_rows(grid: Grid, k: complex, dim: Optional[int] = None) ->
     r = np.sqrt(np.sum(diff**2, axis=-1))
     self_pos = (np.arange(grid.n_receivers), grid.receiver_idx)
     r[self_pos] = 1.0
+    rows = _radial_kernel(dim, k, r)
     if dim == 2:
-        rows = 0.25j * hankel_h1_array(0, complex(k) * r)
-        rows[self_pos] = [
-            _green_diagonal_line_2d(k, ell) for ell in grid.receiver_weights
-        ]
+        rows[self_pos] = [_green_diagonal_line_2d(k, ell) for ell in grid.receiver_weights]
     else:
-        rows = np.exp(1j * complex(k) * r) / (4.0 * np.pi * r)
         patch_r = np.sqrt(grid.receiver_weights / np.pi)
         rows[self_pos] = 1.0 / (2.0 * np.pi * patch_r) + 1j * complex(k) / (4.0 * np.pi)
     return rows
@@ -688,12 +705,10 @@ class GreensOperator:
         _supp: Optional[np.ndarray] = None,
         _Z: Optional[np.ndarray] = None,
         _lu=None,
-        frequency: Optional[float] = None,
     ):
         self.grid = grid
         self.k_ref = complex(k_ref)
         self.dim = dim
-        self.frequency = frequency
         self._kernel = _kernel
         self._base = _base
         self._supp = _supp
@@ -701,10 +716,6 @@ class GreensOperator:
         self._lu = _lu
 
     # -- representation ------------------------------------------------------
-    @property
-    def is_factored(self) -> bool:
-        return self._kernel is None
-
     @property
     def kernel(self) -> np.ndarray:
         """Dense kernel matrix; materializes the factored form on demand."""
@@ -787,13 +798,7 @@ def update_green(
     """
     grid = g0.grid
     if delta.is_zero():
-        return GreensOperator(
-            grid=grid,
-            k_ref=g0.k_ref,
-            dim=g0.dim,
-            _kernel=g0.kernel.copy(),
-            frequency=g0.frequency,
-        )
+        return GreensOperator(grid=grid, k_ref=g0.k_ref, dim=g0.dim, _kernel=g0.kernel.copy())
     m_full = delta.operator_matrix(grid)  # sparse (n, n)
     row_nnz = np.diff(m_full.indptr)
     supp = np.flatnonzero(row_nnz)
@@ -810,12 +815,5 @@ def update_green(
             f"{(1.0 / rcond if rcond else np.inf):.3e} exceeds {cond_limit:.1e}"
         )
     return GreensOperator(
-        grid=grid,
-        k_ref=g0.k_ref,
-        dim=g0.dim,
-        _base=g0,
-        _supp=supp,
-        _Z=z,
-        _lu=lu,
-        frequency=g0.frequency,
+        grid=grid, k_ref=g0.k_ref, dim=g0.dim, _base=g0, _supp=supp, _Z=z, _lu=lu
     )

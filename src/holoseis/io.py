@@ -40,6 +40,8 @@ from .errors import UsageError
 MATRIX_MAGIC = b"HOLOSEISGRID"
 ARCHIVE_MAGIC = b"HOLOSEISRLZN"
 FORMAT_VERSION = 1
+# archive header after the magic: version, grid digest, omega, N, seed, n_rec
+_ARCHIVE_HEADER = struct.Struct("<I32sdQQQ")
 
 __all__ = [
     "write_matrix",
@@ -65,21 +67,27 @@ def write_matrix(path, array: np.ndarray) -> None:
         f.write(arr.tobytes())
 
 
+def _read_exact(f, size: int, path, part: str) -> bytes:
+    """Read exactly ``size`` bytes; a short read means the file was cut."""
+    data = f.read(size)
+    if len(data) != size:
+        raise UsageError(f"{path}: truncated {part}")
+    return data
+
+
 def read_matrix(path) -> np.ndarray:
     """Read a binary grid-matrix file back into a complex128 array."""
     with open(path, "rb") as f:
         magic = f.read(12)
         if magic != MATRIX_MAGIC:
             raise UsageError(f"{path}: not a grid-matrix file (magic {magic!r})")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", _read_exact(f, 4, path, "header"))
         if version != FORMAT_VERSION:
             raise UsageError(f"{path}: unsupported version {version}")
-        (rank,) = struct.unpack("<Q", f.read(8))
-        shape = struct.unpack("<" + "Q" * rank, f.read(8 * rank))
+        (rank,) = struct.unpack("<Q", _read_exact(f, 8, path, "header"))
+        shape = struct.unpack("<" + "Q" * rank, _read_exact(f, 8 * rank, path, "header"))
         count = int(np.prod(shape)) if rank else 1
-        payload = f.read(16 * count)
-        if len(payload) != 16 * count:
-            raise UsageError(f"{path}: truncated payload")
+        payload = _read_exact(f, 16 * count, path, "payload")
         return np.frombuffer(payload, dtype=np.complex128).reshape(shape).copy()
 
 
@@ -109,37 +117,34 @@ def write_realizations(
         raise UsageError("grid_hash must be a sha256 hex digest")
     with open(path, "wb") as f:
         f.write(ARCHIVE_MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(digest)
-        f.write(struct.pack("<d", float(omega)))
-        f.write(struct.pack("<Q", arr.shape[0]))
-        f.write(struct.pack("<Q", int(seed)))
-        f.write(struct.pack("<Q", arr.shape[1]))
+        f.write(
+            _ARCHIVE_HEADER.pack(
+                FORMAT_VERSION, digest, float(omega), arr.shape[0], int(seed), arr.shape[1]
+            )
+        )
         f.write(arr.tobytes())
 
 
 def read_realizations(path) -> RealizationArchive:
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except FileNotFoundError as exc:
+        raise UsageError(f"realization archive {path} not found") from exc
+    with f:
         magic = f.read(12)
         if magic != ARCHIVE_MAGIC:
             raise UsageError(f"{path}: not a realization archive (magic {magic!r})")
-        (version,) = struct.unpack("<I", f.read(4))
+        header = _read_exact(f, _ARCHIVE_HEADER.size, path, "header")
+        version, digest, omega, n_real, seed, n_rec = _ARCHIVE_HEADER.unpack(header)
         if version != FORMAT_VERSION:
             raise UsageError(f"{path}: unsupported version {version}")
-        digest = f.read(32)
-        (omega,) = struct.unpack("<d", f.read(8))
-        (n_real,) = struct.unpack("<Q", f.read(8))
-        (seed,) = struct.unpack("<Q", f.read(8))
-        (n_rec,) = struct.unpack("<Q", f.read(8))
-        data = np.frombuffer(f.read(16 * n_real * n_rec), dtype=np.complex128)
-        if data.size != n_real * n_rec:
-            raise UsageError(f"{path}: truncated payload")
+        payload = _read_exact(f, 16 * n_real * n_rec, path, "payload")
         return RealizationArchive(
             grid_hash=digest.hex(),
             omega=omega,
             n_realizations=n_real,
             seed=seed,
-            fields=data.reshape(n_real, n_rec).copy(),
+            fields=np.frombuffer(payload, dtype=np.complex128).reshape(n_real, n_rec).copy(),
         )
 
 

@@ -175,6 +175,21 @@ class TestExitCodes:
             cli.main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["hologram", "invert"])
+    def test_missing_archive_is_2(self, tiny_config, command):
+        path, cfg, tmp = tiny_config
+        argv = [command, "--config", str(path), "--out", str(tmp / "run")]
+        assert cli.main(argv + ["--archives", str(tmp / "nowhere")]) == cli.EXIT_CONFIG
+
+    def test_truncated_archive_is_2(self, tiny_config):
+        path, cfg, tmp = tiny_config
+        out = tmp / "run"
+        assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 0
+        archive = out / "realizations_f000.hsr"
+        archive.write_bytes(archive.read_bytes()[:-5])
+        rc = cli.main(["hologram", "--config", str(path), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+
     def test_numerical_failure_is_3(self, tiny_config, tmp_path, monkeypatch):
         path, cfg, tmp = tiny_config
         out = tmp / "run"

@@ -1,5 +1,7 @@
 """Green's-operator tests: closed forms, modal series, assembly, resolvent update."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,12 +211,82 @@ class TestAssembly:
         assert [p.name for p in tmp_path.iterdir()] == [entry.name]
         assert entry.stat().st_size == full
 
+    def test_stale_kernel_version_is_a_miss(self, grid, tmp_path, monkeypatch):
+        monkeypatch.setenv(greens.CACHE_ENV_VAR, str(tmp_path))
+        fresh = greens.assemble_green(grid, 5.0 + 0.1j, use_cache=False)
+        with monkeypatch.context() as m:
+            m.setattr(greens, "KERNEL_VERSION", greens.KERNEL_VERSION - 1)
+            greens.assemble_green(grid, 5.0 + 0.1j)
+        (stale,) = tmp_path.iterdir()
+        # a readable entry of the right shape, written under another version
+        hio.write_matrix(stale, np.zeros((grid.n_nodes, grid.n_nodes), dtype=complex))
+        op = greens.assemble_green(grid, 5.0 + 0.1j)
+        assert np.array_equal(op.kernel, fresh.kernel)
+        assert len(list(tmp_path.iterdir())) == 2
+
     def test_3d_ball_assembly_reciprocity(self):
         g3 = greens.ball_grid_3d(
             radius=0.5, wavelength=0.5, points_per_wavelength=7.0, n_receivers=16
         )
         op = greens.assemble_green(g3, 2.0 + 0.1j)
         assert np.max(np.abs(op.kernel - op.kernel.T)) == 0.0
+
+
+def _reference_kernel(g, k):
+    """Off-diagonal kernel entries from green_uniform, node pair by node pair."""
+    n = g.n_nodes
+    ref = np.full((n, n), np.nan, dtype=complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            ref[i, j] = ref[j, i] = greens.green_uniform(g.dim, k, g.nodes[i], g.nodes[j])
+    return ref
+
+
+class TestLatticeAssembly:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: greens.square_grid(0.6, 0.5, 7.5, 1.0, n_receivers=16),
+            lambda: greens.disk_grid(
+                0.4, 0.4, receiver_radius=0.3, n_receivers=12, receiver_phase=0.1
+            ),
+            lambda: greens.ball_grid_3d(0.25, 0.5, 7.0, n_receivers=12),
+        ],
+        ids=["square", "disk", "ball3d"],
+    )
+    def test_every_offdiagonal_entry_matches_point_evaluation(self, make):
+        g = make()
+        k = 7.0 + 0.5j
+        kernel = greens.assemble_green(g, k, use_cache=False).kernel
+        ref = _reference_kernel(g, k)
+        off = ~np.eye(g.n_nodes, dtype=bool)
+        rel = np.abs(kernel[off] - ref[off]) / np.abs(ref[off])
+        assert np.max(rel) <= 1e-13
+
+    def test_off_lattice_node_raises(self, grid):
+        nodes = grid.nodes.copy()
+        nodes[grid.interior_idx[5], 0] += 0.3 * grid.spacing
+        moved = greens.Grid(
+            nodes=nodes,
+            weights=grid.weights,
+            receiver_idx=grid.receiver_idx,
+            interior_idx=grid.interior_idx,
+            wavelength_resolution=grid.wavelength_resolution,
+            interior_shape=grid.interior_shape,
+            spacing=grid.spacing,
+        )
+        with pytest.raises(UsageError, match="lattice"):
+            greens.assemble_green(moved, 7.0 + 0.5j, use_cache=False)
+
+    def test_allocation_peak_near_kernel_size(self):
+        g = greens.square_grid(0.6, 0.3, 7.5, 1.0, n_receivers=40)
+        tracemalloc.start()
+        try:
+            greens.assemble_green(g, 7.0 + 0.5j, use_cache=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 16 * g.n_nodes**2
 
 
 @pytest.fixture(scope="module")

@@ -51,6 +51,14 @@ class TestMatrixFormat:
             hio.read_matrix(path)
 
 
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "m.hsm"
+        hio.write_matrix(path, np.ones((4, 4), dtype=complex))
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(UsageError, match="truncated header"):
+            hio.read_matrix(path)
+
+
 class TestRealizationArchive:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -64,6 +72,19 @@ class TestRealizationArchive:
         assert arc.seed == 42
         assert arc.n_realizations == 10
         assert np.array_equal(arc.fields, fields)
+
+    @pytest.mark.parametrize("keep", [12 + 20, 12 + 68 + 16 * 7 + 5], ids=["header", "payload"])
+    def test_truncated_archive_rejected(self, tmp_path, keep):
+        path = tmp_path / "r.hsr"
+        hio.write_realizations(path, np.ones((4, 3), dtype=complex), "ab" * 32, 1.0, 0)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(UsageError, match="truncated"):
+            hio.read_realizations(path)
+
+    def test_missing_archive_names_path(self, tmp_path):
+        path = tmp_path / "nowhere" / "r.hsr"
+        with pytest.raises(UsageError, match="nowhere"):
+            hio.read_realizations(path)
 
     def test_wrong_hash_length(self, tmp_path):
         with pytest.raises(UsageError):
