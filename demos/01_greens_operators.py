@@ -1,9 +1,9 @@
 """Green's operators for a uniform medium and the resolvent update.
 
-Assembles the dense outgoing Green's kernel on a square source block with a
-receiver circle, checks the separable (modal) expansion against the closed
-form, and moves the operator to a perturbed medium with the second-kind
-resolvent identity restricted to the perturbation's support.
+Assembles the dense outgoing 2D Green's kernel on a square source block with
+a receiver circle, checks its entries against the closed form (i/4) H1_0(k r),
+and moves the operator to a perturbed medium with the second-kind resolvent
+identity restricted to the perturbation's support.
 """
 
 import numpy as np
@@ -30,14 +30,13 @@ op = greens.assemble_green(grid, k)
 print(f"kernel assembled: {op.kernel.shape}, "
       f"reciprocity deviation {np.max(np.abs(op.kernel - op.kernel.T)):.2e}")
 
-# --- modal expansion converges to the closed form ---------------------------
-x = np.array([1.1, 0.0])
-theta = 0.8
-y = 0.55 * np.array([np.cos(theta), np.sin(theta)])
-exact = greens.green_uniform(2, k, x, y)
-for n_max in (2, 10, 40, 120):
-    series = greens.green_modal(2, k, 1.1, 0.55, theta, n_max=n_max)
-    print(f"  modal n_max={n_max:3d}: |series - closed| = {abs(series - exact):.3e}")
+# --- the lattice-offset assembly reproduces the closed form -----------------
+# interior entries come from a table of distinct lattice offsets, receiver
+# rows from direct evaluation; both match (i/4) H1_0(k |x - y|) node by node
+rec = grid.receiver_idx[5]
+for i, j in ((0, 7), (3, grid.n_interior - 1), (rec, 12)):
+    exact = greens.green_uniform(k, grid.nodes[i], grid.nodes[j])
+    print(f"  K[{i:4d}, {j:4d}]: |assembled - closed form| = {abs(op.kernel[i, j] - exact):.3e}")
 
 # --- resolvent update for a compact potential perturbation ------------------
 pts = grid.interior_nodes

@@ -136,6 +136,34 @@ def _archive_path(out: Path, index: int) -> Path:
     return out / f"realizations_f{index:03d}.hsr"
 
 
+def _read_archive(
+    archives: Path, idx: int, grid: greens.Grid, freq: medium.FrequencyContext
+) -> stochastic.RealizationSet:
+    """Realizations of frequency idx, checked against the configured grid and omega."""
+    path = _archive_path(archives, idx)
+    archive = hio.read_realizations(path)
+    if archive.grid_hash != grid.content_hash():
+        raise UsageError(f"{path}: archive grid hash does not match the configured grid")
+    # synth writes the configured float64 omega, so equality is exact
+    if archive.omega != freq.omega:
+        raise UsageError(
+            f"{path}: archive omega {archive.omega!r} != configured {freq.omega!r}"
+        )
+    if not np.all(np.isfinite(archive.fields)):
+        raise UsageError(f"{path}: archive holds non-finite fields")
+    return stochastic.RealizationSet(
+        fields=archive.fields, seed=archive.seed, omega=archive.omega
+    )
+
+
+def _map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], on a thread pool when workers > 1."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -157,11 +185,7 @@ def cmd_synth(cfg: dict, out: Path, workers: int = 1) -> List[str]:
         hio.write_realizations(path, r.fields, grid.content_hash(), freq.omega, r.seed)
         return str(path)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(synth_one, enumerate(freqs)))
-    else:
-        outputs = [synth_one(item) for item in enumerate(freqs)]
+    outputs = _map(synth_one, enumerate(freqs), workers)
     hio.write_manifest(
         out / "manifest.json",
         cfg,
@@ -199,25 +223,12 @@ def cmd_hologram(cfg: dict, out: Path, archives: Path, workers: int = 1) -> List
 
     def holo_one(item):
         idx, freq = item
-        archive = hio.read_realizations(_archive_path(archives, idx))
-        if archive.grid_hash != grid.content_hash():
-            raise UsageError("archive grid hash does not match the configured grid")
-        k_ref = reference.reference_wavenumber(freq)
-        g_op = greens.assemble_green(grid, k_ref)
+        r = _read_archive(archives, idx, grid, freq)
+        g_op = greens.assemble_green(grid, reference.reference_wavenumber(freq))
         pair = holography.lindsey_braun_pair(g_op, pupils=pupils)
-        r = stochastic.RealizationSet(
-            fields=archive.fields, seed=archive.seed, omega=archive.omega
-        )
-        holo = holography.backprop_realizations(pair, r, grid.receiver_weights)
-        return idx, holo
+        return holography.backprop_realizations(pair, r, grid.receiver_weights)
 
-    items = list(enumerate(freqs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(holo_one, items))
-    else:
-        results = [holo_one(item) for item in items]
-    for idx, holo in sorted(results, key=lambda t: t[0]):
+    for idx, holo in enumerate(_map(holo_one, enumerate(freqs), workers)):
         path = out / f"hologram_f{idx:03d}.hsm"
         hio.write_matrix(path, holo.values)
         outputs.append(str(path))
@@ -277,11 +288,7 @@ def cmd_kernels(cfg: dict, out: Path, workers: int = 1) -> List[str]:
             kern = holography.sensitivity_kernel(model, (qx, qy), targets=targets)
             return kern.entries
 
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(kernel_one, freqs))
-        else:
-            parts = [kernel_one(freq) for freq in freqs]
+        parts = _map(kernel_one, freqs, workers)
         avg = np.mean(parts, axis=0)
         tag = f"{qx}_{qy}"
         path = out / f"kernel_{tag}.hsm"
@@ -323,17 +330,10 @@ def cmd_invert(
     freqs = build_frequencies(cfg)
     data = []
     for idx, freq in enumerate(freqs):
-        archive = hio.read_realizations(_archive_path(archives, idx))
-        corr = stochastic.empirical_corr(
-            stochastic.RealizationSet(
-                fields=archive.fields, seed=archive.seed, omega=archive.omega
-            ),
-            grid.receiver_weights,
-        )
+        r = _read_archive(archives, idx, grid, freq)
+        corr = stochastic.empirical_corr(r, grid.receiver_weights)
         data.append(
-            inversion.FrequencyData(
-                freq=freq, corr=corr, n_realizations=archive.n_realizations
-            )
+            inversion.FrequencyData(freq=freq, corr=corr, n_realizations=r.n_realizations)
         )
     constraint = None
     if tuple(quantities) == ("u",):

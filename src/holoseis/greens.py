@@ -1,4 +1,7 @@
-"""Dense Green's operators for uniform reference media and their resolvent updates.
+"""Dense 2D Green's operators for uniform reference media and their resolvent updates.
+
+Every grid is planar: the uniform-medium kernel is the outgoing (i/4) H1_0(k r)
+of -(Laplace + k^2), and a grid whose nodes are not 2D points is rejected.
 
 The discrete convention throughout the package: a kernel matrix ``K`` of shape
 (n, n) represents the integral operator
@@ -37,17 +40,15 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import zgecon
-from scipy.special import eval_legendre
 
 from . import io as _io
 from .errors import (
-    DomainError,
     MemoryBudgetError,
     ResonanceError,
     SingularityError,
     UsageError,
 )
-from .specfun import hankel_h1, hankel_h1_array, bessel_j, spherical_bessel
+from .specfun import hankel_h1, hankel_h1_array
 
 logger = logging.getLogger(__name__)
 
@@ -64,11 +65,8 @@ __all__ = [
     "DeltaOperator",
     "square_grid",
     "disk_grid",
-    "ball_grid_3d",
     "green_uniform",
     "green_diagonal_2d",
-    "green_diagonal_3d",
-    "green_modal",
     "assemble_green",
     "assemble_receiver_rows",
     "update_green",
@@ -84,12 +82,12 @@ class Grid:
 
     Attributes
     ----------
-    nodes : np.ndarray, shape (n, d)
-        Node positions; interior nodes first, then receivers (by convention
-        of the factories, not a requirement).
+    nodes : np.ndarray, shape (n, 2)
+        Node positions in the plane; interior nodes first, then receivers (by
+        convention of the factories, not a requirement).
     weights : np.ndarray, shape (n,)
         Quadrature weight per node: cell measure for interior nodes, arc
-        (d=2) or surface-patch (d=3) measure for receiver nodes.
+        measure for receiver nodes.
     receiver_idx : np.ndarray
         Indices of the receiver nodes (observation hypersurface).
     interior_idx : np.ndarray
@@ -153,6 +151,7 @@ class Grid:
 
     def validate(self) -> None:
         """Check grid invariants; raises UsageError on violation."""
+        _require_2d(self)
         n = self.n_nodes
         if self.weights.shape != (n,):
             raise UsageError(f"weights shape {self.weights.shape} != ({n},)")
@@ -359,59 +358,11 @@ def disk_grid(
     return grid
 
 
-def ball_grid_3d(
-    radius: float,
-    wavelength: float,
-    points_per_wavelength: float = 7.5,
-    receiver_radius: float = 1.0,
-    n_receivers: int = 64,
-) -> Grid:
-    """Small 3D ball of source nodes with receivers on a Fibonacci sphere."""
-    h_target = wavelength / points_per_wavelength
-    m = int(np.ceil(radius / h_target))
-    h = radius / m
-    centers = (np.arange(-m, m) + 0.5) * h
-    xx, yy, zz = np.meshgrid(centers, centers, centers, indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
-    rr = np.linalg.norm(pts, axis=1)
-    interior = pts[rr < radius]
-    w_int = np.full(len(interior), h**3)
-    measure = len(interior) * h**3  # pixelated ball; validate against itself
-
-    i = np.arange(n_receivers)
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    z = 1.0 - 2.0 * (i + 0.5) / n_receivers
-    r_xy = np.sqrt(1.0 - z**2)
-    rec = receiver_radius * np.column_stack(
-        [r_xy * np.cos(golden * i), r_xy * np.sin(golden * i), z]
-    )
-    w_rec = np.full(n_receivers, 4.0 * np.pi * receiver_radius**2 / n_receivers)
-
-    nodes = np.vstack([interior, rec])
-    weights = np.concatenate([w_int, w_rec])
-    grid = Grid(
-        nodes=nodes,
-        weights=weights,
-        receiver_idx=np.arange(len(interior), len(nodes)),
-        interior_idx=np.arange(len(interior)),
-        wavelength_resolution=wavelength / h,
-        interior_shape=None,
-        spacing=h,
-        domain_measure=measure,
-        meta={"kind": "ball3d", "radius": radius},
-    )
-    grid.validate()
-    return grid
-
-
 # ---------------------------------------------------------------------------
 # Point evaluations of the uniform-medium Green's function
 # ---------------------------------------------------------------------------
-def green_uniform(dim: int, k: complex, x: np.ndarray, y: np.ndarray) -> complex:
-    """Outgoing free-space Green's function of -(Laplace + k^2).
-
-        d=2:  (i/4) H1_0(k |x-y|)
-        d=3:  exp(ik |x-y|) / (4 pi |x-y|)
+def green_uniform(k: complex, x: np.ndarray, y: np.ndarray) -> complex:
+    """Outgoing 2D free-space Green's function (i/4) H1_0(k |x-y|) of -(Laplace + k^2).
 
     Im k >= 0 gives exponential decay.  Raises SingularityError at x = y;
     callers use the regularized cell-averaged diagonal instead.
@@ -419,12 +370,7 @@ def green_uniform(dim: int, k: complex, x: np.ndarray, y: np.ndarray) -> complex
     r = float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
     if r == 0.0:
         raise SingularityError("Green's function evaluated at coincident points")
-    k = complex(k)
-    if dim == 2:
-        return 0.25j * hankel_h1(0, k * r)
-    if dim == 3:
-        return complex(np.exp(1j * k * r) / (4.0 * np.pi * r))
-    raise UsageError(f"dim must be 2 or 3, got {dim}")
+    return 0.25j * hankel_h1(0, complex(k) * r)
 
 
 def green_diagonal_2d(k: complex, cell_radius: float) -> complex:
@@ -454,79 +400,26 @@ def _green_diagonal_line_2d(k: complex, length: float) -> complex:
     return complex((log_avg - np.log(k / 2.0) - EULER_GAMMA) / (2.0 * np.pi) + 0.25j)
 
 
-def green_diagonal_3d(k: complex, cell_radius: float) -> complex:
-    """Ball-averaged 3D self-interaction: 3/(8 pi a) + ik/(4 pi)."""
-    if cell_radius <= 0:
-        raise UsageError("cell_radius must be positive")
-    return complex(3.0 / (8.0 * np.pi * cell_radius) + 1j * complex(k) / (4.0 * np.pi))
-
-
-def green_modal(
-    dim: int,
-    k: complex,
-    r_out: float,
-    r_in: float,
-    angle: float,
-    n_max: int,
-) -> complex:
-    """Truncated separable (modal) expansion of the uniform Green's function.
-
-        d=2:  (i/4) [ H1_0(k r>) J_0(k r<) + 2 sum_n H1_n J_n cos(n theta) ]
-        d=3:  ik sum_n (2n+1)/(4pi) h1_n(k r>) j_n(k r<) P_n(cos theta)
-
-    valid for r_in <= r_out; converges to green_uniform as n_max grows.
-    (The 2D cylindrical series carries the i/4 normalization of the
-    closed form so both evaluations agree in the limit.)
-    """
-    if r_in >= r_out:
-        raise DomainError("modal expansion requires r_in < r_out")
-    k = complex(k)
-    if dim == 2:
-        acc = hankel_h1(0, k * r_out) * bessel_j(0, k * r_in)
-        for n in range(1, n_max + 1):
-            acc += (
-                2.0
-                * hankel_h1(n, k * r_out)
-                * bessel_j(n, k * r_in)
-                * np.cos(n * angle)
-            )
-        return complex(0.25j * acc)
-    if dim == 3:
-        mu = np.cos(angle)
-        acc = 0.0 + 0.0j
-        for n in range(n_max + 1):
-            acc += (
-                (2 * n + 1)
-                / (4.0 * np.pi)
-                * spherical_bessel("h1", n, k * r_out)
-                * spherical_bessel("j", n, k * r_in)
-                * eval_legendre(n, mu)
-            )
-        return complex(1j * k * acc)
-    raise UsageError(f"dim must be 2 or 3, got {dim}")
-
-
 # ---------------------------------------------------------------------------
 # Dense assembly
 # ---------------------------------------------------------------------------
-def _diagonal_values(grid: Grid, k: complex, dim: int) -> np.ndarray:
+def _diagonal_values(grid: Grid, k: complex) -> np.ndarray:
     """Regularized self-interaction of each interior node, from its cell measure.
 
-    Receiver self-entries are line/patch averages set by assemble_receiver_rows.
+    Receiver self-entries are line averages set by assemble_receiver_rows.
     """
     w = grid.interior_weights
-    if dim == 2:
-        return np.array([green_diagonal_2d(k, a) for a in np.sqrt(w / np.pi)])
-    return np.array([green_diagonal_3d(k, a) for a in np.cbrt(3.0 * w / (4.0 * np.pi))])
+    return np.array([green_diagonal_2d(k, a) for a in np.sqrt(w / np.pi)])
 
 
-def _radial_kernel(dim: int, k: complex, r: np.ndarray) -> np.ndarray:
+def _radial_kernel(k: complex, r: np.ndarray) -> np.ndarray:
     """Uniform-medium kernel at distances r > 0, the array form of green_uniform."""
-    if dim == 2:
-        return 0.25j * hankel_h1_array(0, complex(k) * r)
-    if dim == 3:
-        return np.exp(1j * complex(k) * r) / (4.0 * np.pi * r)
-    raise UsageError(f"dim must be 2 or 3, got {dim}")
+    return 0.25j * hankel_h1_array(0, complex(k) * r)
+
+
+def _require_2d(grid: Grid) -> None:
+    if grid.nodes.ndim != 2 or grid.nodes.shape[1] != 2:
+        raise UsageError(f"grid nodes must be 2D points, got shape {grid.nodes.shape}")
 
 
 def _lattice_indices(grid: Grid) -> np.ndarray:
@@ -546,7 +439,6 @@ def _lattice_indices(grid: Grid) -> np.ndarray:
 def assemble_green(
     grid: Grid,
     k: complex,
-    dim: Optional[int] = None,
     budget_bytes: int = DEFAULT_BUDGET_BYTES,
     use_cache: bool = True,
 ) -> "GreensOperator":
@@ -561,9 +453,9 @@ def assemble_green(
     singularity plus the constant terms of the small-argument expansion.
 
     If the HOLOSEIS_CACHE environment variable points to a directory, the
-    kernel is cached there keyed by (grid hash, k, dim, KERNEL_VERSION).
+    kernel is cached there keyed by (grid hash, k, KERNEL_VERSION).
     """
-    dim = grid.dim if dim is None else dim
+    _require_2d(grid)
     k = complex(k)
     n = grid.n_nodes
     need = 16 * n * n
@@ -575,7 +467,7 @@ def assemble_green(
     cache_dir = os.environ.get(CACHE_ENV_VAR)
     cache_path = None
     if use_cache and cache_dir:
-        key = f"{grid.content_hash()}_{k.real:.17g}_{k.imag:.17g}_{dim}d_v{KERNEL_VERSION}"
+        key = f"{grid.content_hash()}_{k.real:.17g}_{k.imag:.17g}_v{KERNEL_VERSION}"
         cache_path = os.path.join(cache_dir, key + ".hsm")
         if os.path.exists(cache_path):
             try:
@@ -588,7 +480,7 @@ def assemble_green(
                 )
             else:
                 logger.debug("Green kernel loaded from cache %s", cache_path)
-                return GreensOperator(grid=grid, k_ref=k, dim=dim, _kernel=kernel)
+                return GreensOperator(grid=grid, k_ref=k, _kernel=kernel)
 
     if grid.n_interior + grid.n_receivers != n:
         raise UsageError("every node must be an interior node or a receiver")
@@ -596,7 +488,7 @@ def assemble_green(
     offsets = np.indices(lattice.max(axis=0) + 1, dtype=float)
     r_table = grid.spacing * np.sqrt(np.sum(offsets**2, axis=0))
     r_table.flat[0] = grid.spacing  # placeholder; the diagonal is overwritten below
-    table = _radial_kernel(dim, k, r_table)
+    table = _radial_kernel(k, r_table)
 
     kernel = np.empty((n, n), dtype=np.complex128)
     int_idx = grid.interior_idx
@@ -604,10 +496,10 @@ def assemble_green(
         block = lattice[start : start + _GATHER_ROWS]
         steps = tuple(np.abs(np.subtract.outer(b, a)) for b, a in zip(block.T, lattice.T))
         kernel[np.ix_(int_idx[start : start + _GATHER_ROWS], int_idx)] = table[steps]
-    rows = assemble_receiver_rows(grid, k, dim)
+    rows = assemble_receiver_rows(grid, k)
     kernel[grid.receiver_idx, :] = rows
     kernel[:, grid.receiver_idx] = rows.T
-    kernel[int_idx, int_idx] = _diagonal_values(grid, k, dim)
+    kernel[int_idx, int_idx] = _diagonal_values(grid, k)
 
     if cache_path:
         os.makedirs(cache_dir, exist_ok=True)
@@ -621,26 +513,22 @@ def assemble_green(
             os.unlink(tmp_path)
             raise
         logger.debug("Green kernel cached to %s", cache_path)
-    return GreensOperator(grid=grid, k_ref=k, dim=dim, _kernel=kernel)
+    return GreensOperator(grid=grid, k_ref=k, _kernel=kernel)
 
 
-def assemble_receiver_rows(grid: Grid, k: complex, dim: Optional[int] = None) -> np.ndarray:
+def assemble_receiver_rows(grid: Grid, k: complex) -> np.ndarray:
     """Receiver-row block G(x_r, y_j) for all grid nodes, without the full matrix.
 
-    Receiver self-entries get the line/patch-averaged diagonal.
+    Receiver self-entries get the line-averaged diagonal.
     """
-    dim = grid.dim if dim is None else dim
+    _require_2d(grid)
     rec = grid.receiver_nodes
     diff = rec[:, None, :] - grid.nodes[None, :, :]
     r = np.sqrt(np.sum(diff**2, axis=-1))
     self_pos = (np.arange(grid.n_receivers), grid.receiver_idx)
     r[self_pos] = 1.0
-    rows = _radial_kernel(dim, k, r)
-    if dim == 2:
-        rows[self_pos] = [_green_diagonal_line_2d(k, ell) for ell in grid.receiver_weights]
-    else:
-        patch_r = np.sqrt(grid.receiver_weights / np.pi)
-        rows[self_pos] = 1.0 / (2.0 * np.pi * patch_r) + 1j * complex(k) / (4.0 * np.pi)
+    rows = _radial_kernel(k, r)
+    rows[self_pos] = [_green_diagonal_line_2d(k, ell) for ell in grid.receiver_weights]
     return rows
 
 
@@ -691,7 +579,7 @@ class GreensOperator:
 
     The factored form stores the base kernel K0 together with the pivoted LU
     factorization of the support-restricted second-kind system, and evaluates
-    rows, columns, applications and Hermitian products without materializing
+    rows, applications and Hermitian products without materializing
     the full perturbed kernel.
     """
 
@@ -699,7 +587,6 @@ class GreensOperator:
         self,
         grid: Grid,
         k_ref: complex,
-        dim: int,
         _kernel: Optional[np.ndarray] = None,
         _base: Optional["GreensOperator"] = None,
         _supp: Optional[np.ndarray] = None,
@@ -708,8 +595,8 @@ class GreensOperator:
     ):
         self.grid = grid
         self.k_ref = complex(k_ref)
-        self.dim = dim
         self._kernel = _kernel
+        self._receiver_rows: Optional[np.ndarray] = None
         self._base = _base
         self._supp = _supp
         self._Z = _Z  # V @ K0, shape (m, n)
@@ -725,6 +612,13 @@ class GreensOperator:
             self._kernel = base - u @ lu_solve(self._lu, self._Z)
         return self._kernel
 
+    @property
+    def receiver_rows(self) -> np.ndarray:
+        """Receiver rows Tr G = K[receiver_idx, :], evaluated once per operator."""
+        if self._receiver_rows is None:
+            self._receiver_rows = self.rows(self.grid.receiver_idx)
+        return self._receiver_rows
+
     def _u_block(self, idx: np.ndarray) -> np.ndarray:
         """U[idx, :] where U = (K0 W)[:, supp]."""
         w_supp = self.grid.weights[self._supp]
@@ -739,15 +633,6 @@ class GreensOperator:
         u = self._u_block(idx)  # (k, m)
         corr = lu_solve(self._lu, u.T, trans=1).T  # u @ L^{-1}
         return self._base.rows(idx) - corr @ self._Z
-
-    def cols(self, idx) -> np.ndarray:
-        """Dense kernel columns K[:, idx]."""
-        idx = np.asarray(idx)
-        if self._kernel is not None:
-            return self._kernel[:, idx]
-        z_cols = lu_solve(self._lu, self._Z[:, idx])  # (m, k)
-        u = self._u_block(np.arange(self.grid.n_nodes))  # (n, m)
-        return self._base.cols(idx) - u @ z_cols
 
     def apply(self, source: np.ndarray) -> np.ndarray:
         """Quadrature application (G s)_i = sum_j K[i,j] s_j w_j on full-grid s."""
@@ -798,7 +683,7 @@ def update_green(
     """
     grid = g0.grid
     if delta.is_zero():
-        return GreensOperator(grid=grid, k_ref=g0.k_ref, dim=g0.dim, _kernel=g0.kernel.copy())
+        return GreensOperator(grid=grid, k_ref=g0.k_ref, _kernel=g0.kernel.copy())
     m_full = delta.operator_matrix(grid)  # sparse (n, n)
     row_nnz = np.diff(m_full.indptr)
     supp = np.flatnonzero(row_nnz)
@@ -814,6 +699,4 @@ def update_green(
             f"second-kind system nearly singular: condition estimate "
             f"{(1.0 / rcond if rcond else np.inf):.3e} exceeds {cond_limit:.1e}"
         )
-    return GreensOperator(
-        grid=grid, k_ref=g0.k_ref, dim=g0.dim, _base=g0, _supp=supp, _Z=z, _lu=lu
-    )
+    return GreensOperator(grid=grid, k_ref=g0.k_ref, _base=g0, _supp=supp, _Z=z, _lu=lu)

@@ -51,7 +51,6 @@ from .stochastic import (
     CovarianceOperator,
     RealizationSet,
     _boundary_block,
-    _receiver_block,
     forward_covariance,
 )
 
@@ -191,11 +190,12 @@ def build_model(
     )
     hp_ref = recast(ref, freq)
     if g_ref is None:
-        g_ref = assemble_green(grid, hp.k_ref, grid.dim)
+        g_ref = assemble_green(grid, hp.k_ref)
     delta = helmholtz_delta(hp_ref, hp, grid)
     g = g_ref if delta.is_zero() else update_green(g_ref, delta)
 
-    rows, h_alpha = _receiver_block(g)
+    rows = g.receiver_rows
+    h_alpha = rows[:, grid.interior_idx]
     beta_scalar = None
     beta_flow = None
     if any(q != "S" for q in quantities):
@@ -215,11 +215,7 @@ def build_model(
             beta_flow = tuple((beta_scalar @ d_i.T.tocsc()) for d_i in dmats)
 
     gv = {q: partial_v(q, params, freq) for q in quantities if q != "S"}
-    ga = {
-        q: partial_A(q, params, freq)
-        for q in quantities
-        if q in ("c", "u") and grid.dim >= 2
-    }
+    ga = {q: partial_A(q, params, freq) for q in quantities if q in ("c", "u")}
     return LinearizedModel(
         grid=grid,
         params=params,
@@ -243,7 +239,7 @@ def lindsey_braun_pair(
     Pupils are two receiver index lists; each propagator keeps only the rows
     of its pupil.  Without pupils both propagators are the same array.
     """
-    _, a_int = _receiver_block(g)
+    a_int = g.receiver_rows[:, g.grid.interior_idx]
     if pupils is None:
         return PropagatorPair(h_alpha=a_int, h_beta=a_int)
     masks = np.zeros((2, g.grid.n_receivers))

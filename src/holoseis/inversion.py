@@ -313,7 +313,7 @@ def _build_stack(
         g_ref = greens_cache.get(omega)
         if g_ref is None:
             k_ref = params.reference_wavenumber(item.freq)
-            g_ref = assemble_green(config.grid, k_ref, config.grid.dim)
+            g_ref = assemble_green(config.grid, k_ref)
             budget = config.greens_budget_bytes
             if (len(greens_cache) + 1) * 16 * config.grid.n_nodes**2 <= budget:
                 greens_cache[omega] = g_ref

@@ -57,7 +57,7 @@ __all__ = [
 
 def write_matrix(path, array: np.ndarray) -> None:
     """Write a complex array in the binary grid-matrix format."""
-    arr = np.ascontiguousarray(array, dtype=np.complex128)
+    arr = np.asarray(array, dtype=np.complex128)  # keeps rank 0; tobytes is row-major
     with open(path, "wb") as f:
         f.write(MATRIX_MAGIC)
         f.write(struct.pack("<I", FORMAT_VERSION))

@@ -1,18 +1,17 @@
-"""Complex-capable cylindrical and spherical Bessel/Hankel functions.
+"""Complex-capable cylindrical Bessel/Hankel functions.
 
 Evaluation is delegated to the AMOS routines wrapped by :mod:`scipy.special`,
-which handle complex arguments for all families used here.  This module adds
-the domain guards, the z = 0 special cases, and a uniform calling convention
-(integer order, complex argument) relied on by the Green's-function assembly
-in :mod:`holoseis.greens`.
+which handle complex arguments.  This module adds the domain guards, the
+z = 0 special cases, and a uniform calling convention (integer order, complex
+argument).  The 2D Green's-function assembly in :mod:`holoseis.greens` uses
+hankel_h1 and hankel_h1_array; bessel_j and bessel_y are the guarded
+references the tests check them against.
 
 Conventions
 -----------
     J_n  : Bessel function of the first kind
     Y_n  : Bessel function of the second kind
     H1_n : Hankel function of the first kind, H1_n = J_n + i Y_n
-    j_n  : spherical Bessel function,  j_0(z) = sin(z)/z
-    h1_n : spherical Hankel function,  h1_0(z) = -i exp(iz)/z
 
 All functions are pure and stateless; they may be called concurrently.
 """
@@ -29,7 +28,6 @@ __all__ = [
     "bessel_j",
     "bessel_y",
     "hankel_h1",
-    "spherical_bessel",
     "hankel_h1_array",
 ]
 
@@ -91,26 +89,6 @@ def hankel_h1(n: int, z: complex) -> complex:
     if z == 0:
         raise SingularityError("H1_n is singular at z = 0")
     return complex(_sp.hankel1(n, z))
-
-
-def spherical_bessel(kind: str, n: int, z: complex) -> complex:
-    """Spherical Bessel (kind='j') or spherical Hankel (kind='h1') function.
-
-    Computed from half-integer cylindrical orders,
-    z_n(z) = sqrt(pi / (2 z)) Z_{n + 1/2}(z), with the closed-form anchors
-    j_0 = sin(z)/z and h1_0 = -i exp(iz)/z recovered exactly in the limit.
-    """
-    n = _check_order(n)
-    z = _check_argument(z)
-    if kind == "j":
-        if z == 0:
-            return 1.0 + 0.0j if n == 0 else 0.0 + 0.0j
-        return complex(np.sqrt(np.pi / (2 * z)) * _sp.jv(n + 0.5, z))
-    if kind == "h1":
-        if z == 0:
-            raise SingularityError("h1_n is singular at z = 0")
-        return complex(np.sqrt(np.pi / (2 * z)) * _sp.hankel1(n + 0.5, z))
-    raise UsageError(f"kind must be 'j' or 'h1', got {kind!r}")
 
 
 def hankel_h1_array(n: int, z: np.ndarray) -> np.ndarray:

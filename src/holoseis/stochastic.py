@@ -18,7 +18,7 @@ fixed seed reproduces archives bit-identically regardless of batching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -110,12 +110,6 @@ def hs_norm(a: np.ndarray, weights: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-def _receiver_block(g: GreensOperator) -> Tuple[np.ndarray, np.ndarray]:
-    """Receiver rows Tr G on all nodes, and their interior block H_alpha."""
-    rows = g.rows(g.grid.receiver_idx)
-    return rows, rows[:, g.grid.interior_idx]
-
-
 def _boundary_block(
     a_bnd: np.ndarray, boundary_src: Union[np.ndarray, float], grid: Grid
 ) -> np.ndarray:
@@ -151,7 +145,8 @@ def forward_covariance(
     s_field = hp.S
     if np.min(s_field) < 0:
         raise UsageError("source strength must be non-negative")
-    rows, a_int = _receiver_block(g)
+    rows = g.receiver_rows
+    a_int = rows[:, grid.interior_idx]
     sw = s_field * grid.interior_weights
     cov = (a_int * sw[None, :]) @ a_int.conj().T
 
@@ -174,7 +169,7 @@ def sample_wavefields(
     if n_realizations < 1:
         raise UsageError("need at least one realization")
     grid = g.grid
-    _, a_int = _receiver_block(g)  # (n_rec, n_int)
+    a_int = g.receiver_rows[:, grid.interior_idx]  # (n_rec, n_int)
     w = grid.interior_weights
     amp = np.sqrt(hp.S / (2.0 * w))  # per-node std of Re and Im parts
     n_int = grid.n_interior

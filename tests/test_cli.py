@@ -190,6 +190,40 @@ class TestExitCodes:
         rc = cli.main(["hologram", "--config", str(path), "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
 
+    def test_invert_rejects_archive_of_another_grid(self, tiny_config):
+        path, cfg, tmp = tiny_config
+        out = tmp / "run"
+        assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 0
+        cfg2 = json.loads(path.read_text())
+        cfg2["geometry"]["half_width"] = 0.45  # same receivers, other interior
+        p2 = tmp / "narrow.json"
+        p2.write_text(json.dumps(cfg2))
+        argv = ["invert", "--config", str(p2), "--out", str(tmp / "inv")]
+        assert cli.main(argv + ["--archives", str(out)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["hologram", "invert"])
+    def test_archive_of_another_frequency_is_2(self, tiny_config, command):
+        path, cfg, tmp = tiny_config
+        out = tmp / "run"
+        assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 0
+        cfg2 = json.loads(path.read_text())
+        cfg2["frequencies"]["f_min_hz"] = 1.8  # same grid (set by f_max), other omega
+        p2 = tmp / "shifted.json"
+        p2.write_text(json.dumps(cfg2))
+        argv = [command, "--config", str(p2), "--out", str(tmp / command)]
+        assert cli.main(argv + ["--archives", str(out)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["hologram", "invert"])
+    def test_nonfinite_archive_is_2(self, tiny_config, command):
+        path, cfg, tmp = tiny_config
+        out = tmp / "run"
+        assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 0
+        archive_path = out / "realizations_f001.hsr"
+        arc = hio.read_realizations(archive_path)
+        arc.fields[3, 2] = np.nan
+        hio.write_realizations(archive_path, arc.fields, arc.grid_hash, arc.omega, arc.seed)
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+
     def test_numerical_failure_is_3(self, tiny_config, tmp_path, monkeypatch):
         path, cfg, tmp = tiny_config
         out = tmp / "run"

@@ -174,6 +174,33 @@ class TestPropagators:
         assert num / den < 0.05
 
 
+class TestReceiverRows:
+    def test_evaluated_once_per_iterate(self, monkeypatch):
+        # build_model, the model covariance and sampling all read Tr G of the
+        # perturbed operator; the factored rows are evaluated only once
+        g = greens.square_grid(0.3, 0.5, 7.5, 1.0, n_receivers=8)
+        freq = medium.FrequencyContext(omega=2 * np.pi / 0.5)
+        params = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=0.3)
+        params.S = np.full(g.n_interior, 0.5)
+        bump = np.exp(-np.sum(g.interior_nodes**2, axis=1) / (2 * 0.1**2))
+        params.c = params.c * (1 + 0.05 * bump)
+        calls = []
+        rows = greens.GreensOperator.rows
+
+        def spy(self, idx):
+            calls.append((self, np.array(idx)))
+            return rows(self, idx)
+
+        monkeypatch.setattr(greens.GreensOperator, "rows", spy)
+        model = holography.build_model(params, freq, quantities=("c",))
+        model.covariance()
+        stochastic.sample_wavefields(model.hp, model.g, 4, seed=1)
+        on_iterate = [idx for op, idx in calls if op is model.g]
+        assert len(on_iterate) == 1
+        assert np.array_equal(on_iterate[0], g.receiver_idx)
+        assert np.array_equal(model.g.receiver_rows, rows(model.g, g.receiver_idx))
+
+
 class TestDerivativeAdjoint:
     @pytest.mark.parametrize("q", ["S", "c", "gamma", "rho", "u"])
     def test_adjoint_identity(self, nonuniform_model, q):

@@ -10,14 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holoseis import specfun
-from holoseis.errors import DomainError, SingularityError, UsageError
+from holoseis.errors import DomainError, SingularityError
 
 # frozen oracle values (independent series summation, 40-digit arithmetic)
 J0_AT_2 = 0.22389077914123566805
 H10_AT_1 = 0.76519768655796655145 + 0.088256964215676957983j
-SPH_J3_AT_1P5 = 0.028324641582471800687
 J3_AT_2P1J = 0.082430798954355344807 + 0.17535344401066129114j
-SPH_H10_AT_2 = 0.4546487134128408477 + 0.2080734182735711935j
 
 
 class TestBesselJ:
@@ -96,35 +94,6 @@ class TestHankel:
             assert vi == pytest.approx(specfun.hankel_h1(0, zi), rel=1e-13)
 
 
-class TestSphericalBessel:
-    def test_j0_limit_at_origin(self):
-        assert specfun.spherical_bessel("j", 0, 0.0) == 1.0 + 0.0j
-
-    def test_h10_closed_form(self):
-        z = 2.0
-        assert specfun.spherical_bessel("h1", 0, z) == pytest.approx(
-            SPH_H10_AT_2, rel=1e-12
-        )
-        assert specfun.spherical_bessel("h1", 0, z) == pytest.approx(
-            -1j * np.exp(1j * z) / z, rel=1e-12
-        )
-
-    def test_j0_closed_form(self):
-        for z in (0.3, 1.7 + 0.2j, 11.0):
-            assert specfun.spherical_bessel("j", 0, z) == pytest.approx(
-                np.sin(z) / z, rel=1e-11
-            )
-
-    def test_oracle_j3(self):
-        assert specfun.spherical_bessel("j", 3, 1.5) == pytest.approx(
-            SPH_J3_AT_1P5, rel=1e-12
-        )
-
-    def test_unknown_kind(self):
-        with pytest.raises(UsageError):
-            specfun.spherical_bessel("h2", 0, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Recurrence properties: Z_{n-1}(z) + Z_{n+1}(z) = (2n/z) Z_n(z)
 # ---------------------------------------------------------------------------
@@ -145,18 +114,3 @@ def test_cylindrical_recurrences(case):
         rhs = (2.0 * n / z) * fn(n, z)
         scale = max(abs(lhs), abs(rhs), 1e-30)
         assert abs(lhs - rhs) <= 1e-9 * scale
-
-
-@settings(max_examples=40, deadline=None)
-@given(_recurrence_case())
-def test_spherical_recurrence(case):
-    # j_{n-1} + j_{n+1} = (2n+1)/z * j_n
-    n, z = case
-    for kind in ("j", "h1"):
-        lhs = specfun.spherical_bessel(kind, n - 1, z) + specfun.spherical_bessel(
-            kind, n + 1, z
-        )
-        rhs = (2.0 * n + 1.0) / z * specfun.spherical_bessel(kind, n, z)
-        scale = max(abs(lhs), abs(rhs), 1e-30)
-        assert abs(lhs - rhs) <= 1e-9 * scale
-
