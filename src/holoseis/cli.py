@@ -67,6 +67,22 @@ EXAMPLE_CONFIG = {
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
+# the keys a config may carry at the top level ("") and in each block; any
+# other key is rejected, so a misspelt or stale key cannot be silently ignored
+CONFIG_KEYS = {
+    "": "description geometry medium frequencies realizations seed inversion "
+    "kernels hologram",
+    "geometry": "half_width receiver_radius n_receivers points_per_wavelength "
+    "receiver_phase",
+    "frequencies": "count f_min_hz f_max_hz power",
+    "inversion": "quantities tau max_outer max_cg beta beta_scale weighted alpha0 "
+    "alpha0_scale smoothing_width",
+    "kernels": "pairs targets band_count source_strength",
+    "hologram": "pupils",
+    "medium": "reference source perturbations flow fields boundary_source",
+}
+
+
 def load_config(path: str) -> dict:
     try:
         cfg = json.loads(Path(path).read_text())
@@ -77,6 +93,11 @@ def load_config(path: str) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
+    for name, allowed in CONFIG_KEYS.items():
+        block = cfg.get(name) if name else cfg
+        unknown = sorted(set(block) - set(allowed.split())) if isinstance(block, dict) else []
+        if unknown:
+            raise UsageError(f"unknown config keys {unknown} in {name or 'the top level'}")
     geo = cfg.get("geometry")
     if not isinstance(geo, dict):
         raise UsageError("config needs a 'geometry' block")
@@ -368,7 +389,6 @@ def cmd_invert(
         smoothing_width=icfg.get("smoothing_width", 0.0),
         boundary_src=boundary_src,
         constraint=constraint,
-        checkpoint_dir=str(out / "checkpoints") if icfg.get("checkpoints") else None,
     )
     out.mkdir(parents=True, exist_ok=True)
     q_fin, diag = inversion.run_irgnm(config, data, truth=truth)

@@ -13,7 +13,8 @@ stored *without* weights and every application inserts them explicitly.
 
 The interior nodes lie on a lattice of step ``grid.spacing``, so the uniform
 reference kernel is evaluated once per distinct lattice offset and gathered
-into the interior block; only receiver rows are evaluated pair by pair.
+into the interior block; only receiver rows are evaluated pair by pair.  No
+kernel is kept between calls or on disk: every assembly evaluates it afresh.
 
 A perturbed medium enters through the second-kind identity
 
@@ -30,9 +31,6 @@ materialized lazily when requested.
 from __future__ import annotations
 
 import hashlib
-import logging
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -41,7 +39,6 @@ from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import zgecon
 
-from . import io as _io
 from .errors import (
     MemoryBudgetError,
     ResonanceError,
@@ -50,13 +47,8 @@ from .errors import (
 )
 from .specfun import hankel_h1, hankel_h1_array
 
-logger = logging.getLogger(__name__)
-
 EULER_GAMMA: float = 0.5772156649015328606
 DEFAULT_BUDGET_BYTES: int = 4 * 1024**3
-CACHE_ENV_VAR: str = "HOLOSEIS_CACHE"
-# in the Green cache key; bump when the kernel entries or the diagonal rule change
-KERNEL_VERSION: int = 2
 _GATHER_ROWS: int = 64  # interior rows per gather from the lattice-offset table
 
 __all__ = [
@@ -440,7 +432,6 @@ def assemble_green(
     grid: Grid,
     k: complex,
     budget_bytes: int = DEFAULT_BUDGET_BYTES,
-    use_cache: bool = True,
 ) -> "GreensOperator":
     """Assemble the dense uniform-medium Green's kernel on all grid nodes.
 
@@ -451,9 +442,6 @@ def assemble_green(
     assemble_receiver_rows, their transpose (reciprocity) gives the receiver
     columns.  The interior diagonal is the exact cell average of the leading
     singularity plus the constant terms of the small-argument expansion.
-
-    If the HOLOSEIS_CACHE environment variable points to a directory, the
-    kernel is cached there keyed by (grid hash, k, KERNEL_VERSION).
     """
     _require_2d(grid)
     k = complex(k)
@@ -463,24 +451,6 @@ def assemble_green(
         raise MemoryBudgetError(
             f"dense kernel needs {need / 1e9:.2f} GB > budget {budget_bytes / 1e9:.2f} GB"
         )
-
-    cache_dir = os.environ.get(CACHE_ENV_VAR)
-    cache_path = None
-    if use_cache and cache_dir:
-        key = f"{grid.content_hash()}_{k.real:.17g}_{k.imag:.17g}_v{KERNEL_VERSION}"
-        cache_path = os.path.join(cache_dir, key + ".hsm")
-        if os.path.exists(cache_path):
-            try:
-                kernel = _io.read_matrix(cache_path)
-                if kernel.shape != (n, n):
-                    raise UsageError(f"cached kernel has shape {kernel.shape}")
-            except UsageError as exc:
-                logger.warning(
-                    "unreadable Green cache entry %s (%s); reassembling", cache_path, exc
-                )
-            else:
-                logger.debug("Green kernel loaded from cache %s", cache_path)
-                return GreensOperator(grid=grid, k_ref=k, _kernel=kernel)
 
     if grid.n_interior + grid.n_receivers != n:
         raise UsageError("every node must be an interior node or a receiver")
@@ -501,18 +471,6 @@ def assemble_green(
     kernel[:, grid.receiver_idx] = rows.T
     kernel[int_idx, int_idx] = _diagonal_values(grid, k)
 
-    if cache_path:
-        os.makedirs(cache_dir, exist_ok=True)
-        # write beside the entry, then rename, so readers never see a partial file
-        fd, tmp_path = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        os.close(fd)
-        try:
-            _io.write_matrix(tmp_path, kernel)
-            os.replace(tmp_path, cache_path)
-        except BaseException:
-            os.unlink(tmp_path)
-            raise
-        logger.debug("Green kernel cached to %s", cache_path)
     return GreensOperator(grid=grid, k_ref=k, _kernel=kernel)
 
 
@@ -608,8 +566,7 @@ class GreensOperator:
         """Dense kernel matrix; materializes the factored form on demand."""
         if self._kernel is None:
             base = self._base.kernel
-            u = self._u_block(np.arange(self.grid.n_nodes))
-            self._kernel = base - u @ lu_solve(self._lu, self._Z)
+            self._kernel = base - self._u_block(base) @ lu_solve(self._lu, self._Z)
         return self._kernel
 
     @property
@@ -619,10 +576,10 @@ class GreensOperator:
             self._receiver_rows = self.rows(self.grid.receiver_idx)
         return self._receiver_rows
 
-    def _u_block(self, idx: np.ndarray) -> np.ndarray:
-        """U[idx, :] where U = (K0 W)[:, supp]."""
+    def _u_block(self, base_rows: np.ndarray) -> np.ndarray:
+        """U[idx, :] where U = (K0 W)[:, supp], from the base rows K0[idx, :]."""
         w_supp = self.grid.weights[self._supp]
-        return self._base.rows(idx)[:, self._supp] * w_supp[None, :]
+        return base_rows[:, self._supp] * w_supp[None, :]
 
     # -- products ------------------------------------------------------------
     def rows(self, idx) -> np.ndarray:
@@ -630,9 +587,10 @@ class GreensOperator:
         idx = np.asarray(idx)
         if self._kernel is not None:
             return self._kernel[idx, :]
-        u = self._u_block(idx)  # (k, m)
+        base = self._base.rows(idx)
+        u = self._u_block(base)  # (k, m)
         corr = lu_solve(self._lu, u.T, trans=1).T  # u @ L^{-1}
-        return self._base.rows(idx) - corr @ self._Z
+        return base - corr @ self._Z
 
     def apply(self, source: np.ndarray) -> np.ndarray:
         """Quadrature application (G s)_i = sum_j K[i,j] s_j w_j on full-grid s."""
@@ -641,8 +599,7 @@ class GreensOperator:
             return self._kernel @ sw
         base = self._base.apply(source)
         zc = lu_solve(self._lu, self._Z @ sw)
-        u = self._u_block(np.arange(self.grid.n_nodes))
-        return base - u @ zc
+        return base - self._u_block(self._base.kernel) @ zc
 
     def mul_kernel_hermitian(self, m_block: np.ndarray, out_idx, in_idx) -> np.ndarray:
         """Product M @ (K[out_idx, in_idx])^H without forming the kernel block.
@@ -654,12 +611,12 @@ class GreensOperator:
         in_idx = np.asarray(in_idx)
         if self._kernel is not None:
             return m_block @ self._kernel[np.ix_(out_idx, in_idx)].conj().T
-        base = self._base.rows(out_idx)[:, in_idx]  # (n_out, n_in)
-        term0 = m_block @ base.conj().T
+        base = self._base.rows(out_idx)  # (n_out, n)
+        term0 = m_block @ base[:, in_idx].conj().T
         t1 = m_block @ self._Z[:, in_idx].conj().T  # (p, m)
         # K piece: - U[out] L^{-1} Z[:, in]; its ^H gives - Z^H L^{-H} U^H
         t2 = lu_solve(self._lu, t1.conj().T, trans=0).conj().T  # t1 @ L^{-H}
-        u = self._u_block(out_idx)  # (n_out, m)
+        u = self._u_block(base)  # (n_out, m)
         return term0 - t2 @ u.conj().T
 
 

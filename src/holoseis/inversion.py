@@ -22,7 +22,7 @@ divergence check.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,12 +63,12 @@ __all__ = [
     "irgnm_step",
     "run_irgnm",
     "reduce_constraint_rows",
-    "load_checkpoint",
 ]
 
 SCALAR_INVERTIBLE = ("S", "c", "gamma", "rho")
 ALPHA_DECAY = 0.9  # ratio of successive regularization parameters
 NONNEGATIVE_QUANTITIES = ("S", "c")
+GREENS_BUDGET_BYTES = 2 * 1024**3  # reference operators kept across iterates
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +99,6 @@ class InversionConfig:
     smoothing_width: float = 0.0
     boundary_src: Optional[np.ndarray] = None
     constraint: Optional["ConstraintOperator"] = None
-    checkpoint_dir: Optional[str] = None
-    greens_budget_bytes: int = 2 * 1024**3
 
     def __post_init__(self):
         for q in self.quantities:
@@ -114,14 +112,12 @@ class InversionConfig:
 
 @dataclass
 class InversionState:
-    """Outer-iteration state: iterate, schedule position, misfit history."""
+    """Outer-iteration state: iterate and schedule position."""
 
     q_n: MediumParams
     q_0: MediumParams
     alpha_0: float
     iteration: int = 0
-    misfit_history: List[float] = field(default_factory=list)
-    noise_level: float = 0.0
 
     @property
     def alpha_n(self) -> float:
@@ -314,8 +310,7 @@ def _build_stack(
         if g_ref is None:
             k_ref = params.reference_wavenumber(item.freq)
             g_ref = assemble_green(config.grid, k_ref)
-            budget = config.greens_budget_bytes
-            if (len(greens_cache) + 1) * 16 * config.grid.n_nodes**2 <= budget:
+            if (len(greens_cache) + 1) * 16 * config.grid.n_nodes**2 <= GREENS_BUDGET_BYTES:
                 greens_cache[omega] = g_ref
         model = build_model(
             params,
@@ -464,8 +459,6 @@ def irgnm_step(
         q_0=state.q_0,
         alpha_0=state.alpha_0,
         iteration=state.iteration + 1,
-        misfit_history=state.misfit_history + [misfit],
-        noise_level=noise,
     )
     info = {
         "alpha": state.alpha_n,
@@ -480,45 +473,39 @@ def run_irgnm(
     config: InversionConfig,
     data: Sequence[FrequencyData],
     truth: Optional[MediumParams] = None,
-    resume_from: Optional[str] = None,
 ) -> Tuple[MediumParams, dict]:
     """Outer IRGNM loop with the power-law schedule and discrepancy stopping.
 
     Stops when the weighted misfit drops below tau * noise_level, after
     max_outer iterations, or on a divergence guard (three consecutive misfit
     increases).  Diagnostics collect the per-iteration schedule, misfits, and
-    parameter errors when the ground truth is supplied.  resume_from restarts
-    the loop from a checkpoint written by a previous run.
+    parameter errors when the ground truth is supplied.  Every run starts from
+    config.q0; only one forward stack is alive at a time.
     """
     greens_cache: Dict[float, GreensOperator] = {}
     space = ParameterSpace(config.grid, config.quantities)
 
-    if resume_from is not None:
-        state = load_checkpoint(resume_from, config.q0)
-        alpha0 = state.alpha_0
-        stack = _build_stack(state.q_n, data, config, greens_cache)
+    # alpha_0: largest eigenvalue of the first normal operator
+    stack = _build_stack(config.q0, data, config, greens_cache)
+    if config.alpha0 is not None:
+        alpha0 = float(config.alpha0)
+    elif tuple(config.quantities) == ("u",):
+        normal_mat = _flow_normal_matrix(stack, space, config)
+        alpha0 = config.alpha0_scale * power_iteration(
+            lambda v: normal_mat @ (space.weights * v),
+            space.size,
+            weights=space.weights,
+        )
+        del normal_mat
     else:
-        # alpha_0: largest eigenvalue of the first normal operator
-        stack = _build_stack(config.q0, data, config, greens_cache)
-        if config.alpha0 is not None:
-            alpha0 = float(config.alpha0)
-        elif tuple(config.quantities) == ("u",):
-            normal_mat = _flow_normal_matrix(stack, space, config)
-            alpha0 = config.alpha0_scale * power_iteration(
-                lambda v: normal_mat @ (space.weights * v),
-                space.size,
-                weights=space.weights,
-            )
-        else:
-            normal, _ = _make_normal_operator(stack, space, config)
-            alpha0 = config.alpha0_scale * power_iteration(
-                normal, space.size, weights=space.weights
-            )
-        if alpha0 <= 0:
-            raise NumericalBreakdownError(
-                "first normal operator has no positive spectrum"
-            )
-        state = InversionState(q_n=config.q0.copy(), q_0=config.q0, alpha_0=alpha0)
+        normal, _ = _make_normal_operator(stack, space, config)
+        alpha0 = config.alpha0_scale * power_iteration(
+            normal, space.size, weights=space.weights
+        )
+        del normal  # the closure holds the q0 stack
+    if alpha0 <= 0:
+        raise NumericalBreakdownError("first normal operator has no positive spectrum")
+    state = InversionState(q_n=config.q0.copy(), q_0=config.q0, alpha_0=alpha0)
 
     diagnostics = {
         "alpha0": alpha0,
@@ -531,8 +518,6 @@ def run_irgnm(
         misfit, noise = _misfit_and_noise(stack)
         if misfit <= config.tau * noise:
             diagnostics["stopped_by"] = "discrepancy"
-            state.misfit_history.append(misfit)
-            state.noise_level = noise
             break
         if prev_misfit is not None and misfit > prev_misfit:
             increases += 1
@@ -562,56 +547,13 @@ def run_irgnm(
                 err[q] = num / denom if denom > 0 else np.nan
             entry["param_error"] = err
         diagnostics["iterations"].append(entry)
-        if config.checkpoint_dir:
-            _save_checkpoint(config.checkpoint_dir, state, config)
+        stack = None  # release the current stack before building the next one
         stack = _build_stack(state.q_n, data, config, greens_cache)
 
     misfit, noise = _misfit_and_noise(stack)
     diagnostics["final_misfit"] = misfit
     diagnostics["final_noise_level"] = noise
-    state.noise_level = noise
     return state.q_n, diagnostics
-
-
-def _save_checkpoint(directory: str, state: InversionState, config: InversionConfig) -> None:
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"iterate_{state.iteration:03d}.npz")
-    fields = {q: getattr(state.q_n, q) for q in config.quantities if q != "u"}
-    if state.q_n.u is not None:
-        fields["u"] = state.q_n.u
-    np.savez(
-        path,
-        iteration=state.iteration,
-        alpha_0=state.alpha_0,
-        misfit_history=np.asarray(state.misfit_history),
-        **fields,
-    )
-
-
-def load_checkpoint(path: str, q0: MediumParams) -> InversionState:
-    """Restore an outer-loop state from a checkpoint file.
-
-    Fields not stored in the checkpoint (those not inverted) are taken from
-    the supplied initial guess, which must describe the same grid.
-    """
-    data = np.load(path)
-    q_n = q0.copy()
-    for key in data.files:
-        if key in ("iteration", "alpha_0", "misfit_history"):
-            continue
-        if key == "u":
-            q_n.u = data["u"]
-        else:
-            setattr(q_n, key, data[key])
-    return InversionState(
-        q_n=q_n,
-        q_0=q0,
-        alpha_0=float(data["alpha_0"]),
-        iteration=int(data["iteration"]),
-        misfit_history=[float(v) for v in data["misfit_history"]],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from holoseis import cli, io as hio
+from holoseis.errors import UsageError
 
 
 @pytest.fixture()
@@ -39,7 +40,6 @@ def tiny_config(tmp_path):
             "tau": 0.0,
             "max_outer": 2,
             "max_cg": 30,
-            "beta_scale_note": "uses default",
         },
         "kernels": {
             "pairs": [["S", "S"]],
@@ -65,6 +65,9 @@ class TestSynth:
         assert manifest["config_hash"] == hio.config_hash(cfg)
 
     def test_byte_identical_reruns(self, tiny_config):
+        # a run keeps no state outside its output directory: rerunning any
+        # command into a fresh directory writes the same bytes (manifests
+        # list output paths, so they differ by design)
         path, cfg, tmp = tiny_config
         out1, out2 = tmp / "a", tmp / "b"
         assert cli.main(["synth", "--config", str(path), "--out", str(out1)]) == 0
@@ -72,6 +75,20 @@ class TestSynth:
         for f1 in sorted(out1.glob("*.hsr")):
             f2 = out2 / f1.name
             assert f1.read_bytes() == f2.read_bytes()
+        for command in ("hologram", "invert"):
+            runs = []
+            for rerun in ("1", "2"):
+                out = tmp / f"{command}{rerun}"
+                argv = [command, "--config", str(path), "--out", str(out)]
+                assert cli.main(argv + ["--archives", str(out1)]) == 0
+                runs.append(
+                    {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+                )
+            assert runs[0] == runs[1]
+            suffixes = {Path(name).suffix for name in runs[0]}
+            assert {".hsm", ".csv"} <= suffixes
+            if command == "invert":
+                assert "summary.json" in runs[0]
 
     def test_seed_override_changes_bytes(self, tiny_config):
         path, cfg, tmp = tiny_config
@@ -167,6 +184,21 @@ class TestExitCodes:
         p = tmp_path / "schema.json"
         p.write_text(json.dumps(cfg))
         assert cli.main(["synth", "--config", str(p), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "block, key",
+        [("inversion", "beta_scale_note"), ("inversion", "checkpoints"), (None, "seeds")],
+    )
+    def test_unknown_config_key_is_2(self, tiny_config, block, key):
+        # a key that would be silently ignored is a configuration error
+        path, cfg, tmp = tiny_config
+        cfg2 = json.loads(path.read_text())
+        (cfg2[block] if block else cfg2)[key] = True
+        p2 = tmp / "unknown.json"
+        p2.write_text(json.dumps(cfg2))
+        with pytest.raises(UsageError, match=key):
+            cli.validate_config(cfg2)
+        assert cli.main(["synth", "--config", str(p2), "--out", str(tmp / "run")]) == 2
 
     def test_invert_rejects_workers(self, tiny_config):
         path, cfg, tmp = tiny_config
@@ -273,6 +305,17 @@ class TestShippedConfigs:
         lam = cfg["medium"]["reference"]["c"] / cfg["frequencies"]["f_max_hz"]
         hw = cfg["medium"]["perturbations"][0]["half_width"]
         assert np.max(np.abs(peak - center)) <= hw + lam / 2
+
+    @pytest.mark.parametrize(
+        "cfg_path",
+        sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
+        ids=lambda p: p.name,
+    )
+    def test_shipped_config_validates(self, cfg_path):
+        cli.validate_config(json.loads(cfg_path.read_text()))
+
+    def test_example_config_validates(self):
+        cli.validate_config(cli.EXAMPLE_CONFIG)
 
     def test_kernel_band_config_validates(self):
         cfg_path = (

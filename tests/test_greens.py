@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from holoseis import greens, io as hio
+from holoseis import greens
 from holoseis.errors import (
     MemoryBudgetError,
     ResonanceError,
@@ -121,7 +121,7 @@ class TestGrid:
         with pytest.raises(UsageError, match="2D"):
             lifted.validate()
         with pytest.raises(UsageError, match="2D"):
-            greens.assemble_green(lifted, 7.0 + 0.5j, use_cache=False)
+            greens.assemble_green(lifted, 7.0 + 0.5j)
         with pytest.raises(UsageError, match="2D"):
             greens.assemble_receiver_rows(lifted, 7.0 + 0.5j)
 
@@ -159,44 +159,6 @@ class TestAssembly:
         with pytest.raises(MemoryBudgetError):
             greens.assemble_green(grid, 1.0, budget_bytes=1024)
 
-    def test_cache_roundtrip(self, grid, tmp_path, monkeypatch):
-        monkeypatch.setenv(greens.CACHE_ENV_VAR, str(tmp_path))
-        op1 = greens.assemble_green(grid, 5.0 + 0.1j)
-        assert list(tmp_path.iterdir())
-        op2 = greens.assemble_green(grid, 5.0 + 0.1j)
-        assert np.array_equal(op1.kernel, op2.kernel)
-
-    @pytest.mark.parametrize("damage", ["half-payload", "short-header", "wrong-shape"])
-    def test_unreadable_cache_entry_is_a_miss(self, grid, tmp_path, monkeypatch, damage):
-        monkeypatch.setenv(greens.CACHE_ENV_VAR, str(tmp_path))
-        fresh = greens.assemble_green(grid, 5.0 + 0.1j, use_cache=False)
-        greens.assemble_green(grid, 5.0 + 0.1j)
-        (entry,) = tmp_path.iterdir()
-        full = entry.stat().st_size
-        if damage == "wrong-shape":
-            hio.write_matrix(entry, np.zeros((2, 2), dtype=complex))
-        else:
-            with open(entry, "r+b") as f:
-                f.truncate(full // 2 + 3 if damage == "half-payload" else 20)
-        op = greens.assemble_green(grid, 5.0 + 0.1j)
-        assert np.array_equal(op.kernel, fresh.kernel)
-        # the entry is rewritten whole and no temporary file is left behind
-        assert [p.name for p in tmp_path.iterdir()] == [entry.name]
-        assert entry.stat().st_size == full
-
-    def test_stale_kernel_version_is_a_miss(self, grid, tmp_path, monkeypatch):
-        monkeypatch.setenv(greens.CACHE_ENV_VAR, str(tmp_path))
-        fresh = greens.assemble_green(grid, 5.0 + 0.1j, use_cache=False)
-        with monkeypatch.context() as m:
-            m.setattr(greens, "KERNEL_VERSION", greens.KERNEL_VERSION - 1)
-            greens.assemble_green(grid, 5.0 + 0.1j)
-        (stale,) = tmp_path.iterdir()
-        # a readable entry of the right shape, written under another version
-        hio.write_matrix(stale, np.zeros((grid.n_nodes, grid.n_nodes), dtype=complex))
-        op = greens.assemble_green(grid, 5.0 + 0.1j)
-        assert np.array_equal(op.kernel, fresh.kernel)
-        assert len(list(tmp_path.iterdir())) == 2
-
 
 def _reference_kernel(g, k):
     """Off-diagonal kernel entries from green_uniform, node pair by node pair."""
@@ -222,7 +184,7 @@ class TestLatticeAssembly:
     def test_every_offdiagonal_entry_matches_point_evaluation(self, make):
         g = make()
         k = 7.0 + 0.5j
-        kernel = greens.assemble_green(g, k, use_cache=False).kernel
+        kernel = greens.assemble_green(g, k).kernel
         ref = _reference_kernel(g, k)
         off = ~np.eye(g.n_nodes, dtype=bool)
         rel = np.abs(kernel[off] - ref[off]) / np.abs(ref[off])
@@ -241,13 +203,13 @@ class TestLatticeAssembly:
             spacing=grid.spacing,
         )
         with pytest.raises(UsageError, match="lattice"):
-            greens.assemble_green(moved, 7.0 + 0.5j, use_cache=False)
+            greens.assemble_green(moved, 7.0 + 0.5j)
 
     def test_allocation_peak_near_kernel_size(self):
         g = greens.square_grid(0.6, 0.3, 7.5, 1.0, n_receivers=40)
         tracemalloc.start()
         try:
-            greens.assemble_green(g, 7.0 + 0.5j, use_cache=False)
+            greens.assemble_green(g, 7.0 + 0.5j)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -340,6 +302,26 @@ class TestUpdateGreen:
         assert np.allclose(got, ref, atol=1e-12 * np.max(np.abs(ref)))
         s = rng.standard_normal(g.n_nodes) * (1 + 0j)
         assert np.allclose(gq.apply(s), dense @ (s * g.weights), atol=1e-11)
+
+    def test_base_rows_fetched_once(self, setup, monkeypatch):
+        # the factored products slice U = (K0 W)[:, supp] from the base rows
+        # they already hold instead of fetching them a second time
+        g, g0, delta = setup
+        gq = greens.update_green(g0, delta)
+        real = greens.GreensOperator.rows
+        fetched = []
+
+        def spy(self, idx):
+            if self is g0:
+                fetched.append(len(idx))
+            return real(self, idx)
+
+        monkeypatch.setattr(greens.GreensOperator, "rows", spy)
+        gq.rows(g.receiver_idx)
+        assert fetched == [g.n_receivers]
+        m = np.ones((2, g.n_interior), dtype=complex)
+        gq.mul_kernel_hermitian(m, g.interior_idx, g.interior_idx)
+        assert fetched == [g.n_receivers, g.n_interior]
 
     def test_resonance_guard(self, setup):
         g, g0, delta = setup
