@@ -475,14 +475,12 @@ def criterion_11_constrained_flow() -> Tuple[bool, str]:
         r = stochastic.sample_wavefields(m_true.hp, m_true.g, 1000, seed=800 + i)
         corr = stochastic.empirical_corr(r, grid.receiver_weights)
         data.append(inversion.FrequencyData(freq=fr, corr=corr, n_realizations=1000))
-    constraint = inversion.ConstraintOperator.from_medium(grid, q0.rho)
     m0 = holography.build_model(q0, freqs[0], quantities=("u",))
     config = inversion.InversionConfig(
         grid=grid,
         q0=q0,
         quantities=("u",),
         beta=m0.covariance().trace() / grid.n_receivers,
-        constraint=constraint,
         alpha0_scale=0.1,
         max_outer=1,  # small flows: stop after one iteration
         tau=0.0,

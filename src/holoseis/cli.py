@@ -67,8 +67,9 @@ EXAMPLE_CONFIG = {
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-# the keys a config may carry at the top level ("") and in each block; any
-# other key is rejected, so a misspelt or stale key cannot be silently ignored
+# the keys a config may carry at the top level ("") and in each block (a
+# dotted path; a list-valued block is checked entry by entry); any other key
+# is rejected, so a misspelt or stale key cannot be silently ignored
 CONFIG_KEYS = {
     "": "description geometry medium frequencies realizations seed inversion "
     "kernels hologram",
@@ -80,6 +81,12 @@ CONFIG_KEYS = {
     "kernels": "pairs targets band_count source_strength",
     "hologram": "pupils",
     "medium": "reference source perturbations flow fields boundary_source",
+    "medium.reference": "c rho gamma",
+    "medium.source": "model power value",
+    "medium.perturbations": "field shape center half_width amplitude",
+    "medium.flow": "model center half_width amplitude",
+    "medium.fields": "c rho gamma S u",
+    "medium.boundary_source": "value",
 }
 
 
@@ -94,10 +101,15 @@ def load_config(path: str) -> dict:
 
 def validate_config(cfg: dict) -> None:
     for name, allowed in CONFIG_KEYS.items():
-        block = cfg.get(name) if name else cfg
-        unknown = sorted(set(block) - set(allowed.split())) if isinstance(block, dict) else []
-        if unknown:
-            raise UsageError(f"unknown config keys {unknown} in {name or 'the top level'}")
+        block = cfg
+        for part in name.split(".") if name else ():
+            block = block.get(part) if isinstance(block, dict) else None
+        for entry in block if isinstance(block, list) else [block]:
+            if not isinstance(entry, dict):
+                continue
+            unknown = sorted(set(entry) - set(allowed.split()))
+            if unknown:
+                raise UsageError(f"unknown config keys {unknown} in {name or 'the top level'}")
     geo = cfg.get("geometry")
     if not isinstance(geo, dict):
         raise UsageError("config needs a 'geometry' block")
@@ -356,9 +368,6 @@ def cmd_invert(
         data.append(
             inversion.FrequencyData(freq=freq, corr=corr, n_realizations=r.n_realizations)
         )
-    constraint = None
-    if tuple(quantities) == ("u",):
-        constraint = inversion.ConstraintOperator.from_medium(grid, q0.rho)
     boundary_src = None
     bnd = cfg["medium"].get("boundary_source")
     if bnd is not None:
@@ -388,7 +397,6 @@ def cmd_invert(
         weighted=icfg.get("weighted", True),
         smoothing_width=icfg.get("smoothing_width", 0.0),
         boundary_src=boundary_src,
-        constraint=constraint,
     )
     out.mkdir(parents=True, exist_ok=True)
     q_fin, diag = inversion.run_irgnm(config, data, truth=truth)

@@ -29,9 +29,5 @@ class NumericalBreakdownError(HoloseisError, RuntimeError):
     """Non-finite values encountered inside an iterative solver."""
 
 
-class ConstraintDegenerateError(HoloseisError, RuntimeError):
-    """Equality-constraint operator is rank deficient; the KKT system is singular."""
-
-
 class MemoryBudgetError(HoloseisError, RuntimeError):
     """Requested dense operator exceeds the configured memory budget."""

@@ -104,7 +104,6 @@ class Grid:
     interior_shape: Optional[Tuple[int, ...]] = None
     spacing: Optional[float] = None
     domain_measure: Optional[float] = None
-    meta: dict = field(default_factory=dict)
     _stencils: Optional[Tuple[sparse.csr_matrix, ...]] = field(
         default=None, repr=False, compare=False
     )
@@ -283,11 +282,6 @@ def square_grid(
         interior_shape=(nx, nx),
         spacing=h,
         domain_measure=(2.0 * half_width) ** 2,
-        meta={
-            "kind": "square",
-            "half_width": half_width,
-            "receiver_radius": receiver_radius,
-        },
     )
     grid.validate()
     return grid
@@ -344,7 +338,6 @@ def disk_grid(
         interior_shape=None,
         spacing=h,
         domain_measure=np.pi * radius**2,
-        meta={"kind": "disk", "radius": radius, "receiver_radius": receiver_radius},
     )
     grid.validate()
     return grid

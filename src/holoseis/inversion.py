@@ -13,10 +13,11 @@ regularization follows the power law alpha_n = alpha_0 * ALPHA_DECAY^n
 operator; the loop stops by a discrepancy rule whose noise level comes from
 the separable trace tr(C_4) = tr(C)^2 of the realization-noise covariance.
 
-Mass-conserving flow updates replace the normal equation by the saddle-point
-system with the divergence constraint enforced through a Lagrange
-multiplier; the constraint operator shares its stencil with the medium's
-divergence check.
+Mass-conserving flow updates solve the same equation in the kernel of the
+density-weighted divergence: CG runs on P N P with the divergence-free
+projector P of the medium module (projected CG), the right-hand side is
+projected and the update is P x, so neither a normal matrix nor a
+constraint multiplier is ever formed.
 """
 
 from __future__ import annotations
@@ -26,13 +27,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
-from .errors import (
-    ConstraintDegenerateError,
-    NumericalBreakdownError,
-    UsageError,
-)
+from .errors import NumericalBreakdownError, UsageError
 from .greens import Grid, GreensOperator, assemble_green
 from .holography import (
     LinearizedModel,
@@ -40,12 +36,16 @@ from .holography import (
     apply_adjoint,
     apply_derivative,
     build_model,
-    sensitivity_kernel,
     smooth_field,
     weight_trace_product,
     weighted_residual,
 )
-from .medium import FrequencyContext, MediumParams, flow_divergence_matrix
+from .medium import (
+    FrequencyContext,
+    MediumParams,
+    divergence_free_projector,
+    flow_divergence_matrix,
+)
 from .stochastic import CovarianceOperator, hs_inner
 
 logger = logging.getLogger(__name__)
@@ -54,7 +54,6 @@ __all__ = [
     "FrequencyData",
     "InversionConfig",
     "InversionState",
-    "ConstraintOperator",
     "CGResult",
     "lavrentiev_weight",
     "default_lavrentiev_beta",
@@ -62,13 +61,13 @@ __all__ = [
     "power_iteration",
     "irgnm_step",
     "run_irgnm",
-    "reduce_constraint_rows",
 ]
 
 SCALAR_INVERTIBLE = ("S", "c", "gamma", "rho")
 ALPHA_DECAY = 0.9  # ratio of successive regularization parameters
 NONNEGATIVE_QUANTITIES = ("S", "c")
 GREENS_BUDGET_BYTES = 2 * 1024**3  # reference operators kept across iterates
+CG_TOL = 1e-6  # relative residual at which the inner CG stops
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +93,9 @@ class InversionConfig:
     beta: Optional[float] = None  # None: 0.1 tr(C_n)/dim per frequency
     max_outer: int = 15
     max_cg: int = 50
-    cg_tol: float = 1e-6
     weighted: bool = True
     smoothing_width: float = 0.0
     boundary_src: Optional[np.ndarray] = None
-    constraint: Optional["ConstraintOperator"] = None
 
     def __post_init__(self):
         for q in self.quantities:
@@ -106,8 +103,8 @@ class InversionConfig:
                 raise UsageError(f"cannot invert for quantity {q!r}")
         if "u" in self.quantities and tuple(self.quantities) != ("u",):
             raise UsageError("flow inversion must be configured alone")
-        if "u" in self.quantities and self.constraint is None:
-            raise UsageError("flow inversion requires the mass-conservation constraint")
+        if "u" in self.quantities and self.smoothing_width > 0:
+            raise UsageError("flow updates are projected, not smoothed: set smoothing_width 0")
 
 
 @dataclass
@@ -122,18 +119,6 @@ class InversionState:
     @property
     def alpha_n(self) -> float:
         return self.alpha_0 * ALPHA_DECAY**self.iteration
-
-
-@dataclass
-class ConstraintOperator:
-    """Density-weighted divergence operator for mass-conserving flow updates."""
-
-    matrix: sparse.csr_matrix
-    grid: Grid
-
-    @classmethod
-    def from_medium(cls, grid: Grid, rho: np.ndarray) -> "ConstraintOperator":
-        return cls(matrix=flow_divergence_matrix(grid, rho), grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +336,16 @@ def _misfit_and_noise(stack) -> Tuple[float, float]:
     return float(np.sqrt(max(misfit_sq, 0.0))), float(np.sqrt(noise_sq))
 
 
-def _make_normal_operator(
-    stack, space: ParameterSpace, config: InversionConfig
-) -> Callable[[np.ndarray], np.ndarray]:
+def _sandwich_operator(space: ParameterSpace, config: InversionConfig) -> Callable:
+    """The symmetric S of the step's normal equation.
+
+    CG solves (S N S + alpha_n I) x = S b + alpha_n (q_0 - q_n) and the
+    update is dq = S x.  Flows: the divergence-free projector at q_0's
+    density, so CG runs in the kernel of div(rho .) (projected CG).
+    Scalars: the Gaussian smoother, the identity at width 0.
+    """
+    if space.quantities == ("u",):
+        return divergence_free_projector(config.grid, config.q0.rho)
     grid = config.grid
     width = config.smoothing_width
 
@@ -361,27 +353,25 @@ def _make_normal_operator(
         if width <= 0:
             return flat
         fields = space.unpack(flat)
-        for q, f in fields.items():
-            if q == "u":
-                fields[q] = np.column_stack(
-                    [smooth_field(grid, f[:, i], width) for i in range(f.shape[1])]
-                )
-            else:
-                fields[q] = smooth_field(grid, f, width)
-        return space.pack(fields)
+        return space.pack({q: smooth_field(grid, f, width) for q, f in fields.items()})
 
+    return apply_smooth
+
+
+def _make_normal_operator(
+    stack, space: ParameterSpace, sandwich: Callable
+) -> Callable[[np.ndarray], np.ndarray]:
     def normal(flat: np.ndarray) -> np.ndarray:
-        flat_s = apply_smooth(flat)
-        dq = space.unpack(flat_s)
+        dq = space.unpack(sandwich(flat))
         acc = np.zeros_like(flat)
         for _item, model, _cov, weight in stack:
             dc = apply_derivative(model, dq)
             dc_w = weighted_residual(weight, dc) if weight is not None else dc
             duals = apply_adjoint(model, dc_w, space.quantities)
             acc += space.pack(duals)
-        return apply_smooth(acc)
+        return sandwich(acc)
 
-    return normal, apply_smooth
+    return normal
 
 
 def _stack_rhs(stack, space: ParameterSpace) -> np.ndarray:
@@ -394,65 +384,78 @@ def _stack_rhs(stack, space: ParameterSpace) -> np.ndarray:
     return acc
 
 
+def _field(params: MediumParams, q: str) -> np.ndarray:
+    """Field q of params; a missing flow counts as zero."""
+    f = getattr(params, q)
+    return np.zeros((params.grid.n_interior, params.grid.dim)) if f is None else f
+
+
 def irgnm_step(
     state: InversionState,
     data: Sequence[FrequencyData],
     config: InversionConfig,
     greens_cache: Optional[Dict[float, GreensOperator]] = None,
     stack=None,
+    sandwich: Optional[Callable] = None,
 ) -> Tuple[Dict[str, np.ndarray], InversionState, dict]:
     """One Gauss-Newton update at the current iterate.
 
     Returns the update fields, the advanced state (iterate replaced, schedule
-    moved one step), and per-step diagnostics.
+    moved one step), and per-step diagnostics.  A flow update also reports
+    its divergence residual |R du| and norm |du|.  `sandwich` is the
+    operator of _sandwich_operator; it is built here when not given, and
+    run_irgnm passes one so the projector is factored once per run.
     """
     if greens_cache is None:
         greens_cache = {}
     if stack is None:
         stack = _build_stack(state.q_n, data, config, greens_cache)
     space = ParameterSpace(config.grid, config.quantities)
+    if sandwich is None:
+        sandwich = _sandwich_operator(space, config)
     misfit, noise = _misfit_and_noise(stack)
 
-    if tuple(config.quantities) == ("u",):
-        delta, info = _constrained_step_from_stack(
-            stack, space, config, alpha=state.alpha_n
-        )
-        dq_fields = {"u": delta}
-        cg_info = info
-    else:
-        normal, apply_smooth = _make_normal_operator(stack, space, config)
-        rhs = _stack_rhs(stack, space)
-        prox = space.pack(
-            {q: getattr(state.q_0, q) - getattr(state.q_n, q) for q in config.quantities}
-        )
-        rhs_total = apply_smooth(rhs) + state.alpha_n * prox
-        result = cg_normal_solve(
-            normal,
-            rhs_total,
-            alpha=state.alpha_n,
-            max_iter=config.max_cg,
-            tol=config.cg_tol,
-            weights=space.weights,
-        )
-        dq_fields = space.unpack(apply_smooth(result.x))
-        cg_info = {
-            "cg_iterations": result.iterations,
-            "cg_converged": result.converged,
-        }
+    normal = _make_normal_operator(stack, space, sandwich)
+    prox = space.pack(
+        {q: _field(state.q_0, q) - _field(state.q_n, q) for q in space.quantities}
+    )
+    rhs = sandwich(_stack_rhs(stack, space)) + state.alpha_n * prox
+    result = cg_normal_solve(
+        normal,
+        rhs,
+        alpha=state.alpha_n,
+        max_iter=config.max_cg,
+        tol=CG_TOL,
+        weights=space.weights,
+    )
+    update = sandwich(result.x)
+    dq_fields = space.unpack(update)
+    info = {
+        "alpha": state.alpha_n,
+        "misfit": misfit,
+        "noise_level": noise,
+        "cg_iterations": result.iterations,
+        "cg_converged": result.converged,
+    }
+    if space.quantities == ("u",):
+        div = flow_divergence_matrix(config.grid, config.q0.rho)
+        div_resid = float(np.linalg.norm(div @ update))
+        update_norm = float(np.linalg.norm(update))
+        info.update(divergence_residual=div_resid, update_norm=update_norm)
+        if div_resid > 1e-8 * update_norm:
+            raise NumericalBreakdownError(
+                f"flow update violates mass conservation: {div_resid:.3e}"
+            )
 
     q_next = state.q_n.copy()
     for q, upd in dq_fields.items():
-        if q == "u":
-            u0 = q_next.u if q_next.u is not None else np.zeros_like(upd)
-            q_next.u = u0 + upd
-        else:
-            new = getattr(q_next, q) + upd
-            if q in NONNEGATIVE_QUANTITIES:
-                clipped = int(np.sum(new < 0))
-                if clipped:
-                    cg_info = {**cg_info, f"clamped_{q}": clipped}
-                new = np.maximum(new, 0.0)
-            setattr(q_next, q, new)
+        new = _field(q_next, q) + upd
+        if q in NONNEGATIVE_QUANTITIES:
+            clipped = int(np.sum(new < 0))
+            if clipped:
+                info[f"clamped_{q}"] = clipped
+            new = np.maximum(new, 0.0)
+        setattr(q_next, q, new)
 
     new_state = InversionState(
         q_n=q_next,
@@ -460,12 +463,6 @@ def irgnm_step(
         alpha_0=state.alpha_0,
         iteration=state.iteration + 1,
     )
-    info = {
-        "alpha": state.alpha_n,
-        "misfit": misfit,
-        "noise_level": noise,
-        **cg_info,
-    }
     return dq_fields, new_state, info
 
 
@@ -485,20 +482,13 @@ def run_irgnm(
     greens_cache: Dict[float, GreensOperator] = {}
     space = ParameterSpace(config.grid, config.quantities)
 
-    # alpha_0: largest eigenvalue of the first normal operator
+    # alpha_0: largest eigenvalue of the first (smoothed or projected) normal operator
+    sandwich = _sandwich_operator(space, config)
     stack = _build_stack(config.q0, data, config, greens_cache)
     if config.alpha0 is not None:
         alpha0 = float(config.alpha0)
-    elif tuple(config.quantities) == ("u",):
-        normal_mat = _flow_normal_matrix(stack, space, config)
-        alpha0 = config.alpha0_scale * power_iteration(
-            lambda v: normal_mat @ (space.weights * v),
-            space.size,
-            weights=space.weights,
-        )
-        del normal_mat
     else:
-        normal, _ = _make_normal_operator(stack, space, config)
+        normal = _make_normal_operator(stack, space, sandwich)
         alpha0 = config.alpha0_scale * power_iteration(
             normal, space.size, weights=space.weights
         )
@@ -530,20 +520,17 @@ def run_irgnm(
         prev_misfit = misfit
 
         n = state.iteration
-        dq, state, info = irgnm_step(state, data, config, greens_cache, stack=stack)
+        dq, state, info = irgnm_step(
+            state, data, config, greens_cache, stack=stack, sandwich=sandwich
+        )
         entry = {"iteration": n, **info}
         if truth is not None:
             err = {}
-            for q in config.quantities:
-                t = getattr(truth, q)
-                cur = getattr(state.q_n, q)
-                t0 = getattr(config.q0, q)
-                denom = space.norm(space.pack({q: t - t0})) if q != "u" else np.linalg.norm(t)
-                num = (
-                    space.norm(space.pack({q: cur - t}))
-                    if q != "u"
-                    else np.linalg.norm((cur if cur is not None else 0) - t)
-                )
+            for q in space.quantities:
+                block = ParameterSpace(config.grid, (q,))
+                t = _field(truth, q)
+                denom = block.norm(block.pack({q: t - _field(config.q0, q)}))
+                num = block.norm(block.pack({q: _field(state.q_n, q) - t}))
                 err[q] = num / denom if denom > 0 else np.nan
             entry["param_error"] = err
         diagnostics["iterations"].append(entry)
@@ -555,94 +542,3 @@ def run_irgnm(
     diagnostics["final_noise_level"] = noise
     return state.q_n, diagnostics
 
-
-# ---------------------------------------------------------------------------
-# Mass-conserving flow step (saddle-point system)
-# ---------------------------------------------------------------------------
-def _flow_normal_matrix(stack, space: ParameterSpace, config: InversionConfig) -> np.ndarray:
-    """Dense kernel matrix of the flow normal operator, summed over frequencies."""
-    grid = config.grid
-    n = grid.n_interior
-    d = grid.dim
-    total = np.zeros((d * n, d * n))
-    for _item, model, _cov, weight in stack:
-        kern = sensitivity_kernel(model, ("u", "u"), weight=weight)
-        for p in range(d):
-            for q in range(d):
-                total[p * n : (p + 1) * n, q * n : (q + 1) * n] += kern.entries[p, q]
-    return total
-
-
-def reduce_constraint_rows(matrix: sparse.csr_matrix, rcond: float = 1e-10) -> np.ndarray:
-    """Orthonormal row-space basis V_r^T of the constraint (dense SVD).
-
-    The one-sided boundary closure leaves the raw divergence operator rank
-    deficient (its transpose annihilates a few boundary modes), which would
-    make the saddle-point matrix singular; the equivalent reduced constraint
-    V_r^T du = 0 has orthonormal rows and a unique multiplier.
-    """
-    dense = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix)
-    u, s, vt = np.linalg.svd(dense, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        raise ConstraintDegenerateError("constraint operator vanishes identically")
-    rank = int(np.sum(s > rcond * s[0]))
-    if rank == 0:
-        raise ConstraintDegenerateError("constraint operator has numerical rank zero")
-    return vt[:rank]
-
-
-def _constrained_step_from_stack(
-    stack,
-    space: ParameterSpace,
-    config: InversionConfig,
-    alpha: float,
-) -> Tuple[np.ndarray, dict]:
-    """One mass-conserving Gauss-Newton flow update via the KKT system.
-
-        [ C'* (Gamma x Gamma) C' + alpha Id    R* ] [du]   [ C'* (Gamma x Gamma)(Corr - C) ]
-        [ R                                    0  ] [mu] = [ 0 ]
-
-    The returned update satisfies |R du| <= 1e-8 |du|.
-    """
-    constraint = config.constraint
-    r_full = constraint.matrix
-    r_rows = reduce_constraint_rows(r_full)
-
-    k_mat = _flow_normal_matrix(stack, space, config)
-    rhs_flat = _stack_rhs(stack, space)
-    n_u = space.size
-    n_c = r_rows.shape[0]
-    w = space.weights
-
-    # KKT in nodal coordinates: [[W(K W + alpha I), R^T], [R, 0]] with the
-    # multiplier rescaled by alpha relative to the textbook scaling (du is
-    # unchanged; conditioning is better)
-    kkt = np.zeros((n_u + n_c, n_u + n_c))
-    kkt[:n_u, :n_u] = w[:, None] * (k_mat * w[None, :])
-    kkt[:n_u, :n_u] += alpha * np.diag(w)
-    kkt[:n_u, n_u:] = r_rows.T
-    kkt[n_u:, :n_u] = r_rows
-    rhs = np.zeros(n_u + n_c)
-    rhs[:n_u] = w * rhs_flat
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ConstraintDegenerateError(f"saddle-point system singular: {exc}") from exc
-
-    delta_flat = sol[:n_u]
-    mu = sol[n_u:]
-    div_resid = float(np.linalg.norm(r_full @ delta_flat))
-    delta_norm = float(np.linalg.norm(delta_flat))
-    kkt_resid = float(np.linalg.norm(kkt @ sol - rhs) / max(np.linalg.norm(rhs), 1e-300))
-    info = {
-        "divergence_residual": div_resid,
-        "update_norm": delta_norm,
-        "kkt_relative_residual": kkt_resid,
-        "multiplier_norm": float(np.linalg.norm(mu)),
-    }
-    if delta_norm > 0 and div_resid > 1e-8 * delta_norm:
-        raise NumericalBreakdownError(
-            f"constrained update violates mass conservation: {div_resid:.3e}"
-        )
-    delta = space.unpack(delta_flat)["u"]
-    return delta, info

@@ -21,7 +21,7 @@ otherwise), which is what the derivative/adjoint consistency tests require.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -44,6 +44,7 @@ __all__ = [
     "uniform_medium",
     "medium_from_descriptor",
     "flow_divergence_matrix",
+    "divergence_free_projector",
     "project_divergence_free",
     "stream_function_flow",
     "DAMPING_GAMMA0",
@@ -352,7 +353,7 @@ def helmholtz_delta(ref: HelmholtzParams, hp: HelmholtzParams, grid: Grid) -> De
 
 
 # ---------------------------------------------------------------------------
-# Flow utilities (shared stencil with the inversion constraint)
+# Flow utilities (shared with the projected flow step of the inversion)
 # ---------------------------------------------------------------------------
 def flow_divergence_matrix(grid: Grid, rho: np.ndarray) -> sparse.csr_matrix:
     """Sparse operator u -> div(rho u) on stacked components [u_x; u_y]."""
@@ -361,22 +362,33 @@ def flow_divergence_matrix(grid: Grid, rho: np.ndarray) -> sparse.csr_matrix:
     return sparse.hstack(blocks, format="csr")
 
 
-def project_divergence_free(
-    grid: Grid, rho: np.ndarray, u: np.ndarray, passes: int = 3
-) -> np.ndarray:
-    """Euclidean projection of a flow onto the kernel of div(rho .).
+def divergence_free_projector(
+    grid: Grid, rho: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Euclidean projector onto the kernel of div(rho .), on stacked [u_x; u_y].
 
-    Iterated correction u <- u - R^T (R R^T + eps)^{-1} R u; the small shift
-    regularizes near-rank-deficiency of the one-sided boundary closure and
-    the extra passes push the residual to the admissibility tolerance.
+    Iterated correction u <- u - R^T (R R^T + eps)^{-1} R u with R factored
+    once and applied in three passes; the small shift regularizes
+    near-rank-deficiency of the one-sided boundary closure and the extra
+    passes push the residual to the admissibility tolerance.  The map is
+    symmetric, and so self-adjoint in any uniform quadrature metric.
     """
     r = flow_divergence_matrix(grid, rho)
     gram = (r @ r.T).tocsc()
     scale = abs(gram).max()
     solver = splu(gram + 1e-12 * scale * sparse.identity(gram.shape[0], format="csc"))
-    flat = u.ravel(order="F").astype(float)
-    for _ in range(passes):
-        flat = flat - r.T @ solver.solve(r @ flat)
+
+    def project(flat: np.ndarray) -> np.ndarray:
+        for _ in range(3):
+            flat = flat - r.T @ solver.solve(r @ flat)
+        return flat
+
+    return project
+
+
+def project_divergence_free(grid: Grid, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a flow field (n_int, d) onto the kernel of div(rho .)."""
+    flat = divergence_free_projector(grid, rho)(u.ravel(order="F").astype(float))
     return flat.reshape(u.shape, order="F")
 
 

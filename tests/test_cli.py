@@ -187,13 +187,30 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "block, key",
-        [("inversion", "beta_scale_note"), ("inversion", "checkpoints"), (None, "seeds")],
+        [
+            ("inversion", "beta_scale_note"),
+            ("inversion", "checkpoints"),
+            (None, "seeds"),
+            ("medium.reference", "rh0"),  # would leave rho = 1
+            ("medium.source", "valeu"),
+            ("medium.perturbations.0", "amplitdue"),
+            ("medium.flow", "amplitud"),
+            ("medium.boundary_source", "vlaue"),
+            ("medium.fields", "sound_speed"),
+        ],
     )
     def test_unknown_config_key_is_2(self, tiny_config, block, key):
-        # a key that would be silently ignored is a configuration error
+        # a key that would be silently ignored is a configuration error, at
+        # any depth of the document
         path, cfg, tmp = tiny_config
         cfg2 = json.loads(path.read_text())
-        (cfg2[block] if block else cfg2)[key] = True
+        cfg2["medium"]["flow"] = {"model": "stream-gaussian", "half_width": 0.15}
+        cfg2["medium"]["boundary_source"] = {"value": 0.05}
+        cfg2["medium"]["fields"] = {}
+        target = cfg2
+        for part in block.split(".") if block else ():
+            target = target[int(part)] if part.isdigit() else target[part]
+        target[key] = True
         p2 = tmp / "unknown.json"
         p2.write_text(json.dumps(cfg2))
         with pytest.raises(UsageError, match=key):

@@ -1,17 +1,15 @@
-"""Inversion tests: Lavrentiev weights, CG, Newton steps, constraints."""
+"""Inversion tests: Lavrentiev weights, CG, Newton steps, projected flow steps."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from holoseis import greens, medium, stochastic, holography, inversion
-from holoseis.errors import (
-    ConstraintDegenerateError,
-    NumericalBreakdownError,
-    UsageError,
-)
+from holoseis.errors import NumericalBreakdownError, UsageError
 
 
 @pytest.fixture(scope="module")
@@ -145,10 +143,11 @@ class TestIrgnmStep:
         assert np.max(np.abs(dq["S"])) < 1e-12
         assert new_state.iteration == 1
 
-    def test_linear_source_recovery_matches_dense_oracle(self):
+    def test_linear_source_recovery_matches_dense_oracle(self, monkeypatch):
         # noise-free data on a coarse grid (data dof exceed unknowns): one
         # step with alpha -> 0 equals the regularized dense least-squares
         # solution and recovers the block to 10%
+        monkeypatch.setattr(inversion, "CG_TOL", 1e-13)
         g = greens.square_grid(0.5, 0.75, 7.5, 1.0, n_receivers=20)
         freq = medium.FrequencyContext(omega=2 * np.pi / 0.75)
         params = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=0.25)
@@ -176,7 +175,6 @@ class TestIrgnmStep:
             weighted=False,
             alpha0=alpha,
             max_cg=2000,
-            cg_tol=1e-13,
         )
         data = [inversion.FrequencyData(freq=freq, corr=cov, n_realizations=1)]
         state = inversion.InversionState(q_n=q0.copy(), q_0=q0, alpha_0=alpha)
@@ -240,6 +238,28 @@ class TestIrgnmStep:
         qf, diag = inversion.run_irgnm(config, data)
         assert qf.S.min() >= 0.0
 
+    def test_param_error_for_each_quantity(self, setting):
+        # a joint (c, S) run against a known truth reports one relative
+        # error per inverted quantity
+        g, params, freq, hp, g_op, cov, blk = setting
+        truth = params.copy()
+        truth.c = truth.c + 0.05 * np.exp(-np.sum(g.interior_nodes**2, axis=1) / 0.02)
+        model = holography.build_model(truth, freq, quantities=("c", "S"), g_ref=g_op)
+        data = [
+            inversion.FrequencyData(freq=freq, corr=model.covariance(), n_realizations=100)
+        ]
+        q0 = params.copy()
+        q0.S = np.full(g.n_interior, 0.5)
+        config = inversion.InversionConfig(
+            grid=g, q0=q0, quantities=("c", "S"), weighted=False, max_outer=2, tau=0.0
+        )
+        _, diag = inversion.run_irgnm(config, data, truth=truth)
+        errors = [entry["param_error"] for entry in diag["iterations"]]
+        assert len(errors) == 2
+        for err in errors:
+            assert set(err) == {"c", "S"}
+            assert all(np.isfinite(v) and v > 0 for v in err.values())
+
     def test_alpha_schedule_exact(self, setting):
         g, params, *_ = setting
         state = inversion.InversionState(q_n=params, q_0=params, alpha_0=3.0)
@@ -276,6 +296,43 @@ class TestIrgnmStep:
         assert diag["alpha0"] == pytest.approx(lam_true, rel=0.01)
 
 
+def _flow_state(g, params, amplitude):
+    """Flow-free q_0 and an iterate q_n carrying a divergence-free flow."""
+    q0 = params.copy()
+    q_n = params.copy()
+    pts = g.interior_nodes
+    psi = np.exp(-np.sum((pts - [0.1, 0.05]) ** 2, axis=1) / (2 * 0.18**2))
+    q_n.u = medium.stream_function_flow(g, psi, q_n.rho, amplitude=amplitude)
+    return q0, q_n
+
+
+def _null_space_oracle(stack, space, rho, alpha, prox):
+    """Exact minimiser of the flow step's quadratic over the kernel of div(rho .).
+
+    The normal operator is built column by column from the derivative and
+    its adjoint; the interior weights of a square grid are uniform, so the
+    metric factor cancels from the reduced system.
+    """
+    n = space.size
+    normal = np.zeros((n, n))
+    rhs = np.zeros(n)
+    for item, model, cov, weight in stack:
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = 1.0
+            dc = holography.apply_derivative(model, space.unpack(e))
+            if weight is not None:
+                dc = holography.weighted_residual(weight, dc)
+            normal[:, j] += space.pack(holography.apply_adjoint(model, dc, ("u",)))
+        resid = item.corr.matrix - cov.matrix
+        if weight is not None:
+            resid = holography.weighted_residual(weight, resid)
+        rhs += space.pack(holography.apply_adjoint(model, resid, ("u",)))
+    z = linalg.null_space(medium.flow_divergence_matrix(space.grid, rho).toarray())
+    lhs = z.T @ (normal + alpha * np.eye(n)) @ z
+    return z @ np.linalg.solve(lhs, z.T @ (rhs + alpha * prox))
+
+
 class TestConstrainedFlow:
     def test_divergence_operator_annihilates_stream_function_flow(self, setting):
         # rho u = curl psi is in the kernel of the density-weighted divergence
@@ -284,39 +341,41 @@ class TestConstrainedFlow:
         rho = 1.0 + 0.2 * np.exp(-np.sum(pts**2, axis=1) / 0.05)
         psi = np.exp(-np.sum(pts**2, axis=1) / (2 * 0.15**2))
         u = medium.stream_function_flow(g, psi, rho, amplitude=1.0)
-        constraint = inversion.ConstraintOperator.from_medium(g, rho)
-        resid = constraint.matrix @ u.ravel(order="F")
+        resid = medium.flow_divergence_matrix(g, rho) @ u.ravel(order="F")
         assert np.max(np.abs(u)) > 0.1
         assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(u))
 
-    def test_inactive_constraint_gives_zero_multiplier(self, setting):
-        # stub normal operator = identity and a divergence-free rhs: the
-        # unconstrained minimizer rhs/(1 + alpha) already satisfies R du = 0,
-        # so the multiplier vanishes and du matches the unconstrained step
-        g, params, *_ = setting
-        constraint = inversion.ConstraintOperator.from_medium(g, params.rho)
-        space = inversion.ParameterSpace(g, ("u",))
-        pts = g.interior_nodes
-        psi = np.exp(-np.sum(pts**2, axis=1) / (2 * 0.15**2))
-        rhs_field = medium.stream_function_flow(g, psi, params.rho, amplitude=1.0)
-        rhs = rhs_field.ravel(order="F")
-        n_u = space.size
-        alpha = 0.7
-        w = space.weights
-        rd = inversion.reduce_constraint_rows(constraint.matrix)
-        kkt = np.zeros((n_u + rd.shape[0],) * 2)
-        kkt[:n_u, :n_u] = (1.0 + alpha) * np.diag(w)
-        kkt[:n_u, n_u:] = rd.T
-        kkt[n_u:, :n_u] = rd
-        vec = np.zeros(kkt.shape[0])
-        vec[:n_u] = w * rhs
-        sol = np.linalg.solve(kkt, vec)
-        du, mu = sol[:n_u], sol[n_u:]
-        assert np.linalg.norm(mu) <= 1e-6 * np.linalg.norm(du)
-        assert np.allclose(du, rhs / (1.0 + alpha), atol=1e-8)
-
-    def test_constrained_step_divergence_residual(self, setting):
+    def test_projected_step_matches_null_space_oracle(self, setting, monkeypatch):
+        # unweighted data from the flow-free medium seen from a flowing
+        # iterate: both the data term and alpha (q_0 - q_n) drive the step,
+        # and projected CG run to a tight tolerance reproduces the exact
+        # minimiser over the divergence-free subspace
         g, params, freq, hp, g_op, cov, blk = setting
+        monkeypatch.setattr(inversion, "CG_TOL", 1e-13)
+        q0, q_n = _flow_state(g, params, amplitude=0.02)
+        data = [inversion.FrequencyData(freq=freq, corr=cov, n_realizations=100)]
+        config = inversion.InversionConfig(
+            grid=g, q0=q0, quantities=("u",), weighted=False, max_cg=2000
+        )
+        stack = inversion._build_stack(q_n, data, config, {})
+        space = inversion.ParameterSpace(g, ("u",))
+        lam = inversion.power_iteration(
+            inversion._make_normal_operator(stack, space, lambda x: x),
+            space.size,
+            weights=space.weights,
+        )
+        state = inversion.InversionState(q_n=q_n, q_0=q0, alpha_0=0.01 * lam)
+        du, new_state, info = inversion.irgnm_step(state, data, config, stack=stack)
+        prox = -q_n.u.ravel(order="F")
+        oracle = _null_space_oracle(stack, space, q0.rho, state.alpha_n, prox)
+        got = du["u"].ravel(order="F")
+        assert info["cg_converged"]
+        assert np.linalg.norm(got - oracle) <= 1e-6 * np.linalg.norm(oracle)
+        assert np.allclose(new_state.q_n.u, q_n.u + du["u"])
+
+    def test_constrained_step_divergence_residual(self, setting, monkeypatch):
+        g, params, freq, hp, g_op, cov, blk = setting
+        monkeypatch.setattr(inversion, "CG_TOL", 1e-13)
         truth = params.copy()
         pts = g.interior_nodes
         psi = np.exp(-np.sum(pts**2, axis=1) / (2 * 0.18**2))
@@ -326,30 +385,52 @@ class TestConstrainedFlow:
         corr = stochastic.empirical_corr(r, g.receiver_weights)
         data = [inversion.FrequencyData(freq=freq, corr=corr, n_realizations=400)]
         q0 = params.copy()
-        constraint = inversion.ConstraintOperator.from_medium(g, params.rho)
-        config = inversion.InversionConfig(
-            grid=g, q0=q0, quantities=("u",), constraint=constraint
-        )
+        config = inversion.InversionConfig(grid=g, q0=q0, quantities=("u",), max_cg=2000)
         state = inversion.InversionState(q_n=q0.copy(), q_0=q0, alpha_0=1.0)
-        du, _, info = inversion.irgnm_step(state, data, config)
+        stack = inversion._build_stack(q0, data, config, {})
+        du, _, info = inversion.irgnm_step(state, data, config, stack=stack)
         assert np.any(du["u"])
         assert info["divergence_residual"] <= 1e-8 * max(info["update_norm"], 1e-300)
-        assert info["kkt_relative_residual"] <= 1e-10
+        space = inversion.ParameterSpace(g, ("u",))
+        oracle = _null_space_oracle(stack, space, q0.rho, 1.0, np.zeros(space.size))
+        got = du["u"].ravel(order="F")
+        assert np.linalg.norm(got - oracle) <= 1e-6 * np.linalg.norm(oracle)
 
-    def test_degenerate_constraint_raises(self, setting):
-        g, params, freq, hp, g_op, cov, blk = setting
-        from scipy import sparse
+    def test_flow_step_allocates_no_dense_normal_matrix(self):
+        # the projected step is matrix-free: on a prebuilt stack its peak
+        # allocation stays below one real n_int^2 array, a quarter of the
+        # dense (2 n_int)^2 flow normal matrix
+        g = greens.square_grid(0.5, 0.25, 7.5, 1.0, n_receivers=20)
+        q0 = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=0.5)
+        q0.S = np.ones(g.n_interior)
+        freqs = medium.frequency_band(3, 2 * np.pi / 0.26, 2 * np.pi / 0.25)
+        data = []
+        for fr in freqs:
+            model = holography.build_model(q0, fr, quantities=("u",))
+            data.append(
+                inversion.FrequencyData(freq=fr, corr=model.covariance(), n_realizations=10)
+            )
+        _, q_n = _flow_state(g, q0, amplitude=0.01)
+        config = inversion.InversionConfig(grid=g, q0=q0, quantities=("u",), max_cg=5)
+        stack = inversion._build_stack(q_n, data, config, {})
+        state = inversion.InversionState(q_n=q_n, q_0=q0, alpha_0=1.0)
+        tracemalloc.start()
+        try:
+            du, _, info = inversion.irgnm_step(state, data, config, stack=stack)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info["cg_iterations"] == 5 and np.any(du["u"])
+        assert peak < 8 * g.n_interior**2
 
-        bad = inversion.ConstraintOperator(
-            matrix=sparse.csr_matrix((g.n_interior, 2 * g.n_interior)), grid=g
-        )
-        data = [inversion.FrequencyData(freq=freq, corr=cov, n_realizations=10)]
-        config = inversion.InversionConfig(
-            grid=g, q0=params, quantities=("u",), constraint=bad
-        )
-        state = inversion.InversionState(q_n=params.copy(), q_0=params, alpha_0=1.0)
-        with pytest.raises(ConstraintDegenerateError):
-            inversion.irgnm_step(state, data, config)
+    def test_flow_smoothing_rejected(self, setting):
+        # the projector takes the smoother's place in a flow step, so a
+        # smoothing width would silently do nothing
+        g, params, *_ = setting
+        with pytest.raises(UsageError, match="smoothing_width"):
+            inversion.InversionConfig(
+                grid=g, q0=params, quantities=("u",), smoothing_width=0.05
+            )
 
     def test_removed_options_rejected(self, setting):
         g, params, *_ = setting
@@ -358,17 +439,14 @@ class TestConstrainedFlow:
             ("beta_method", "product"),
             ("checkpoint_dir", "ckpt"),
             ("greens_budget_bytes", 1024),
+            ("cg_tol", 1e-13),
+            ("constraint", None),
         )
         for key, value in removed:
             with pytest.raises(TypeError):
                 inversion.InversionConfig(
                     grid=g, q0=params, quantities=("S",), **{key: value}
                 )
-
-    def test_flow_inversion_requires_constraint(self, setting):
-        g, params, *_ = setting
-        with pytest.raises(UsageError):
-            inversion.InversionConfig(grid=g, q0=params, quantities=("u",))
 
 
 class TestOuterLoopMemory:
