@@ -22,10 +22,10 @@ A perturbed medium enters through the second-kind identity
     (L_q - L_0) psi = dv * psi - 2i dA . grad(psi),
 
 solved by a pivoted LU factorization restricted to the support of the
-perturbation and extended back to the full grid.  The returned operator keeps
-the factorization, so receiver-row extraction and the Hermitian products
-needed by the propagators stay cheap on large grids; the full dense kernel is
-materialized lazily when requested.
+perturbation.  The returned operator keeps only the base kernel, the sparse
+supported rows of L_q - L_0 and the LU of the support-sized core, and reads
+receiver rows and the propagators' Hermitian products off blocks of the base
+kernel; the full perturbed kernel is evaluated only when requested.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import zgecon
+from scipy.linalg.lapack import zgecon, zlange
 
 from .errors import (
     MemoryBudgetError,
+    NumericalBreakdownError,
     ResonanceError,
     SingularityError,
     UsageError,
@@ -49,7 +50,7 @@ from .specfun import hankel_h1, hankel_h1_array
 
 EULER_GAMMA: float = 0.5772156649015328606
 DEFAULT_BUDGET_BYTES: int = 4 * 1024**3
-_GATHER_ROWS: int = 64  # interior rows per gather from the lattice-offset table
+_GATHER_ROWS: int = 64  # rows per lattice-table gather; core columns per sparse product
 
 __all__ = [
     "Grid",
@@ -504,10 +505,9 @@ class DeltaOperator:
     dA: Optional[np.ndarray]
     gradient_stencil: Tuple[sparse.csr_matrix, ...]
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if np.any(np.abs(self.dv) > tol):
-            return False
-        return self.dA is None or not np.any(np.abs(self.dA) > tol)
+    def is_zero(self) -> bool:
+        """True when dv and dA vanish; a NaN entry counts as nonzero."""
+        return not np.any(self.dv) and (self.dA is None or not np.any(self.dA))
 
     def operator_matrix(self, grid: Grid) -> sparse.csr_matrix:
         """Sparse (n, n) matrix of (L_q - L_0) acting on full-grid fields."""
@@ -528,10 +528,10 @@ class DeltaOperator:
 class GreensOperator:
     """Green's operator on a grid: dense kernel or a factored resolvent update.
 
-    The factored form stores the base kernel K0 together with the pivoted LU
-    factorization of the support-restricted second-kind system, and evaluates
-    rows, applications and Hermitian products without materializing
-    the full perturbed kernel.
+    The factored form keeps the base kernel K0, the support of the
+    perturbation, its sparse supported rows V of (L_q - L_0) and the pivoted
+    LU of the m x m core I + V K0[:, supp] W.  Rows and Hermitian products
+    read blocks of K0 and never form V K0 or the perturbed kernel.
     """
 
     def __init__(
@@ -539,27 +539,26 @@ class GreensOperator:
         grid: Grid,
         k_ref: complex,
         _kernel: Optional[np.ndarray] = None,
-        _base: Optional["GreensOperator"] = None,
+        _base: Optional[np.ndarray] = None,
         _supp: Optional[np.ndarray] = None,
-        _Z: Optional[np.ndarray] = None,
+        _v: Optional[sparse.csr_matrix] = None,
         _lu=None,
     ):
         self.grid = grid
         self.k_ref = complex(k_ref)
         self._kernel = _kernel
         self._receiver_rows: Optional[np.ndarray] = None
-        self._base = _base
+        self._base = _base  # K0, shape (n, n)
         self._supp = _supp
-        self._Z = _Z  # V @ K0, shape (m, n)
-        self._lu = _lu
+        self._v = _v  # V, shape (m, n_int): its columns lie in the interior
+        self._lu = _lu  # pivoted LU of core^T
 
     # -- representation ------------------------------------------------------
     @property
     def kernel(self) -> np.ndarray:
-        """Dense kernel matrix; materializes the factored form on demand."""
+        """Dense kernel matrix; the factored form evaluates every row."""
         if self._kernel is None:
-            base = self._base.kernel
-            self._kernel = base - self._u_block(base) @ lu_solve(self._lu, self._Z)
+            return self.rows(np.arange(self.grid.n_nodes))
         return self._kernel
 
     @property
@@ -569,48 +568,43 @@ class GreensOperator:
             self._receiver_rows = self.rows(self.grid.receiver_idx)
         return self._receiver_rows
 
-    def _u_block(self, base_rows: np.ndarray) -> np.ndarray:
-        """U[idx, :] where U = (K0 W)[:, supp], from the base rows K0[idx, :]."""
-        w_supp = self.grid.weights[self._supp]
-        return base_rows[:, self._supp] * w_supp[None, :]
-
     # -- products ------------------------------------------------------------
     def rows(self, idx) -> np.ndarray:
-        """Dense kernel rows K[idx, :]."""
+        """Dense kernel rows K[idx, :] = K0[idx, :] - (c V) K0, c = U[idx] core^-1."""
         idx = np.asarray(idx)
         if self._kernel is not None:
             return self._kernel[idx, :]
-        base = self._base.rows(idx)
-        u = self._u_block(base)  # (k, m)
-        corr = lu_solve(self._lu, u.T, trans=1).T  # u @ L^{-1}
-        return base - corr @ self._Z
+        base = self._base[idx, :]
+        u = base[:, self._supp] * self.grid.weights[self._supp]  # (k, m)
+        c = lu_solve(self._lu, u.T, check_finite=False).T  # c^T = core^-T u^T
+        base -= (c @ self._v) @ self._base[_view(self.grid.interior_idx)]
+        return base
 
-    def apply(self, source: np.ndarray) -> np.ndarray:
-        """Quadrature application (G s)_i = sum_j K[i,j] s_j w_j on full-grid s."""
-        sw = np.asarray(source, dtype=np.complex128) * self.grid.weights
-        if self._kernel is not None:
-            return self._kernel @ sw
-        base = self._base.apply(source)
-        zc = lu_solve(self._lu, self._Z @ sw)
-        return base - self._u_block(self._base.kernel) @ zc
+    def mul_kernel_hermitian(self, m_block: np.ndarray, in_idx) -> np.ndarray:
+        """Product M @ (K[interior, in_idx])^H without forming the kernel block.
 
-    def mul_kernel_hermitian(self, m_block: np.ndarray, out_idx, in_idx) -> np.ndarray:
-        """Product M @ (K[out_idx, in_idx])^H without forming the kernel block.
-
-        M has shape (p, len(in_idx)); the result has shape (p, len(out_idx)).
-        This is the workhorse of the ingression-propagator assembly.
+        M has shape (p, len(in_idx)); the result has shape (p, n_int).  This
+        is the workhorse of the ingression-propagator assembly.  The columns
+        of V lie in the interior, so M (V K0[:, in])^H is read off
+        term0 = M K0[interior, in]^H; only p-row factors are conjugated.
         """
-        out_idx = np.asarray(out_idx)
-        in_idx = np.asarray(in_idx)
+        k0 = self._base if self._kernel is None else self._kernel
+        k0_int = k0[_view(self.grid.interior_idx)]  # (n_int, n)
+        term0 = (m_block.conj() @ k0_int[:, _view(in_idx)].T).conj()
         if self._kernel is not None:
-            return m_block @ self._kernel[np.ix_(out_idx, in_idx)].conj().T
-        base = self._base.rows(out_idx)  # (n_out, n)
-        term0 = m_block @ base[:, in_idx].conj().T
-        t1 = m_block @ self._Z[:, in_idx].conj().T  # (p, m)
-        # K piece: - U[out] L^{-1} Z[:, in]; its ^H gives - Z^H L^{-H} U^H
-        t2 = lu_solve(self._lu, t1.conj().T, trans=0).conj().T  # t1 @ L^{-H}
-        u = self._u_block(base)  # (n_out, m)
-        return term0 - t2 @ u.conj().T
+            return term0
+        xh = self._v @ term0.conj().T  # (m, p) = V K0[:, in] M^H
+        y = lu_solve(self._lu, xh, trans=1, check_finite=False)  # core^-1 xh
+        y *= self.grid.weights[self._supp][:, None]
+        term0 -= (k0_int[:, _view(self._supp)] @ y).conj().T
+        return term0
+
+
+def _view(idx):
+    """A contiguous ascending index range as a slice, so indexing by it gives a
+    view; the interior of the factory grids is such a range."""
+    idx = np.asarray(idx)
+    return slice(idx[0], idx[-1] + 1) if idx.size and np.all(np.diff(idx) == 1) else idx
 
 
 def update_green(
@@ -626,27 +620,34 @@ def update_green(
         K_q = K0 - U (I_m + V U)^{-1} V K0,
 
     factorized by pivoted LU of the m x m core.  A reciprocal-condition
-    estimate guards against wavenumbers at interior resonances.
+    estimate guards against interior resonances and non-finite perturbations.
 
     For a vanishing perturbation the base kernel is returned unchanged
     (bit-identical copy).
     """
     grid = g0.grid
+    k0 = g0.kernel
     if delta.is_zero():
-        return GreensOperator(grid=grid, k_ref=g0.k_ref, _kernel=g0.kernel.copy())
+        return GreensOperator(grid=grid, k_ref=g0.k_ref, _kernel=k0.copy())
     m_full = delta.operator_matrix(grid)  # sparse (n, n)
-    row_nnz = np.diff(m_full.indptr)
-    supp = np.flatnonzero(row_nnz)
-    v = m_full[supp, :]  # (m, n) sparse
-    z = np.asarray(v @ g0.kernel)  # (m, n)
+    supp = np.flatnonzero(np.diff(m_full.indptr))
+    v = m_full[supp][:, grid.interior_idx]
     m = len(supp)
-    core = np.eye(m, dtype=np.complex128) + z[:, supp] * grid.weights[supp][None, :]
-    lu = lu_factor(core)
-    anorm = np.linalg.norm(core, 1)
-    rcond, info = zgecon(lu[0], anorm, norm="1")
+    core = np.empty((m, m), dtype=np.complex128)
+    k0_int = k0[_view(grid.interior_idx)]
+    for start in range(0, m, _GATHER_ROWS):  # scipy copies a strided dense operand
+        sl = slice(start, start + _GATHER_ROWS)
+        core[:, sl] = (v @ k0_int[:, _view(supp[sl])]) * grid.weights[supp[sl]]
+    core.flat[:: m + 1] += 1.0
+    # LAPACK factors the Fortran-ordered view core^T in place; ||core^T||_inf = ||core||_1
+    anorm = zlange("I", core.T)
+    lu = lu_factor(core.T, overwrite_a=True, check_finite=False)
+    rcond, info = zgecon(lu[0], anorm, norm="I")
+    if not np.isfinite(rcond):
+        raise NumericalBreakdownError("non-finite entries in the second-kind system")
     if info != 0 or rcond == 0.0 or 1.0 / rcond > cond_limit:
         raise ResonanceError(
             f"second-kind system nearly singular: condition estimate "
             f"{(1.0 / rcond if rcond else np.inf):.3e} exceeds {cond_limit:.1e}"
         )
-    return GreensOperator(grid=grid, k_ref=g0.k_ref, _base=g0, _supp=supp, _Z=z, _lu=lu)
+    return GreensOperator(grid=grid, k_ref=g0.k_ref, _base=k0, _supp=supp, _v=v, _lu=lu)

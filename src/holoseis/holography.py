@@ -200,14 +200,10 @@ def build_model(
     beta_flow = None
     if any(q != "S" for q in quantities):
         m_block = h_alpha * (hp.S * grid.interior_weights)[None, :]
-        beta_scalar = g.mul_kernel_hermitian(
-            m_block, grid.interior_idx, grid.interior_idx
-        )
+        beta_scalar = g.mul_kernel_hermitian(m_block, grid.interior_idx)
         if boundary_src is not None:
             mb = _boundary_block(rows[:, grid.receiver_idx], boundary_src, grid)
-            beta_scalar = beta_scalar + g.mul_kernel_hermitian(
-                mb, grid.interior_idx, grid.receiver_idx
-            )
+            beta_scalar = beta_scalar + g.mul_kernel_hermitian(mb, grid.receiver_idx)
         if "u" in quantities or (
             "c" in quantities and params.u is not None and np.any(params.u)
         ):
