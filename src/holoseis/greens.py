@@ -13,8 +13,10 @@ stored *without* weights and every application inserts them explicitly.
 
 The interior nodes lie on a lattice of step ``grid.spacing``, so the uniform
 reference kernel is evaluated once per distinct lattice offset and gathered
-into the interior block; only receiver rows are evaluated pair by pair.  No
-kernel is kept between calls or on disk: every assembly evaluates it afresh.
+into the interior block on first use; receiver rows, all that sampling and
+the Lindsey-Braun propagators read, are evaluated pair by pair without it.
+No kernel is kept between calls or on disk: every assembly evaluates it
+afresh.
 
 A perturbed medium enters through the second-kind identity
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -429,6 +431,9 @@ def assemble_green(
 ) -> "GreensOperator":
     """Assemble the dense uniform-medium Green's kernel on all grid nodes.
 
+    The grid, the budget and the lattice are checked at once; the kernel is
+    gathered on first use (``kernel``, ``mul_kernel_hermitian``,
+    ``update_green``), and receiver rows read before that need no gather.
     Off-diagonal entries are closed-form point evaluations.  Between interior
     nodes the kernel depends only on the lattice offsets |a_i|, so it is
     evaluated once on the table of distances h sqrt(sum a_i^2) and gathered
@@ -449,23 +454,27 @@ def assemble_green(
     if grid.n_interior + grid.n_receivers != n:
         raise UsageError("every node must be an interior node or a receiver")
     lattice = _lattice_indices(grid)
-    offsets = np.indices(lattice.max(axis=0) + 1, dtype=float)
-    r_table = grid.spacing * np.sqrt(np.sum(offsets**2, axis=0))
-    r_table.flat[0] = grid.spacing  # placeholder; the diagonal is overwritten below
-    table = _radial_kernel(k, r_table)
 
-    kernel = np.empty((n, n), dtype=np.complex128)
-    int_idx = grid.interior_idx
-    for start in range(0, len(int_idx), _GATHER_ROWS):
-        block = lattice[start : start + _GATHER_ROWS]
-        steps = tuple(np.abs(np.subtract.outer(b, a)) for b, a in zip(block.T, lattice.T))
-        kernel[np.ix_(int_idx[start : start + _GATHER_ROWS], int_idx)] = table[steps]
-    rows = assemble_receiver_rows(grid, k)
-    kernel[grid.receiver_idx, :] = rows
-    kernel[:, grid.receiver_idx] = rows.T
-    kernel[int_idx, int_idx] = _diagonal_values(grid, k)
+    def gather(rows: Optional[np.ndarray]) -> np.ndarray:
+        offsets = np.indices(lattice.max(axis=0) + 1, dtype=float)
+        r_table = grid.spacing * np.sqrt(np.sum(offsets**2, axis=0))
+        r_table.flat[0] = grid.spacing  # placeholder; the diagonal is overwritten below
+        table = _radial_kernel(k, r_table)
 
-    return GreensOperator(grid=grid, k_ref=k, _kernel=kernel)
+        kernel = np.empty((n, n), dtype=np.complex128)
+        int_idx = grid.interior_idx
+        for start in range(0, len(int_idx), _GATHER_ROWS):
+            block = lattice[start : start + _GATHER_ROWS]
+            steps = tuple(np.abs(np.subtract.outer(b, a)) for b, a in zip(block.T, lattice.T))
+            kernel[np.ix_(int_idx[start : start + _GATHER_ROWS], int_idx)] = table[steps]
+        if rows is None:
+            rows = assemble_receiver_rows(grid, k)
+        kernel[grid.receiver_idx, :] = rows
+        kernel[:, grid.receiver_idx] = rows.T
+        kernel[int_idx, int_idx] = _diagonal_values(grid, k)
+        return kernel
+
+    return GreensOperator(grid=grid, k_ref=k, _gather=gather)
 
 
 def assemble_receiver_rows(grid: Grid, k: complex) -> np.ndarray:
@@ -528,10 +537,12 @@ class DeltaOperator:
 class GreensOperator:
     """Green's operator on a grid: dense kernel or a factored resolvent update.
 
-    The factored form keeps the base kernel K0, the support of the
-    perturbation, its sparse supported rows V of (L_q - L_0) and the pivoted
-    LU of the m x m core I + V K0[:, supp] W.  Rows and Hermitian products
-    read blocks of K0 and never form V K0 or the perturbed kernel.
+    The reference operator of assemble_green gathers its dense kernel on
+    first use; its receiver rows need no gather.  The factored form keeps the
+    base kernel K0, the support of the perturbation, its sparse supported
+    rows V of (L_q - L_0) and the pivoted LU of the m x m core
+    I + V K0[:, supp] W.  Rows and Hermitian products read blocks of K0 and
+    never form V K0 or the perturbed kernel.
     """
 
     def __init__(
@@ -539,6 +550,7 @@ class GreensOperator:
         grid: Grid,
         k_ref: complex,
         _kernel: Optional[np.ndarray] = None,
+        _gather: Optional[Callable[[Optional[np.ndarray]], np.ndarray]] = None,
         _base: Optional[np.ndarray] = None,
         _supp: Optional[np.ndarray] = None,
         _v: Optional[sparse.csr_matrix] = None,
@@ -547,6 +559,7 @@ class GreensOperator:
         self.grid = grid
         self.k_ref = complex(k_ref)
         self._kernel = _kernel
+        self._gather = _gather  # builds the dense kernel from the receiver rows, if known
         self._receiver_rows: Optional[np.ndarray] = None
         self._base = _base  # K0, shape (n, n)
         self._supp = _supp
@@ -554,12 +567,18 @@ class GreensOperator:
         self._lu = _lu  # pivoted LU of core^T
 
     # -- representation ------------------------------------------------------
+    def _dense(self) -> Optional[np.ndarray]:
+        """The dense kernel, gathered on first use; None for the factored form."""
+        if self._gather is not None:
+            self._kernel = self._gather(self._receiver_rows)
+            self._gather = None
+        return self._kernel
+
     @property
     def kernel(self) -> np.ndarray:
         """Dense kernel matrix; the factored form evaluates every row."""
-        if self._kernel is None:
-            return self.rows(np.arange(self.grid.n_nodes))
-        return self._kernel
+        dense = self._dense()
+        return self.rows(np.arange(self.grid.n_nodes)) if dense is None else dense
 
     @property
     def receiver_rows(self) -> np.ndarray:
@@ -570,10 +589,16 @@ class GreensOperator:
 
     # -- products ------------------------------------------------------------
     def rows(self, idx) -> np.ndarray:
-        """Dense kernel rows K[idx, :] = K0[idx, :] - (c V) K0, c = U[idx] core^-1."""
+        """Dense kernel rows K[idx, :] = K0[idx, :] - (c V) K0, c = U[idx] core^-1.
+
+        Ungathered receiver rows are evaluated directly, as the gather does.
+        """
         idx = np.asarray(idx)
-        if self._kernel is not None:
-            return self._kernel[idx, :]
+        if self._gather is not None and np.array_equal(idx, self.grid.receiver_idx):
+            return assemble_receiver_rows(self.grid, self.k_ref)
+        dense = self._dense()
+        if dense is not None:
+            return dense[idx, :]
         base = self._base[idx, :]
         u = base[:, self._supp] * self.grid.weights[self._supp]  # (k, m)
         c = lu_solve(self._lu, u.T, check_finite=False).T  # c^T = core^-T u^T
@@ -588,10 +613,11 @@ class GreensOperator:
         of V lie in the interior, so M (V K0[:, in])^H is read off
         term0 = M K0[interior, in]^H; only p-row factors are conjugated.
         """
-        k0 = self._base if self._kernel is None else self._kernel
+        dense = self._dense()
+        k0 = self._base if dense is None else dense
         k0_int = k0[_view(self.grid.interior_idx)]  # (n_int, n)
         term0 = (m_block.conj() @ k0_int[:, _view(in_idx)].T).conj()
-        if self._kernel is not None:
+        if dense is not None:
             return term0
         xh = self._v @ term0.conj().T  # (m, p) = V K0[:, in] M^H
         y = lu_solve(self._lu, xh, trans=1, check_finite=False)  # core^-1 xh

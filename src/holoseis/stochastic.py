@@ -12,7 +12,9 @@ makes the pseudo-covariance E[psi psi] vanish and gives the correlation data
 its separable Isserlis fourth-moment structure.
 
 Sampling uses counter-based Philox streams split per realization index, so a
-fixed seed reproduces archives bit-identically regardless of batching.
+fixed seed reproduces archives bit-identically regardless of batching; the
+stream of realization j is set by moving one bit generator's counter, without
+a new generator per realization.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import numpy as np
 from .errors import UsageError
 from .greens import Grid, GreensOperator
 from .medium import FrequencyContext, HelmholtzParams, MediumParams
+
+_SAMPLE_BATCH: int = 1024  # realizations per GEMM with the receiver rows
 
 __all__ = [
     "RealizationSet",
@@ -163,9 +167,13 @@ def sample_wavefields(
     g: GreensOperator,
     n_realizations: int,
     seed: int,
-    batch: int = 1024,
 ) -> RealizationSet:
-    """Draw N independent surface wavefields Tr(G s) for circular Gaussian s."""
+    """Draw N independent surface wavefields Tr(G s) for circular Gaussian s.
+
+    Realization j draws from the Philox stream ``Philox(key=seed).jumped(j)``,
+    whose counter is [0, 0, j, 0]: one bit generator is reset to that counter
+    per realization and fills one reused buffer of draws.
+    """
     if n_realizations < 1:
         raise UsageError("need at least one realization")
     grid = g.grid
@@ -174,16 +182,24 @@ def sample_wavefields(
     amp = np.sqrt(hp.S / (2.0 * w))  # per-node std of Re and Im parts
     n_int = grid.n_interior
 
-    base = np.random.Philox(key=int(seed))
+    bitgen = np.random.Philox(key=int(seed))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # counter zero, buffer empty
+    counter = state["state"]["counter"]
+    draws = np.empty((2, n_int))
+    block = np.empty((min(_SAMPLE_BATCH, n_realizations), n_int), dtype=np.complex128)
     fields = np.empty((n_realizations, grid.n_receivers), dtype=np.complex128)
-    for start in range(0, n_realizations, batch):
-        stop = min(start + batch, n_realizations)
-        block = np.empty((stop - start, n_int), dtype=np.complex128)
-        for j in range(start, stop):
-            gen = np.random.Generator(base.jumped(j))
-            draws = gen.standard_normal((2, n_int))
-            block[j - start] = amp * (draws[0] + 1j * draws[1])
-        fields[start:stop] = (block * w[None, :]) @ a_int.T
+    for start in range(0, n_realizations, _SAMPLE_BATCH):
+        stop = min(start + _SAMPLE_BATCH, n_realizations)
+        blk = block[: stop - start]
+        for j, row in enumerate(blk, start):
+            counter[2] = j
+            bitgen.state = state
+            gen.standard_normal(out=draws)
+            np.multiply(amp, draws[0], out=row.real)
+            np.multiply(amp, draws[1], out=row.imag)
+        blk *= w
+        np.matmul(blk, a_int.T, out=fields[start:stop])
     return RealizationSet(
         fields=fields, seed=int(seed), omega=hp.omega, grid_hash=grid.content_hash()
     )

@@ -210,11 +210,44 @@ class TestLatticeAssembly:
         g = greens.square_grid(0.6, 0.3, 7.5, 1.0, n_receivers=40)
         tracemalloc.start()
         try:
-            greens.assemble_green(g, 7.0 + 0.5j)
+            greens.assemble_green(g, 7.0 + 0.5j).kernel
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 16 * g.n_nodes**2
+
+
+class TestLazyReference:
+    def test_receiver_path_allocates_no_dense_kernel(self):
+        # an S-only model, its realizations and a Lindsey-Braun pair read
+        # only receiver rows, so the reference kernel is never gathered
+        from holoseis import holography, medium, stochastic
+
+        g = greens.square_grid(0.6, 0.3, 7.5, 1.0, n_receivers=40)
+        freq = medium.FrequencyContext(omega=2 * np.pi / 0.3)
+        q = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=0.1)
+        q.S = np.exp(-np.sum(g.interior_nodes**2, axis=1) / 0.05)
+        tracemalloc.start()
+        try:
+            g_ref = greens.assemble_green(g, medium.recast(q, freq).k_ref)
+            model = holography.build_model(q, freq, quantities=("S",), g_ref=g_ref)
+            stochastic.sample_wavefields(model.hp, model.g, 64, seed=3)
+            holography.lindsey_braun_pair(model.g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.g is g_ref
+        assert peak < 16 * g.n_nodes**2
+
+    def test_receiver_rows_match_the_gathered_kernel(self, grid):
+        k = 7.0 + 0.5j
+        early = greens.assemble_green(grid, k)
+        rows = early.receiver_rows
+        assert np.array_equal(rows, early.kernel[grid.receiver_idx, :])
+        late = greens.assemble_green(grid, k)
+        late.kernel
+        assert np.array_equal(late.receiver_rows, rows)
+        assert np.array_equal(late.kernel, early.kernel)
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +382,7 @@ class TestUpdateGreen:
         q = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=0.1)
         q.c = 1.0 + 0.1 * np.exp(-np.sum(g.interior_nodes**2, axis=1) / 0.045)
         g_ref = greens.assemble_green(g, medium.recast(q, freq).k_ref)
+        g_ref.kernel
         tracemalloc.start()
         try:
             model = holography.build_model(q, freq, quantities=("c",), g_ref=g_ref)

@@ -276,6 +276,27 @@ class TestBackpropagation:
         scale = np.max(np.abs(expect.values))
         assert np.max(np.abs(holo.values - expect.values)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize(
+        "pupils", [None, ([0, 2, 4, 6, 8, 10], [1, 2, 3, 9, 15])], ids=["shared", "pupils"]
+    )
+    def test_matches_correlation_oracle(self, setting, pupils):
+        # Diag(H_alpha^H W Corr W H_beta) from the empirical correlation of the
+        # same realizations; the pupil pair holds two distinct arrays
+        g, params, freq, model = setting
+        r = stochastic.sample_wavefields(model.hp, model.g, 300, seed=5)
+        pair = holography.lindsey_braun_pair(model.g, pupils=pupils)
+        holo = holography.backprop_realizations(pair, r, g.receiver_weights).values
+        w = g.receiver_weights
+        corr = stochastic.empirical_corr(r, w).matrix
+        expect = np.sum(
+            (pair.h_alpha.conj().T @ (w[:, None] * corr * w[None, :])) * pair.h_beta.T, axis=1
+        )
+        assert np.max(np.abs(holo - expect)) <= 1e-12 * np.max(np.abs(expect))
+        if pupils is None:
+            assert not np.any(holo.imag)
+        else:
+            assert np.any(holo.imag)
+
     def test_single_realization_gram_nonnegative(self, setting):
         g, params, freq, model = setting
         r = stochastic.sample_wavefields(model.hp, model.g, 1, seed=6)

@@ -77,6 +77,28 @@ class TestSampling:
         r2 = stochastic.sample_wavefields(hp, g_op, 32, seed=7)
         assert np.array_equal(r1.fields, r2.fields)
 
+    def test_realization_stream_pinned(self, setting):
+        # the archive format: realization j is amp (x + i y) from the first
+        # 2 n_int normals of Philox(key=seed).jumped(j), weighted and summed
+        # over the receiver rows 1024 realizations at a time; the source is
+        # zero on most nodes, so signed zeros are covered too
+        g, params, freq, hp, g_op, _ = setting
+        n, seed, batch = 1100, 23, 1024
+        r = stochastic.sample_wavefields(hp, g_op, n, seed=seed)
+        w = g.interior_weights
+        amp = np.sqrt(hp.S / (2.0 * w))
+        a_int = g_op.receiver_rows[:, g.interior_idx]
+        base = np.random.Philox(key=seed)
+        block = np.empty((n, g.n_interior), dtype=complex)
+        for j in range(n):
+            draws = np.random.Generator(base.jumped(j)).standard_normal((2, g.n_interior))
+            block[j] = amp * (draws[0] + 1j * draws[1])
+        expect = np.concatenate(
+            [(block[s : s + batch] * w[None, :]) @ a_int.T for s in range(0, n, batch)]
+        )
+        assert np.any(hp.S == 0.0)
+        assert np.array_equal(r.fields, expect)
+
     def test_seed_changes_fields(self, setting):
         g, params, freq, hp, g_op, _ = setting
         r1 = stochastic.sample_wavefields(hp, g_op, 8, seed=7)
