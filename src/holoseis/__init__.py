@@ -7,6 +7,6 @@ an iteratively regularized Gauss-Newton method whose derivative and adjoint
 are holographic forward/backward propagators.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from . import errors, specfun, greens, medium, stochastic, holography, inversion  # noqa: F401,E402

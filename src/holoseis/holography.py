@@ -256,6 +256,12 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def _scaled_conj(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """conj(a diag(d)) in one temporary: b @ _scaled_conj(a, d).T = (a D b^H)^H."""
+    x = a * d[None, :]
+    return np.conjugate(x, out=x)
+
+
 def apply_derivative(model: LinearizedModel, dq: Dict[str, np.ndarray]) -> np.ndarray:
     """Directional derivative of the covariance map, C'[q](dq), on receivers.
 
@@ -278,11 +284,13 @@ def apply_derivative(model: LinearizedModel, dq: Dict[str, np.ndarray]) -> np.nd
             raise UsageError(f"model was not linearized for quantity {q!r}")
         dv += model.gv[q].apply(np.asarray(pert), grid)
         have_dv = True
+    # each term T = a D b^H enters as T + T^H and is formed as T^H = b conj(a D)^T,
+    # so no propagator is conjugated or copied
     if have_dv and np.any(dv):
         if model.beta_scalar is None:
             raise UsageError("model lacks the scalar ingression propagator")
-        t = (a * (dv * w)[None, :]) @ model.beta_scalar.conj().T
-        out -= t + t.conj().T
+        th = model.beta_scalar @ _scaled_conj(a, dv * w).T
+        out -= th + th.conj().T
 
     # dA contributions: flow perturbations and sound speed with background flow
     da = None
@@ -295,12 +303,12 @@ def apply_derivative(model: LinearizedModel, dq: Dict[str, np.ndarray]) -> np.nd
         if model.beta_flow is None:
             raise UsageError("model lacks flow ingression propagators")
         for i, b_i in enumerate(model.beta_flow):
-            t = (a * (2j * da[:, i] * w)[None, :]) @ b_i.conj().T
-            out += t + t.conj().T
+            th = b_i @ _scaled_conj(a, 2j * da[:, i] * w).T
+            out += th + th.conj().T
 
     if "S" in dq:
         ds = np.asarray(dq["S"])
-        out += (a * (ds * w)[None, :]) @ a.conj().T
+        out += a @ _scaled_conj(a, ds * w).T  # Hermitian for real dS
     return _hermitian_part(out)
 
 
@@ -312,8 +320,9 @@ def apply_adjoint(
     """Adjoint C'[q]* D as physical dual fields, one per requested quantity.
 
     Interior-by-interior operators are never formed: every term is a Diag of
-    propagator sandwiches.  The real-part projection onto real parameter
-    perturbations is applied after the local-correlation chaining.
+    propagator sandwiches Diag(a^H M b) with M = W Re(D) W Hermitian, read as
+    column dot products of P = M a and b.  The real-part projection onto real
+    parameter perturbations is applied after the local-correlation chaining.
     """
     grid = model.grid
     if quantities is None:
@@ -321,23 +330,23 @@ def apply_adjoint(
     w_rec = grid.receiver_weights
     w = grid.interior_weights
     a = model.h_alpha
-    re_d = _hermitian_part(np.asarray(d_matrix, dtype=np.complex128))
-    phi = a.conj().T @ (w_rec[:, None] * re_d * w_rec[None, :])  # (n_int, n_rec)
+    m = np.outer(w_rec, w_rec) * _hermitian_part(np.asarray(d_matrix, dtype=np.complex128))
+    p = m @ a  # (n_rec, n_int); a^H M = P^H since M is exactly Hermitian
 
     dv_dual = None
     if model.beta_scalar is not None:
-        dv_dual = -2.0 * np.einsum("yr,ry->y", phi, model.beta_scalar)
+        dv_dual = -2.0 * np.vecdot(p, model.beta_scalar, axis=0)
     da_dual = None
     if model.beta_flow is not None:
         da_dual = np.column_stack(
-            [-4j * np.einsum("yr,ry->y", phi, b_i) for b_i in model.beta_flow]
+            [-4j * np.vecdot(p, b_i, axis=0) for b_i in model.beta_flow]
         )
 
     dmats = grid.gradient_matrices()
     out: Dict[str, np.ndarray] = {}
     for q in quantities:
         if q == "S":
-            out["S"] = np.real(np.einsum("yr,ry->y", phi, a))
+            out["S"] = np.real(np.vecdot(p, a, axis=0))
             continue
         gvq = model.gv.get(q)
         if gvq is None:

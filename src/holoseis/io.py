@@ -19,8 +19,9 @@ realization archive (per-frequency surface wavefield samples)
     u64           receiver count
     payload       (N, n_rec) row-major complex128
 
-Everything can be re-derived from (config, seed); archives exist so expensive
-syntheses can be shared between the synth / hologram / invert stages.
+Everything can be re-derived from (config, seed) under the package version
+that the manifest records; archives exist so expensive syntheses can be
+shared between the synth / hologram / invert stages.
 """
 
 from __future__ import annotations

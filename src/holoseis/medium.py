@@ -126,6 +126,8 @@ class MediumParams:
             f = getattr(self, name)
             if f.shape != (n,):
                 raise InvalidParameterError(f"{name} must have shape ({n},)")
+            if not np.all(np.isfinite(f)):
+                raise InvalidParameterError(f"{name} has non-finite entries")
         if np.min(self.c) < self.c_min or self.c_min <= 0:
             raise InvalidParameterError("sound speed below admissible floor")
         if np.min(self.rho) < self.rho_min or self.rho_min <= 0:
@@ -137,6 +139,8 @@ class MediumParams:
         if self.u is not None:
             if self.u.shape != (n, self.grid.dim):
                 raise InvalidParameterError(f"u must have shape ({n}, {self.grid.dim})")
+            if not np.all(np.isfinite(self.u)):
+                raise InvalidParameterError("u has non-finite entries")
             r = flow_divergence_matrix(self.grid, self.rho)
             resid = np.linalg.norm(r @ self.u.ravel(order="F"))
             scale = np.linalg.norm(self.rho[:, None] * self.u)

@@ -11,10 +11,11 @@ Circularity (independent real/imaginary parts of equal variance) is what
 makes the pseudo-covariance E[psi psi] vanish and gives the correlation data
 its separable Isserlis fourth-moment structure.
 
-Sampling uses counter-based Philox streams split per realization index, so a
-fixed seed reproduces archives bit-identically regardless of batching; the
-stream of realization j is set by moving one bit generator's counter, without
-a new generator per realization.
+A node with S_i = 0 adds nothing to any wavefield, so draws and the
+synthesis product run over supp(S) only.  Sampling uses counter-based Philox
+streams split per realization index, so a fixed seed reproduces archives
+bit-identically regardless of batching; the stream of realization j is set by
+moving one bit generator's counter, without a new generator per realization.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class RealizationSet:
     """N surface wavefield samples at one frequency.
 
     fields has shape (N, n_receivers); realization n lives in row n and is
-    reproducible from (seed, n) alone.
+    reproducible from (seed, n) and the support of S alone.
     """
 
     fields: np.ndarray
@@ -170,24 +171,27 @@ def sample_wavefields(
 ) -> RealizationSet:
     """Draw N independent surface wavefields Tr(G s) for circular Gaussian s.
 
-    Realization j draws from the Philox stream ``Philox(key=seed).jumped(j)``,
-    whose counter is [0, 0, j, 0]: one bit generator is reset to that counter
-    per realization and fills one reused buffer of draws.
+    Only the m nodes of supp(S) = {i : S_i != 0} are drawn and summed.
+    Realization j takes 2m normals from the Philox stream
+    ``Philox(key=seed).jumped(j)``, whose counter is [0, 0, j, 0]: the real
+    parts on supp(S) in interior order, then the imaginary parts.  One bit
+    generator is reset to that counter per realization and fills one reused
+    buffer of draws.  When S has no zero entry this is the full 2 n_int draw.
     """
     if n_realizations < 1:
         raise UsageError("need at least one realization")
     grid = g.grid
-    a_int = g.receiver_rows[:, grid.interior_idx]  # (n_rec, n_int)
-    w = grid.interior_weights
-    amp = np.sqrt(hp.S / (2.0 * w))  # per-node std of Re and Im parts
-    n_int = grid.n_interior
+    supp = np.flatnonzero(hp.S)
+    a_sup = g.receiver_rows[:, grid.interior_idx[supp]]  # (n_rec, m)
+    w = grid.interior_weights[supp]
+    amp = np.sqrt(hp.S[supp] / (2.0 * w))  # per-node std of Re and Im parts
 
     bitgen = np.random.Philox(key=int(seed))
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # counter zero, buffer empty
     counter = state["state"]["counter"]
-    draws = np.empty((2, n_int))
-    block = np.empty((min(_SAMPLE_BATCH, n_realizations), n_int), dtype=np.complex128)
+    draws = np.empty((2, supp.size))
+    block = np.empty((min(_SAMPLE_BATCH, n_realizations), supp.size), dtype=np.complex128)
     fields = np.empty((n_realizations, grid.n_receivers), dtype=np.complex128)
     for start in range(0, n_realizations, _SAMPLE_BATCH):
         stop = min(start + _SAMPLE_BATCH, n_realizations)
@@ -199,7 +203,7 @@ def sample_wavefields(
             np.multiply(amp, draws[0], out=row.real)
             np.multiply(amp, draws[1], out=row.imag)
         blk *= w
-        np.matmul(blk, a_int.T, out=fields[start:stop])
+        np.matmul(blk, a_sup.T, out=fields[start:stop])
     return RealizationSet(
         fields=fields, seed=int(seed), omega=hp.omega, grid_hash=grid.content_hash()
     )

@@ -217,6 +217,20 @@ class TestExitCodes:
             cli.validate_config(cfg2)
         assert cli.main(["synth", "--config", str(p2), "--out", str(tmp / "run")]) == 2
 
+    def test_nonfinite_field_override_is_2(self, tiny_config):
+        # NaN compares False against every floor, so it is checked on its own
+        path, cfg, tmp = tiny_config
+        s_field = np.zeros(cli.build_grid(cfg).n_interior)
+        s_field[5] = np.nan
+        hio.write_matrix(tmp / "S.hsm", s_field)
+        cfg2 = json.loads(path.read_text())
+        cfg2["medium"]["fields"] = {"S": str(tmp / "S.hsm")}
+        p2 = tmp / "nan.json"
+        p2.write_text(json.dumps(cfg2))
+        out = tmp / "run"
+        assert cli.main(["synth", "--config", str(p2), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not list(out.glob("*.hsr"))
+
     def test_invert_rejects_workers(self, tiny_config):
         path, cfg, tmp = tiny_config
         argv = ["invert", "--config", str(path), "--out", str(tmp), "--workers", "2"]

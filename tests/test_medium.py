@@ -62,6 +62,18 @@ class TestRecast:
         with pytest.raises(InvalidParameterError):
             medium.recast(params, freq)
 
+    @pytest.mark.parametrize("name", ["c", "rho", "gamma", "S", "u"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_field_raises(self, grid, name, bad):
+        params = medium.uniform_medium(grid, c=1.0, rho=1.0, gamma=0.2)
+        if name == "u":
+            params.u = np.zeros((grid.n_interior, grid.dim))
+        field = getattr(params, name).copy()
+        field.flat[3] = bad
+        setattr(params, name, field)
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            params.validate()
+
 
 class TestPartialDerivatives:
     def test_gamma_coefficient(self, grid):

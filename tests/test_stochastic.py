@@ -77,26 +77,46 @@ class TestSampling:
         r2 = stochastic.sample_wavefields(hp, g_op, 32, seed=7)
         assert np.array_equal(r1.fields, r2.fields)
 
-    def test_realization_stream_pinned(self, setting):
-        # the archive format: realization j is amp (x + i y) from the first
-        # 2 n_int normals of Philox(key=seed).jumped(j), weighted and summed
-        # over the receiver rows 1024 realizations at a time; the source is
-        # zero on most nodes, so signed zeros are covered too
-        g, params, freq, hp, g_op, _ = setting
-        n, seed, batch = 1100, 23, 1024
-        r = stochastic.sample_wavefields(hp, g_op, n, seed=seed)
-        w = g.interior_weights
-        amp = np.sqrt(hp.S / (2.0 * w))
-        a_int = g_op.receiver_rows[:, g.interior_idx]
+    @staticmethod
+    def _stream_oracle(g, g_op, s_field, n, seed, nodes):
+        # realization j is amp (x + i y) on the interior positions `nodes`,
+        # x then y the first 2 |nodes| normals of Philox(key=seed).jumped(j),
+        # weighted and summed over those receiver columns 1024 realizations
+        # at a time
+        batch = 1024
+        w = g.interior_weights[nodes]
+        amp = np.sqrt(s_field[nodes] / (2.0 * w))
+        a_cols = g_op.receiver_rows[:, g.interior_idx[nodes]]
         base = np.random.Philox(key=seed)
-        block = np.empty((n, g.n_interior), dtype=complex)
+        block = np.empty((n, nodes.size), dtype=complex)
         for j in range(n):
-            draws = np.random.Generator(base.jumped(j)).standard_normal((2, g.n_interior))
+            draws = np.random.Generator(base.jumped(j)).standard_normal((2, nodes.size))
             block[j] = amp * (draws[0] + 1j * draws[1])
-        expect = np.concatenate(
-            [(block[s : s + batch] * w[None, :]) @ a_int.T for s in range(0, n, batch)]
+        return np.concatenate(
+            [(block[s : s + batch] * w[None, :]) @ a_cols.T for s in range(0, n, batch)]
         )
+
+    def test_realization_stream_pinned(self, setting):
+        # the archive format: draws and the sum run over supp(S) only; the
+        # source is zero on most nodes here
+        g, params, freq, hp, g_op, _ = setting
+        n, seed = 1100, 23
+        r = stochastic.sample_wavefields(hp, g_op, n, seed=seed)
+        expect = self._stream_oracle(g, g_op, hp.S, n, seed, np.flatnonzero(hp.S))
         assert np.any(hp.S == 0.0)
+        assert np.array_equal(r.fields, expect)
+
+    def test_full_support_stream_unchanged(self, setting):
+        # with no zero in S the stream is the full 2 n_int draw per realization
+        g, params, freq, hp, g_op, _ = setting
+        n, seed = 1100, 5
+        s_full = 0.25 + hp.S
+        hp_full = medium.HelmholtzParams(
+            v=hp.v, A=hp.A, S=s_full, k_ref=hp.k_ref, omega=hp.omega
+        )
+        r = stochastic.sample_wavefields(hp_full, g_op, n, seed=seed)
+        expect = self._stream_oracle(g, g_op, s_full, n, seed, np.arange(g.n_interior))
+        assert np.all(s_full > 0.0)
         assert np.array_equal(r.fields, expect)
 
     def test_seed_changes_fields(self, setting):
