@@ -417,11 +417,13 @@ def cmd_invert(
                 entry["misfit"],
                 entry["noise_level"],
                 ";".join(f"{k}={v:.6g}" for k, v in err.items()),
+                entry["cg_iterations"],
+                int(entry["cg_converged"]),
             )
         )
     hio.write_csv(
         out / "diagnostics.csv",
-        ["iteration", "alpha", "misfit", "noise_level", "param_error"],
+        "iteration alpha misfit noise_level param_error cg_iterations cg_converged".split(),
         rows,
     )
     outputs.append(str(out / "diagnostics.csv"))

@@ -18,9 +18,9 @@ are
              Diag(H_a^* Re_H(D) H_a))
 
 followed by the local-correlation chain rule onto the physical quantities and
-the real-part projection.  All products route through the Diag operator, so
-the receiver-by-receiver correlation data never needs to be materialized when
-back-propagating raw realizations.
+the real-part projection.  All products route through the Diag operator; a
+hologram of N >= n_rec realizations is back-propagated from factor rows of
+their correlation, whose n_rec^2 entries are fewer than the receiver rows.
 
 Matrix/quadrature conventions follow :mod:`holoseis.greens`: kernels are
 stored without weights and every contraction inserts them.
@@ -51,15 +51,13 @@ from .stochastic import (
     CovarianceOperator,
     RealizationSet,
     _boundary_block,
+    empirical_corr,
     forward_covariance,
 )
 
 SCALAR_QUANTITIES = ("S", "c", "gamma", "rho")
 ALL_QUANTITIES = SCALAR_QUANTITIES + ("u",)
 KERNEL_BUDGET_BYTES = 2 * 1024**3
-# realizations per back-propagation GEMM; two (n_int, batch) blocks are alive
-# at a time, and at n_int 1296 a batch of 256 ran fastest
-_BACKPROP_BATCH = 256
 
 __all__ = [
     "PropagatorPair",
@@ -230,6 +228,11 @@ def build_model(
     )
 
 
+def _is_index(i, n: int) -> bool:
+    """True for an integer (not a bool) in [0, n)."""
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < n
+
+
 def lindsey_braun_pair(
     g: GreensOperator, pupils: Optional[Tuple[Sequence[int], Sequence[int]]] = None
 ) -> PropagatorPair:
@@ -241,7 +244,17 @@ def lindsey_braun_pair(
     a_int = g.receiver_rows[:, g.grid.interior_idx]
     if pupils is None:
         return PropagatorPair(h_alpha=a_int, h_beta=a_int)
-    masks = np.zeros((2, g.grid.n_receivers))
+    n_rec = g.grid.n_receivers
+    if not (
+        isinstance(pupils, (list, tuple))
+        and len(pupils) == 2
+        and all(isinstance(p, (list, tuple, np.ndarray)) for p in pupils)
+        and all(_is_index(i, n_rec) for p in pupils for i in p)
+    ):
+        raise UsageError(
+            f"pupils must be two lists of integer receiver indices in [0, {n_rec})"
+        )
+    masks = np.zeros((2, n_rec))
     masks[0, np.asarray(pupils[0], dtype=int)] = 1.0
     masks[1, np.asarray(pupils[1], dtype=int)] = 1.0
     return PropagatorPair(
@@ -374,37 +387,35 @@ def apply_adjoint(
 
 
 # ---------------------------------------------------------------------------
-# Correlation-free back-propagation and holograms
+# Back-propagation and holograms
 # ---------------------------------------------------------------------------
 def backprop_realizations(
     pair: PropagatorPair,
     realizations: RealizationSet,
     receiver_weights: np.ndarray,
 ) -> Hologram:
-    """Accumulate (1/N) sum (H_alpha* psi_n) conj(H_beta* psi_n) pointwise.
+    """Hologram Diag(H_alpha* W Corr W H_beta) of N realizations, pointwise.
 
-    Algebraically identical to Diag(H_alpha* Corr H_beta) but never forms
-    Corr; batches are accumulated in a fixed order so results are
-    reproducible run to run.  The sums run in real arithmetic on
-    a + ib = conj(H_alpha* W psi_n) and c + id = conj(H_beta* W psi_n):
-    Re = sum (ac + bd) and Im = sum (ad - bc).  No complex product of two
-    back-propagations is formed, and a shared propagator has Im exactly zero.
+    Linear in Corr, so the factor rows rho_k = sqrt(lambda_k) v_k of its top
+    r = min(N, n_rec) eigenpairs (lambda clipped at 0) give the hologram of the
+    N realizations at r/N of the work: N >= n_rec in every use, and the n_rec^2
+    entries of Corr are fewer than the n_rec x n receiver rows.  Sums run in
+    real arithmetic on a + ib = conj(H_alpha* W rho_k), c + id =
+    conj(H_beta* W rho_k): Re = sum (ac + bd), Im = sum (ad - bc), so a shared
+    propagator has Im exactly zero.
     """
     shared = pair.h_beta is pair.h_alpha
-    fields = realizations.fields
-    n = fields.shape[0]
-    if n < 1:
-        raise UsageError("need at least one realization")
-    acc = np.zeros(pair.h_alpha.shape[1], dtype=np.complex128)
-    for start in range(0, n, _BACKPROP_BATCH):
-        blk = fields[start : start + _BACKPROP_BATCH].conj()
-        blk *= receiver_weights
-        phi_a = pair.h_alpha.T @ blk.T  # (n_int, b), one realization per column
-        phi_b = phi_a if shared else pair.h_beta.T @ blk.T
-        acc.real += np.vecdot(phi_a.view(np.float64), phi_b.view(np.float64))
-        if not shared:
-            acc.imag += np.vecdot(phi_a.real, phi_b.imag) - np.vecdot(phi_a.imag, phi_b.real)
-    return Hologram(values=acc / n, omega=realizations.omega)
+    corr = empirical_corr(realizations, receiver_weights).matrix
+    lam, vec = np.linalg.eigh(corr)
+    r = min(realizations.n_realizations, lam.size)
+    blk = vec[:, -r:].conj()  # (n_rec, r); column k becomes conj(W rho_k)
+    blk *= receiver_weights[:, None] * np.sqrt(np.clip(lam[-r:], 0.0, None))
+    phi_a = pair.h_alpha.T @ blk  # (n_int, r)
+    phi_b = phi_a if shared else pair.h_beta.T @ blk
+    acc = np.vecdot(phi_a.view(np.float64), phi_b.view(np.float64)).astype(np.complex128)
+    if not shared:
+        acc.imag = np.vecdot(phi_a.real, phi_b.imag) - np.vecdot(phi_a.imag, phi_b.real)
+    return Hologram(values=acc, omega=realizations.omega)
 
 
 def hologram_expectation(pair: PropagatorPair, cov: CovarianceOperator) -> Hologram:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
 from .errors import UsageError
 from .greens import Grid, GreensOperator
@@ -214,8 +215,9 @@ def empirical_corr(realizations: RealizationSet, weights: np.ndarray) -> Covaria
     f = realizations.fields
     if f.shape[0] < 1:
         raise UsageError("need at least one realization")
-    corr = (f.T @ f.conj()) / f.shape[0]
-    corr = 0.5 * (corr + corr.conj().T)
+    corr = zherk(1.0 / f.shape[0], f.T)  # upper triangle of F^T conj(F)/N, no copy of F
+    lower = np.tril_indices(f.shape[1], -1)
+    corr[lower] = corr.T[lower].conj()  # exactly Hermitian with a real diagonal
     return CovarianceOperator(matrix=corr, weights=np.asarray(weights, dtype=float))
 
 

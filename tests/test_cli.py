@@ -1,5 +1,6 @@
 """CLI tests on a miniature experiment configuration."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -131,6 +132,17 @@ class TestHologram:
         assert (out / "hologram_cut_y.csv").exists()
 
 
+    def test_invalid_pupils_exit_2_without_hologram(self, tiny_config):
+        path, cfg, tmp = tiny_config
+        out = tmp / "run"
+        assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 0
+        cfg["hologram"] = {"pupils": [[-1, 0], [1, 2]]}
+        path.write_text(json.dumps(cfg))
+        rc = cli.main(["hologram", "--config", str(path), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert not list(out.glob("hologram*"))
+
+
 class TestKernels:
     def test_band_average_and_cuts(self, tiny_config):
         path, cfg, tmp = tiny_config
@@ -169,6 +181,16 @@ class TestInvert:
         lines = (out / "diagnostics.csv").read_text().strip().splitlines()
         assert lines[0].startswith("iteration,alpha,misfit")
         assert len(lines) == 3
+
+    def test_diagnostics_report_cg(self, tiny_config):
+        path, cfg, tmp = tiny_config
+        out = tmp / "run"
+        cli.main(["synth", "--config", str(path), "--out", str(out)])
+        assert cli.main(["invert", "--config", str(path), "--out", str(out)]) == 0
+        with open(out / "diagnostics.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert rows and all(int(r["cg_iterations"]) >= 0 for r in rows)
+        assert all(r["cg_converged"] in ("0", "1") for r in rows)
 
 
 class TestExitCodes:

@@ -1,5 +1,7 @@
 """Holography tests: Diag operator, propagators, derivative/adjoint, kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,24 @@ class TestPropagators:
         assert np.array_equal(pair.h_alpha[:3, :], model.h_alpha[:3, :])
         assert np.array_equal(pair.h_beta[3:5, :], model.h_alpha[3:5, :])
 
+    @pytest.mark.parametrize(
+        "pupils",
+        [
+            ([-1, 0], [1, 2]),  # a negative index would wrap to the last receiver
+            ([1.7, 2], [0]),  # a float would be truncated
+            ([0, 16], [1]),  # past the last of 16 receivers
+            ([0], [True]),
+            ([0],),
+            ([0], 3),
+            "01",
+        ],
+        ids=["negative", "float", "out-of-range", "bool", "one-list", "not-a-list", "string"],
+    )
+    def test_invalid_pupils_raise(self, setting, pupils):
+        g, params, freq, model = setting
+        with pytest.raises(UsageError, match="pupils"):
+            holography.lindsey_braun_pair(model.g, pupils=pupils)
+
     def test_unknown_quantity_raises(self, setting):
         g, params, freq, model = setting
         with pytest.raises(UsageError):
@@ -268,13 +288,14 @@ class TestDerivativeAdjoint:
 class TestBackpropagation:
     def test_matches_diag_of_empirical_corr(self, setting):
         g, params, freq, model = setting
-        r = stochastic.sample_wavefields(model.hp, model.g, 300, seed=5)
-        corr = stochastic.empirical_corr(r, g.receiver_weights)
         pair = holography.lindsey_braun_pair(model.g)
-        holo = holography.backprop_realizations(pair, r, g.receiver_weights)
-        expect = holography.hologram_expectation(pair, corr)
-        scale = np.max(np.abs(expect.values))
-        assert np.max(np.abs(holo.values - expect.values)) <= 1e-12 * scale
+        for n in (300, 1, 5):  # N < n_rec = 16 gives a rank-deficient correlation
+            r = stochastic.sample_wavefields(model.hp, model.g, n, seed=5)
+            corr = stochastic.empirical_corr(r, g.receiver_weights)
+            holo = holography.backprop_realizations(pair, r, g.receiver_weights)
+            expect = holography.hologram_expectation(pair, corr)
+            scale = np.max(np.abs(expect.values))
+            assert np.max(np.abs(holo.values - expect.values)) <= 1e-12 * scale
 
     @pytest.mark.parametrize(
         "pupils", [None, ([0, 2, 4, 6, 8, 10], [1, 2, 3, 9, 15])], ids=["shared", "pupils"]
@@ -283,19 +304,21 @@ class TestBackpropagation:
         # Diag(H_alpha^H W Corr W H_beta) from the empirical correlation of the
         # same realizations; the pupil pair holds two distinct arrays
         g, params, freq, model = setting
-        r = stochastic.sample_wavefields(model.hp, model.g, 300, seed=5)
         pair = holography.lindsey_braun_pair(model.g, pupils=pupils)
-        holo = holography.backprop_realizations(pair, r, g.receiver_weights).values
         w = g.receiver_weights
-        corr = stochastic.empirical_corr(r, w).matrix
-        expect = np.sum(
-            (pair.h_alpha.conj().T @ (w[:, None] * corr * w[None, :])) * pair.h_beta.T, axis=1
-        )
-        assert np.max(np.abs(holo - expect)) <= 1e-12 * np.max(np.abs(expect))
-        if pupils is None:
-            assert not np.any(holo.imag)
-        else:
-            assert np.any(holo.imag)
+        for n in (300, 1, 5):  # N < n_rec = 16 gives a rank-deficient correlation
+            r = stochastic.sample_wavefields(model.hp, model.g, n, seed=5)
+            holo = holography.backprop_realizations(pair, r, w).values
+            corr = stochastic.empirical_corr(r, w).matrix
+            expect = np.sum(
+                (pair.h_alpha.conj().T @ (w[:, None] * corr * w[None, :])) * pair.h_beta.T,
+                axis=1,
+            )
+            assert np.max(np.abs(holo - expect)) <= 1e-12 * np.max(np.abs(expect))
+            if pupils is None:
+                assert not np.any(holo.imag)
+            else:
+                assert np.any(holo.imag)
 
     def test_single_realization_gram_nonnegative(self, setting):
         g, params, freq, model = setting
@@ -304,6 +327,20 @@ class TestBackpropagation:
         holo = holography.backprop_realizations(pair, r, g.receiver_weights)
         assert np.max(np.abs(holo.values.imag)) <= 1e-14 * np.max(np.abs(holo.values))
         assert np.min(holo.values.real) >= 0.0
+
+    def test_peak_memory_independent_of_realization_count(self, setting):
+        # the back-propagated factor rows number at most n_rec, whatever N is
+        g, params, freq, model = setting
+        pair = holography.lindsey_braun_pair(model.g, pupils=([0, 2, 4, 6], [1, 2, 3, 9]))
+        peaks = []
+        for n in (64, 4000):
+            r = stochastic.sample_wavefields(model.hp, model.g, n, seed=5)
+            tracemalloc.start()
+            holography.backprop_realizations(pair, r, g.receiver_weights)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0]
+        assert peaks[1] < 4 * 16 * g.n_interior * g.n_receivers
 
     def test_expectation_over_batches(self, setting):
         g, params, freq, model = setting

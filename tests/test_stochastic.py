@@ -1,5 +1,7 @@
 """Stochastic model tests: sampling, correlation estimates, Isserlis structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,18 @@ class TestEmpiricalCorr:
         corr = stochastic.empirical_corr(r, g.receiver_weights)
         psi = r.fields[0]
         assert np.allclose(corr.matrix, np.outer(psi, psi.conj()), atol=1e-15)
+
+    def test_exactly_hermitian_without_copying_fields(self, setting):
+        g, params, freq, hp, g_op, _ = setting
+        r = stochastic.sample_wavefields(hp, g_op, 4000, seed=3)
+        tracemalloc.start()
+        corr = stochastic.empirical_corr(r, g.receiver_weights).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < r.fields.nbytes
+        assert np.array_equal(corr, corr.conj().T)
+        ref = r.fields.T @ r.fields.conj() / 4000
+        assert np.max(np.abs(corr - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_global_phase_invariance(self, setting):
         g, params, freq, hp, g_op, _ = setting
