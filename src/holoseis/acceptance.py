@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import greens, holography, inversion, medium, stochastic
+from .errors import UsageError
 from .stochastic import hs_inner, hs_norm
 
 SOLAR_C = 350.0 / 696000.0  # sound speed in solar radii per second
@@ -137,16 +138,21 @@ def criterion_2_derivative_order() -> Tuple[bool, str]:
 
 
 def criterion_3_diag_trace() -> Tuple[bool, str]:
-    """Discrete Diag/trace identity, exact to 1e-12 on 50 random PSD products."""
+    """Discrete Diag/trace identity, exact to 1e-12 on 50 random PSD products.
+
+    Each product is a hologram Diag(H^H W Corr W H), by the production path.
+    """
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(50):
-        n, r = 40, 11
-        w = 0.5 + rng.random(n)
-        a = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-        b = a.conj().T
-        lhs = float(np.sum(holography.diag_product(a, b).real * w))
-        rhs = float(np.trace((a @ b).real * w[:, None]))
+        w_rec, w_int = 0.5 + rng.random(11), 0.5 + rng.random(40)
+        rows = rng.standard_normal((11, 40)) + 1j * rng.standard_normal((11, 40))
+        f = rng.standard_normal((7, 11)) + 1j * rng.standard_normal((7, 11))
+        r = stochastic.RealizationSet(fields=f, seed=0, omega=1.0)
+        holo = holography.backprop_realizations(holography.PropagatorPair(rows), r, w_rec)
+        lhs = float(np.sum(holo.values.real * w_int))
+        wcw = w_rec[:, None] * (f.T @ f.conj() / 7) * w_rec[None, :]
+        rhs = float(np.trace(rows.conj().T @ wcw @ rows * w_int[:, None]).real)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
     return worst <= 1e-12, f"max trace deviation {worst:.3e} (tol 1e-12)"
 
@@ -560,10 +566,11 @@ def run_all(
     numbers = sorted(only) if only else sorted(CRITERIA)
     if fast:
         numbers = [n for n in numbers if n not in LONG_RUNNING]
+    unknown = sorted(set(numbers) - set(CRITERIA))
+    if unknown:
+        raise UsageError(f"unknown criteria {unknown}; known are {sorted(CRITERIA)}")
     results = []
     for n in numbers:
-        if n not in CRITERIA:
-            raise ValueError(f"unknown criterion {n}")
         name, func = CRITERIA[n]
         start = time.time()
         try:

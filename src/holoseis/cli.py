@@ -99,6 +99,15 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _number(block: dict, key: str, default: float, kinds: tuple = (int, float)) -> float:
+    """block[key] (or default), rejected unless it is a finite number of the given kinds."""
+    value = block.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not np.isfinite(value):
+        kind = "an integer" if kinds == (int,) else "a finite number"
+        raise UsageError(f"config key {key!r} must be {kind}, got {value!r}")
+    return value
+
+
 def validate_config(cfg: dict) -> None:
     for name, allowed in CONFIG_KEYS.items():
         block = cfg
@@ -113,16 +122,17 @@ def validate_config(cfg: dict) -> None:
     geo = cfg.get("geometry")
     if not isinstance(geo, dict):
         raise UsageError("config needs a 'geometry' block")
-    if geo.get("points_per_wavelength", 7.5) < 7.0:
+    if _number(geo, "points_per_wavelength", 7.5) < 7.0:
         raise UsageError("resolution must be at least 7 points per wavelength")
-    if geo.get("n_receivers", 0) < 2:
+    if _number(geo, "n_receivers", 0, (int,)) < 2:
         raise UsageError("need at least 2 receivers")
     freqs = cfg.get("frequencies")
-    if not isinstance(freqs, dict) or freqs.get("count", 0) < 1:
+    if not isinstance(freqs, dict) or _number(freqs, "count", 0, (int,)) < 1:
         raise UsageError("config needs a 'frequencies' block with count >= 1")
-    if freqs.get("f_min_hz", 0) <= 0 or freqs.get("f_max_hz", 0) < freqs.get("f_min_hz"):
+    f_min = _number(freqs, "f_min_hz", 0)
+    if f_min <= 0 or _number(freqs, "f_max_hz", 0) < f_min:
         raise UsageError("frequency band must satisfy 0 < f_min <= f_max")
-    if cfg.get("realizations", 1) < 1:
+    if _number(cfg, "realizations", 1, (int,)) < 1:
         raise UsageError("need at least one realization")
     if "medium" not in cfg:
         raise UsageError("config needs a 'medium' descriptor")
@@ -494,10 +504,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         if args.command == "selftest":
-            only = (
-                [int(tok) for tok in args.only.split(",")] if args.only else None
-            )
-            return cmd_selftest(only=only, fast=args.fast)
+            tokens = args.only.split(",") if args.only else []
+            if not all(tok.strip().isdecimal() for tok in tokens):
+                raise UsageError(f"--only takes criterion numbers, got {args.only!r}")
+            return cmd_selftest(only=[int(tok) for tok in tokens] or None, fast=args.fast)
+        if getattr(args, "workers", 1) < 1:
+            raise UsageError(f"--workers must be at least 1, got {args.workers}")
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = int(args.seed)

@@ -18,9 +18,9 @@ are
              Diag(H_a^* Re_H(D) H_a))
 
 followed by the local-correlation chain rule onto the physical quantities and
-the real-part projection.  All products route through the Diag operator; a
-hologram of N >= n_rec realizations is back-propagated from factor rows of
-their correlation, whose n_rec^2 entries are fewer than the receiver rows.
+the real-part projection.  Every Diag(H^H M B) is one back-propagation
+P = M^H H read as column dot products with B.  A hologram is that Diag with
+M = W Corr W between pupil masks: the S block of C'* at the empirical Corr.
 
 Matrix/quadrature conventions follow :mod:`holoseis.greens`: kernels are
 stored without weights and every contraction inserts them.
@@ -65,13 +65,11 @@ __all__ = [
     "KernelMatrix",
     "NoiseWeight",
     "LinearizedModel",
-    "diag_product",
     "build_model",
     "lindsey_braun_pair",
     "apply_derivative",
     "apply_adjoint",
     "backprop_realizations",
-    "hologram_expectation",
     "sensitivity_kernel",
     "apply_kernel",
     "weighted_residual",
@@ -85,10 +83,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 @dataclass
 class PropagatorPair:
-    """Egression/ingression propagators (n_rec, n_int) of a hologram."""
+    """Propagators H_alpha = diag(masks[0]) rows, H_beta = diag(masks[1]) rows.
 
-    h_alpha: np.ndarray
-    h_beta: np.ndarray
+    rows (n_rec, n_int) is Tr G on the interior; masks (2, n_rec) is None without pupils.
+    """
+
+    rows: np.ndarray
+    masks: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -124,22 +125,6 @@ class NoiseWeight:
     gamma_n: np.ndarray
     lavrentiev_beta: float
     weights: np.ndarray
-
-    def operator_eigenvalues(self) -> np.ndarray:
-        sw = np.sqrt(self.weights)
-        sym = sw[:, None] * self.gamma_n * sw[None, :]
-        return np.linalg.eigvalsh(0.5 * (sym + sym.conj().T))
-
-
-def diag_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Diagonal of the matrix product a @ b without forming the product.
-
-    Diag(a b)(x_i) = sum_r a[i, r] b[r, i]; the discrete Diag operator whose
-    quadrature sum reproduces the trace of the product exactly.
-    """
-    if a.shape[1] != b.shape[0] or a.shape[0] != b.shape[1]:
-        raise UsageError(f"inner/outer dimensions mismatch: {a.shape} vs {b.shape}")
-    return np.einsum("ir,ri->i", a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +224,11 @@ def lindsey_braun_pair(
     """Classical choice H_alpha = H_beta = Tr G used for feature maps.
 
     Pupils are two receiver index lists; each propagator keeps only the rows
-    of its pupil.  Without pupils both propagators are the same array.
+    of its pupil, held as a 0/1 mask over the one shared array of rows.
     """
-    a_int = g.receiver_rows[:, g.grid.interior_idx]
+    rows = g.receiver_rows[:, g.grid.interior_idx]
     if pupils is None:
-        return PropagatorPair(h_alpha=a_int, h_beta=a_int)
+        return PropagatorPair(rows=rows)
     n_rec = g.grid.n_receivers
     if not (
         isinstance(pupils, (list, tuple))
@@ -255,11 +240,9 @@ def lindsey_braun_pair(
             f"pupils must be two lists of integer receiver indices in [0, {n_rec})"
         )
     masks = np.zeros((2, n_rec))
-    masks[0, np.asarray(pupils[0], dtype=int)] = 1.0
-    masks[1, np.asarray(pupils[1], dtype=int)] = 1.0
-    return PropagatorPair(
-        h_alpha=masks[0][:, None] * a_int, h_beta=masks[1][:, None] * a_int
-    )
+    for mask, pupil in zip(masks, pupils):
+        mask[np.asarray(pupil, dtype=int)] = 1.0
+    return PropagatorPair(rows=rows, masks=masks)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +256,19 @@ def _scaled_conj(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """conj(a diag(d)) in one temporary: b @ _scaled_conj(a, d).T = (a D b^H)^H."""
     x = a * d[None, :]
     return np.conjugate(x, out=x)
+
+
+def _diag_sandwiches(
+    h: np.ndarray, m_adj: np.ndarray, bs: Sequence[Optional[np.ndarray]]
+) -> list:
+    """Diag(H^H M B) for each B in bs (None for a None entry), given m_adj = M^H.
+
+    The receiver data are back-propagated once, P = M^H H (n_rec, n_int), and
+    each Diag is the column dot product sum_r conj(P[r, x]) B[r, x].  Callers
+    form M^H directly; a Hermitian M is its own adjoint, so nothing is copied.
+    """
+    p = m_adj @ h
+    return [None if b is None else np.vecdot(p, b, axis=0) for b in bs]
 
 
 def apply_derivative(model: LinearizedModel, dq: Dict[str, np.ndarray]) -> np.ndarray:
@@ -333,9 +329,9 @@ def apply_adjoint(
     """Adjoint C'[q]* D as physical dual fields, one per requested quantity.
 
     Interior-by-interior operators are never formed: every term is a Diag of
-    propagator sandwiches Diag(a^H M b) with M = W Re(D) W Hermitian, read as
-    column dot products of P = M a and b.  The real-part projection onto real
-    parameter perturbations is applied after the local-correlation chaining.
+    propagator sandwiches Diag(a^H M b) with M = W Re(D) W Hermitian, all from
+    one back-propagation P = M a.  The real-part projection onto real parameter
+    perturbations is applied after the local-correlation chaining.
     """
     grid = model.grid
     if quantities is None:
@@ -344,22 +340,17 @@ def apply_adjoint(
     w = grid.interior_weights
     a = model.h_alpha
     m = np.outer(w_rec, w_rec) * _hermitian_part(np.asarray(d_matrix, dtype=np.complex128))
-    p = m @ a  # (n_rec, n_int); a^H M = P^H since M is exactly Hermitian
-
-    dv_dual = None
-    if model.beta_scalar is not None:
-        dv_dual = -2.0 * np.vecdot(p, model.beta_scalar, axis=0)
-    da_dual = None
-    if model.beta_flow is not None:
-        da_dual = np.column_stack(
-            [-4j * np.vecdot(p, b_i, axis=0) for b_i in model.beta_flow]
-        )
+    diag_s, diag_v, *diag_a = _diag_sandwiches(
+        a, m, (a if "S" in quantities else None, model.beta_scalar, *(model.beta_flow or ()))
+    )
+    dv_dual = None if diag_v is None else -2.0 * diag_v
+    da_dual = np.column_stack([-4j * d for d in diag_a]) if diag_a else None
 
     dmats = grid.gradient_matrices()
     out: Dict[str, np.ndarray] = {}
     for q in quantities:
         if q == "S":
-            out["S"] = np.real(np.vecdot(p, a, axis=0))
+            out["S"] = np.real(diag_s)
             continue
         gvq = model.gv.get(q)
         if gvq is None:
@@ -396,33 +387,21 @@ def backprop_realizations(
 ) -> Hologram:
     """Hologram Diag(H_alpha* W Corr W H_beta) of N realizations, pointwise.
 
-    Linear in Corr, so the factor rows rho_k = sqrt(lambda_k) v_k of its top
-    r = min(N, n_rec) eigenpairs (lambda clipped at 0) give the hologram of the
-    N realizations at r/N of the work: N >= n_rec in every use, and the n_rec^2
-    entries of Corr are fewer than the n_rec x n receiver rows.  Sums run in
-    real arithmetic on a + ib = conj(H_alpha* W rho_k), c + id =
-    conj(H_beta* W rho_k): Re = sum (ac + bd), Im = sum (ad - bc), so a shared
-    propagator has Im exactly zero.
+    This is the S block of C'* applied to the empirical correlation Corr: the
+    receiver sandwich M = diag(masks[0]) W Corr W diag(masks[1]) is
+    back-propagated once through the shared rows (n_rec^2 n work, whatever N
+    is).  Without pupils M is Hermitian PSD, so the hologram is the real part
+    of the Diag and its imaginary part is exactly zero.
     """
-    shared = pair.h_beta is pair.h_alpha
-    corr = empirical_corr(realizations, receiver_weights).matrix
-    lam, vec = np.linalg.eigh(corr)
-    r = min(realizations.n_realizations, lam.size)
-    blk = vec[:, -r:].conj()  # (n_rec, r); column k becomes conj(W rho_k)
-    blk *= receiver_weights[:, None] * np.sqrt(np.clip(lam[-r:], 0.0, None))
-    phi_a = pair.h_alpha.T @ blk  # (n_int, r)
-    phi_b = phi_a if shared else pair.h_beta.T @ blk
-    acc = np.vecdot(phi_a.view(np.float64), phi_b.view(np.float64)).astype(np.complex128)
-    if not shared:
-        acc.imag = np.vecdot(phi_a.real, phi_b.imag) - np.vecdot(phi_a.imag, phi_b.real)
-    return Hologram(values=acc, omega=realizations.omega)
-
-
-def hologram_expectation(pair: PropagatorPair, cov: CovarianceOperator) -> Hologram:
-    """Expected hologram E[I](x) = Diag(H_alpha* C H_beta)."""
-    w = cov.weights
-    phi = pair.h_alpha.conj().T @ (w[:, None] * cov.matrix * w[None, :])
-    return Hologram(values=np.einsum("yr,ry->y", phi, pair.h_beta), omega=0.0)
+    w = receiver_weights
+    corr = empirical_corr(realizations, w).matrix
+    m_adj = w[:, None] * corr * w[None, :]  # Corr is exactly Hermitian
+    if pair.masks is not None:
+        m_adj *= np.outer(pair.masks[1], pair.masks[0])
+    (values,) = _diag_sandwiches(pair.rows, m_adj, (pair.rows,))
+    if pair.masks is None:
+        values = values.real.astype(np.complex128)
+    return Hologram(values=values, omega=realizations.omega)
 
 
 # ---------------------------------------------------------------------------

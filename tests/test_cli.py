@@ -239,6 +239,49 @@ class TestExitCodes:
             cli.validate_config(cfg2)
         assert cli.main(["synth", "--config", str(p2), "--out", str(tmp / "run")]) == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("realizations", "many"),
+            ("realizations", True),
+            ("realizations", 2.5),  # would end in a TypeError inside the sampler
+            ("geometry.points_per_wavelength", "8"),
+            ("geometry.n_receivers", [12]),
+            ("frequencies.count", False),
+            ("frequencies.f_max_hz", None),
+        ],
+    )
+    def test_non_numeric_config_value_is_2(self, tiny_config, key, value):
+        # a string or bool would compare (or fail to compare) as if it were a
+        # number; a count must be an integer
+        path, cfg, tmp = tiny_config
+        cfg2 = json.loads(path.read_text())
+        *blocks, leaf = key.split(".")
+        target = cfg2
+        for part in blocks:
+            target = target[part]
+        target[leaf] = value
+        with pytest.raises(UsageError, match=leaf):
+            cli.validate_config(cfg2)
+        p2 = tmp / "typed.json"
+        p2.write_text(json.dumps(cfg2))
+        out = tmp / "run"
+        assert cli.main(["synth", "--config", str(p2), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_2(self, tiny_config, workers):
+        path, cfg, tmp = tiny_config
+        out = tmp / "run"
+        argv = ["synth", "--config", str(path), "--out", str(out), "--workers", workers]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("only", ["99", "x", "1,99"])
+    def test_selftest_unknown_criterion_is_2(self, only, capsys):
+        assert cli.main(["selftest", "--only", only]) == cli.EXIT_CONFIG
+        assert "criterion" not in capsys.readouterr().out  # nothing ran
+
     def test_nonfinite_field_override_is_2(self, tiny_config):
         # NaN compares False against every floor, so it is checked on its own
         path, cfg, tmp = tiny_config

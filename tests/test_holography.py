@@ -40,46 +40,61 @@ def nonuniform_model():
     return g, params, freq, model
 
 
+def _random_hologram(rows, fields, w_rec, masks=None):
+    """Production hologram of random realizations through given rows."""
+    r = stochastic.RealizationSet(fields=fields, seed=0, omega=1.0)
+    pair = holography.PropagatorPair(rows=rows, masks=masks)
+    return holography.backprop_realizations(pair, r, w_rec).values
+
+
+def _cnormal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 class TestDiagProduct:
+    """The Diag operator, on the production back-propagation path."""
+
     def test_rank_one(self):
+        # one realization f: Diag(H^H W f f^H W H) = |H^H W f|^2
         rng = np.random.default_rng(0)
-        f = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        h = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        a = f[:, None] * h.conj()[None, :]  # f (x) conj(h) as interior x receiver
-        b = np.eye(9, dtype=complex)
-        assert np.allclose(holography.diag_product(a, b), f * h.conj())
+        rows = _cnormal(rng, (9, 13))
+        f = _cnormal(rng, (1, 9))
+        w = 0.5 + rng.random(9)
+        holo = _random_hologram(rows, f, w)
+        assert np.allclose(holo, np.abs(rows.conj().T @ (w * f[0])) ** 2)
 
     def test_trace_identity_on_psd_products(self):
-        # sum_i Diag(ab)(x_i) w_i equals the dense trace of the product
+        # sum_x Diag(H^H W Corr W H)(x) w_x equals the dense trace of the product
         rng = np.random.default_rng(1)
-        w = 0.5 + rng.random(30)
+        w_rec = 0.5 + rng.random(8)
+        w_int = 0.5 + rng.random(30)
         for _ in range(50):
-            a = rng.standard_normal((30, 8)) + 1j * rng.standard_normal((30, 8))
-            b = a.conj().T  # PSD product a a^H
-            lhs = np.sum(holography.diag_product(a, b) * w)
-            rhs = np.trace((a @ b) * w[:, None])
+            rows = _cnormal(rng, (8, 30))
+            fields = _cnormal(rng, (5, 8))
+            lhs = np.sum(_random_hologram(rows, fields, w_rec) * w_int)
+            wcw = w_rec[:, None] * (fields.T @ fields.conj() / 5) * w_rec[None, :]
+            rhs = np.trace((rows.conj().T @ wcw @ rows) * w_int[:, None])
             assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
 
     def test_receiver_permutation_invariance(self):
         rng = np.random.default_rng(2)
-        a = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
-        b = rng.standard_normal((6, 12)) + 1j * rng.standard_normal((6, 12))
+        rows = _cnormal(rng, (6, 12))
+        fields = _cnormal(rng, (4, 6))
+        w = 0.5 + rng.random(6)
+        masks = (rng.random((2, 6)) < 0.7).astype(float)
         perm = rng.permutation(6)
-        d1 = holography.diag_product(a, b)
-        d2 = holography.diag_product(a[:, perm], b[perm, :])
-        assert np.allclose(d1, d2, atol=1e-14)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(UsageError):
-            holography.diag_product(np.zeros((3, 4)), np.zeros((4, 5)))
+        d1 = _random_hologram(rows, fields, w, masks)
+        d2 = _random_hologram(rows[perm], fields[:, perm], w[perm], masks[:, perm])
+        assert np.allclose(d1, d2, atol=1e-14 * np.max(np.abs(d1)))
 
 
 class TestPropagators:
     def test_source_pair_alpha_equals_beta(self, setting):
         g, params, freq, model = setting
+        # without pupils both propagators are the one array of receiver rows
         pair = holography.lindsey_braun_pair(model.g)
-        assert pair.h_beta is pair.h_alpha
-        assert np.array_equal(pair.h_alpha, model.h_alpha)
+        assert pair.masks is None
+        assert np.array_equal(pair.rows, model.h_alpha)
 
     def test_point_source_rank_one_ingression(self, setting):
         g, params, freq, model = setting
@@ -145,11 +160,11 @@ class TestPropagators:
         g, params, freq, model = setting
         pupils = ([0, 1, 2], [3, 4])
         pair = holography.lindsey_braun_pair(model.g, pupils=pupils)
-        assert not np.any(pair.h_alpha[3:, :])
-        assert not np.any(pair.h_beta[:3, :])
-        assert not np.any(pair.h_beta[5:, :])
-        assert np.array_equal(pair.h_alpha[:3, :], model.h_alpha[:3, :])
-        assert np.array_equal(pair.h_beta[3:5, :], model.h_alpha[3:5, :])
+        expect = np.zeros((2, g.n_receivers))
+        expect[0, :3] = 1.0
+        expect[1, 3:5] = 1.0
+        assert np.array_equal(pair.masks, expect)
+        assert np.array_equal(pair.rows, model.h_alpha)
 
     @pytest.mark.parametrize(
         "pupils",
@@ -286,16 +301,41 @@ class TestDerivativeAdjoint:
 
 
 class TestBackpropagation:
-    def test_matches_diag_of_empirical_corr(self, setting):
+    def test_hologram_is_adjoint_of_empirical_corr(self, setting):
+        # the paper's identity: back-propagation is C'* applied to the data,
+        # the S block of the adjoint at the empirical correlation
         g, params, freq, model = setting
         pair = holography.lindsey_braun_pair(model.g)
+        w = g.receiver_weights
         for n in (300, 1, 5):  # N < n_rec = 16 gives a rank-deficient correlation
             r = stochastic.sample_wavefields(model.hp, model.g, n, seed=5)
+            holo = holography.backprop_realizations(pair, r, w).values
+            corr = stochastic.empirical_corr(r, w).matrix
+            dual = holography.apply_adjoint(model, corr, ("S",))["S"]
+            assert np.max(np.abs(holo - dual)) <= 1e-12 * np.max(np.abs(dual))
+
+    def test_rhs_at_zero_source_is_hologram_sum(self):
+        # at S_0 = 0 the model covariance vanishes, so the unweighted
+        # Gauss-Newton right-hand side is the frequency sum of the holograms
+        g = greens.square_grid(0.4, 0.5, 7.5, 1.0, n_receivers=12)
+        truth = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=0.3)
+        truth.S = np.exp(-np.sum(g.interior_nodes**2, axis=1) / 0.05)
+        q0 = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=0.3)
+        q0.S = np.zeros(g.n_interior)
+        freqs = medium.frequency_band(2, 2 * np.pi / 0.55, 2 * np.pi / 0.5)
+        data, holos = [], []
+        for i, freq in enumerate(freqs):
+            m = holography.build_model(truth, freq, quantities=("S",))
+            r = stochastic.sample_wavefields(m.hp, m.g, 40, seed=30 + i)
             corr = stochastic.empirical_corr(r, g.receiver_weights)
-            holo = holography.backprop_realizations(pair, r, g.receiver_weights)
-            expect = holography.hologram_expectation(pair, corr)
-            scale = np.max(np.abs(expect.values))
-            assert np.max(np.abs(holo.values - expect.values)) <= 1e-12 * scale
+            data.append(inversion.FrequencyData(freq=freq, corr=corr, n_realizations=40))
+            pair = holography.lindsey_braun_pair(m.g)
+            holos.append(holography.backprop_realizations(pair, r, g.receiver_weights))
+        config = inversion.InversionConfig(grid=g, q0=q0, quantities=("S",), weighted=False)
+        stack = inversion._build_stack(q0, data, config, {})
+        rhs = inversion._stack_rhs(stack, inversion.ParameterSpace(g, ("S",)))
+        expect = sum(h.values.real for h in holos)
+        assert np.max(np.abs(rhs - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize(
         "pupils", [None, ([0, 2, 4, 6, 8, 10], [1, 2, 3, 9, 15])], ids=["shared", "pupils"]
@@ -310,8 +350,10 @@ class TestBackpropagation:
             r = stochastic.sample_wavefields(model.hp, model.g, n, seed=5)
             holo = holography.backprop_realizations(pair, r, w).values
             corr = stochastic.empirical_corr(r, w).matrix
+            masks = np.ones((2, g.n_receivers)) if pair.masks is None else pair.masks
+            h_alpha, h_beta = masks[0][:, None] * pair.rows, masks[1][:, None] * pair.rows
             expect = np.sum(
-                (pair.h_alpha.conj().T @ (w[:, None] * corr * w[None, :])) * pair.h_beta.T,
+                (h_alpha.conj().T @ (w[:, None] * corr * w[None, :])) * h_beta.T,
                 axis=1,
             )
             assert np.max(np.abs(holo - expect)) <= 1e-12 * np.max(np.abs(expect))
@@ -346,14 +388,14 @@ class TestBackpropagation:
         g, params, freq, model = setting
         cov = model.covariance()
         pair = holography.lindsey_braun_pair(model.g)
-        expect = holography.hologram_expectation(pair, cov)
+        expect = holography.apply_adjoint(model, cov.matrix, ("S",))["S"]
         acc = np.zeros(g.n_interior, dtype=complex)
         batches, n = 50, 32
         for s in range(batches):
             r = stochastic.sample_wavefields(model.hp, model.g, n, seed=7000 + s)
             acc += holography.backprop_realizations(pair, r, g.receiver_weights).values
         acc /= batches
-        rel = np.linalg.norm(acc - expect.values) / np.linalg.norm(expect.values)
+        rel = np.linalg.norm(acc - expect) / np.linalg.norm(expect)
         assert rel < 5.0 / np.sqrt(batches * n)
 
 
@@ -439,17 +481,6 @@ class TestSmoothing:
 
 
 class TestHologramIntensity:
-    def test_shared_propagator_matches_distinct_copy(self, setting):
-        # the single-product path for H_alpha is H_beta is bit-identical to
-        # back-propagating through two equal arrays
-        g, params, freq, model = setting
-        r = stochastic.sample_wavefields(model.hp, model.g, 64, seed=9)
-        pair = holography.lindsey_braun_pair(model.g)
-        twin = holography.PropagatorPair(h_alpha=pair.h_alpha, h_beta=pair.h_beta.copy())
-        a = holography.backprop_realizations(pair, r, g.receiver_weights)
-        b = holography.backprop_realizations(twin, r, g.receiver_weights)
-        assert np.array_equal(a.values, b.values)
-
     def test_empty_pupil_gives_zero_hologram(self, setting):
         g, params, freq, model = setting
         r = stochastic.sample_wavefields(model.hp, model.g, 16, seed=9)
