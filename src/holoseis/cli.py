@@ -89,6 +89,15 @@ CONFIG_KEYS = {
     "medium.boundary_source": "value",
 }
 
+# numeric keys of the kernels and inversion blocks, checked when present:
+# integer counts, and finite numbers of which a few may be null (the default)
+COUNT_KEYS = {"kernels": "band_count", "inversion": "max_outer max_cg"}
+NUMBER_KEYS = {
+    "kernels": "source_strength",
+    "inversion": "tau beta beta_scale alpha0 alpha0_scale smoothing_width",
+}
+NULLABLE_KEYS = ("beta", "beta_scale", "alpha0")
+
 
 def load_config(path: str) -> dict:
     try:
@@ -136,6 +145,12 @@ def validate_config(cfg: dict) -> None:
         raise UsageError("need at least one realization")
     if "medium" not in cfg:
         raise UsageError("config needs a 'medium' descriptor")
+    for keys, kinds in ((COUNT_KEYS, (int,)), (NUMBER_KEYS, (int, float))):
+        for name, names in keys.items():
+            block = cfg.get(name)
+            for key in names.split() if isinstance(block, dict) else ():
+                if key in block and not (block[key] is None and key in NULLABLE_KEYS):
+                    _number(block, key, None, kinds)
 
 
 def build_grid(cfg: dict) -> greens.Grid:
@@ -211,6 +226,9 @@ def _map(fn, items, workers: int) -> list:
 # Subcommands
 # ---------------------------------------------------------------------------
 def cmd_synth(cfg: dict, out: Path, workers: int = 1) -> List[str]:
+    if "boundary_source" in cfg["medium"]:
+        # the sampler draws interior sources only; invert models the key
+        raise UsageError("synth does not model medium.boundary_source; remove it to synthesize")
     grid = build_grid(cfg)
     truth = medium.medium_from_descriptor(grid, cfg["medium"])
     freqs = build_frequencies(cfg)

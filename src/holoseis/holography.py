@@ -17,10 +17,15 @@ are
     C'* D = (-2 Diag(H_a^* Re_H(D) H_b),  -4i Diag(H_a^* Re_H(D) H_{b,i}),
              Diag(H_a^* Re_H(D) H_a))
 
-followed by the local-correlation chain rule onto the physical quantities and
-the real-part projection.  Every Diag(H^H M B) is one back-propagation
-P = M^H H read as column dot products with B.  A hologram is that Diag with
-M = W Corr W between pupil masks: the S block of C'* at the empirical Corr.
+The chain rule onto the physical quantities is written once, as the sparse
+Jacobians (J_v, J_A) of :func:`holoseis.medium.recast_jacobian`:
+dv = sum_q J_v dq and dA = sum_q J_A dq forward, and the weighted transposes
+W^{-1} J^T W (formed once per model) plus the real-part projection back.
+Every Diag(H^H M B) is one back-propagation P = M^H H read as column dot
+products with B.  A hologram is that Diag with M = W Corr W between pupil
+masks: the S block of C'* at the empirical Corr.  The sensitivity kernels
+are the normal operator C'* Gamma C' written out from the same terms, for
+every pair of quantities.
 
 Matrix/quadrature conventions follow :mod:`holoseis.greens`: kernels are
 stored without weights and every contraction inserts them.
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
 
 from .errors import MemoryBudgetError, UsageError
 from .greens import Grid, GreensOperator, assemble_green, update_green
@@ -40,11 +45,9 @@ from .medium import (
     FrequencyContext,
     HelmholtzParams,
     MediumParams,
-    PartialV,
     helmholtz_delta,
-    partial_A,
-    partial_v,
     recast,
+    recast_jacobian,
     uniform_medium,
 )
 from .stochastic import (
@@ -71,7 +74,6 @@ __all__ = [
     "apply_adjoint",
     "backprop_realizations",
     "sensitivity_kernel",
-    "apply_kernel",
     "weighted_residual",
     "weight_trace_product",
     "smooth_field",
@@ -105,8 +107,9 @@ class KernelMatrix:
     """Sensitivity kernel rows of the Gauss-Newton normal operator.
 
     entries: (n_rows, n_int) real for scalar quantity pairs, or
-    (d, d, n_rows, n_int) for the flow block.  row_idx is None when the full
-    interior-by-interior kernel was assembled.
+    (d_x, d_y, n_rows, n_int) when a flow enters, with d_x = d for a flow
+    row quantity and 1 otherwise (d_y likewise).  row_idx is None when the
+    full interior-by-interior kernel was assembled.
     """
 
     entries: np.ndarray
@@ -130,20 +133,26 @@ class NoiseWeight:
 # ---------------------------------------------------------------------------
 # Model assembly at one parameter state
 # ---------------------------------------------------------------------------
+SlotJacobians = Tuple[Optional[sparse.csr_matrix], Optional[sparse.csr_matrix]]
+
+
 @dataclass
 class LinearizedModel:
-    """Forward stack at one iterate: Green's operator, propagators, g-factors."""
+    """Forward stack at one iterate: Green's operator, propagators, Jacobians.
+
+    jacobians[q] holds (J_v, J_A) of recast_jacobian for each linearized
+    quantity other than S; adjoint_jacobians[q] holds their weighted
+    transposes W_q^{-1} J^T W, which carry slot duals back to q.
+    """
 
     grid: Grid
-    params: MediumParams
-    freq: FrequencyContext
     hp: HelmholtzParams
     g: GreensOperator
     h_alpha: np.ndarray  # (n_rec, n_int)
     beta_scalar: Optional[np.ndarray]  # (n_rec, n_int)
     beta_flow: Optional[Tuple[np.ndarray, ...]]  # plain-gradient ingressions
-    gv: Dict[str, PartialV]
-    ga: Dict[str, np.ndarray]
+    jacobians: Dict[str, SlotJacobians]
+    adjoint_jacobians: Dict[str, SlotJacobians]
     boundary_src: Optional[np.ndarray] = None
 
     def covariance(self) -> CovarianceOperator:
@@ -170,6 +179,7 @@ def build_model(
             raise UsageError(f"unknown quantity {q!r}")
     grid = params.grid
     hp = recast(params, freq)
+    jacobians = {q: recast_jacobian(q, params, freq) for q in quantities if q != "S"}
 
     ref = uniform_medium(
         grid, c=params.c_ref, rho=params.rho_ref, gamma=params.gamma_ref
@@ -184,33 +194,46 @@ def build_model(
     h_alpha = rows[:, grid.interior_idx]
     beta_scalar = None
     beta_flow = None
-    if any(q != "S" for q in quantities):
+    if jacobians:
         m_block = h_alpha * (hp.S * grid.interior_weights)[None, :]
         beta_scalar = g.mul_kernel_hermitian(m_block, grid.interior_idx)
         if boundary_src is not None:
             mb = _boundary_block(rows[:, grid.receiver_idx], boundary_src, grid)
             beta_scalar = beta_scalar + g.mul_kernel_hermitian(mb, grid.receiver_idx)
-        if "u" in quantities or (
-            "c" in quantities and params.u is not None and np.any(params.u)
-        ):
+        if any(j_a is not None for _, j_a in jacobians.values()):
             dmats = grid.gradient_matrices()
             beta_flow = tuple((beta_scalar @ d_i.T.tocsc()) for d_i in dmats)
 
-    gv = {q: partial_v(q, params, freq) for q in quantities if q != "S"}
-    ga = {q: partial_A(q, params, freq) for q in quantities if q in ("c", "u")}
+    w = grid.interior_weights
+    adjoint_jacobians = {
+        q: tuple(None if j is None else _weighted_transpose(j, w) for j in jac)
+        for q, jac in jacobians.items()
+    }
     return LinearizedModel(
         grid=grid,
-        params=params,
-        freq=freq,
         hp=hp,
         g=g,
         h_alpha=h_alpha,
         beta_scalar=beta_scalar,
         beta_flow=beta_flow,
-        gv=gv,
-        ga=ga,
+        jacobians=jacobians,
+        adjoint_jacobians=adjoint_jacobians,
         boundary_src=boundary_src,
     )
+
+
+def _weighted_transpose(j: sparse.csr_matrix, w: np.ndarray) -> sparse.csr_matrix:
+    """W_in^{-1} J^T W_out, the transpose of J in the interior quadrature.
+
+    Both sides weigh each node by w (a stacked flow repeats it per component).
+    Every entry is scaled by w_out/w_in, so a diagonal entry keeps its exact value.
+    """
+    jt = j.T.tocsr()
+    w_out = np.tile(w, j.shape[0] // len(w))
+    w_in = np.tile(w, j.shape[1] // len(w))
+    rows = np.repeat(np.arange(jt.shape[0]), np.diff(jt.indptr))
+    jt.data = jt.data * (w_out[jt.indices] / w_in[rows])
+    return jt
 
 
 def _is_index(i, n: int) -> bool:
@@ -275,44 +298,36 @@ def apply_derivative(model: LinearizedModel, dq: Dict[str, np.ndarray]) -> np.nd
     """Directional derivative of the covariance map, C'[q](dq), on receivers.
 
     dq maps quantity tags to perturbation fields supported on the interior.
-    The physical perturbations are chained through the recast derivatives
-    onto the (dv, dA, dS) slots of the generic formula.
+    The Jacobians chain them onto the slots, dv = sum_q J_v dq and
+    dA = sum_q J_A dq (stacked by component), of the generic formula.
     """
     grid = model.grid
+    n = grid.n_interior
     w = grid.interior_weights
     a = model.h_alpha
     n_rec = a.shape[0]
     out = np.zeros((n_rec, n_rec), dtype=np.complex128)
 
-    dv = np.zeros(grid.n_interior, dtype=np.complex128)
-    have_dv = False
+    dv = da = None  # slot perturbations, stacked by component for dA
     for q, pert in dq.items():
         if q == "S":
             continue
-        if q not in model.gv:
+        if q not in model.jacobians:
             raise UsageError(f"model was not linearized for quantity {q!r}")
-        dv += model.gv[q].apply(np.asarray(pert), grid)
-        have_dv = True
+        flat = np.asarray(pert).ravel(order="F")
+        j_v, j_a = model.jacobians[q]
+        if j_v is not None:
+            dv = j_v @ flat if dv is None else dv + j_v @ flat
+        if j_a is not None:
+            da = j_a @ flat if da is None else da + j_a @ flat
     # each term T = a D b^H enters as T + T^H and is formed as T^H = b conj(a D)^T,
     # so no propagator is conjugated or copied
-    if have_dv and np.any(dv):
-        if model.beta_scalar is None:
-            raise UsageError("model lacks the scalar ingression propagator")
+    if dv is not None and np.any(dv):
         th = model.beta_scalar @ _scaled_conj(a, dv * w).T
         out -= th + th.conj().T
-
-    # dA contributions: flow perturbations and sound speed with background flow
-    da = None
-    if "u" in dq:
-        da = model.ga["u"][:, None] * np.asarray(dq["u"])
-    if "c" in dq and "c" in model.ga and np.any(model.ga["c"]):
-        contrib = model.ga["c"] * np.asarray(dq["c"])[:, None]
-        da = contrib if da is None else da + contrib
     if da is not None and np.any(da):
-        if model.beta_flow is None:
-            raise UsageError("model lacks flow ingression propagators")
         for i, b_i in enumerate(model.beta_flow):
-            th = b_i @ _scaled_conj(a, 2j * da[:, i] * w).T
+            th = b_i @ _scaled_conj(a, 2j * da[i * n : (i + 1) * n] * w).T
             out += th + th.conj().T
 
     if "S" in dq:
@@ -328,52 +343,39 @@ def apply_adjoint(
 ) -> Dict[str, np.ndarray]:
     """Adjoint C'[q]* D as physical dual fields, one per requested quantity.
 
-    Interior-by-interior operators are never formed: every term is a Diag of
-    propagator sandwiches Diag(a^H M b) with M = W Re(D) W Hermitian, all from
-    one back-propagation P = M a.  The real-part projection onto real parameter
-    perturbations is applied after the local-correlation chaining.
+    Interior-by-interior operators are never formed: every slot dual is a Diag
+    of propagator sandwiches Diag(a^H M b) with M = W Re(D) W Hermitian, all
+    from one back-propagation P = M a.  The weighted Jacobian transposes carry
+    the slot duals back to the quantities; the real part is the projection
+    onto real parameter perturbations.
     """
     grid = model.grid
     if quantities is None:
-        quantities = ("S",) + tuple(model.gv.keys())
+        quantities = ("S",) + tuple(model.jacobians)
     w_rec = grid.receiver_weights
-    w = grid.interior_weights
     a = model.h_alpha
     m = np.outer(w_rec, w_rec) * _hermitian_part(np.asarray(d_matrix, dtype=np.complex128))
     diag_s, diag_v, *diag_a = _diag_sandwiches(
         a, m, (a if "S" in quantities else None, model.beta_scalar, *(model.beta_flow or ()))
     )
-    dv_dual = None if diag_v is None else -2.0 * diag_v
-    da_dual = np.column_stack([-4j * d for d in diag_a]) if diag_a else None
+    # slot duals: conj of -2 Diag(a^H M b) for v, 4 Im Diag(a^H M b_i) for A
+    dv_dual = None if diag_v is None else -2.0 * diag_v.conj()
+    da_dual = np.concatenate([4.0 * d.imag for d in diag_a]) if diag_a else None
 
-    dmats = grid.gradient_matrices()
     out: Dict[str, np.ndarray] = {}
     for q in quantities:
         if q == "S":
             out["S"] = np.real(diag_s)
             continue
-        gvq = model.gv.get(q)
-        if gvq is None:
+        if q not in model.adjoint_jacobians:
             raise UsageError(f"model was not linearized for quantity {q!r}")
-        if dv_dual is None:
-            raise UsageError("model lacks the scalar ingression propagator")
-        if q == "u":
-            dual = np.real(gvq.order0 * dv_dual.conj()[:, None])
-            dual += model.ga["u"][:, None] * np.real(da_dual)
-            out["u"] = dual
-            continue
-        dual = np.zeros(grid.n_interior)
-        if gvq.order0 is not None:
-            dual += np.real(gvq.order0 * dv_dual.conj())
-        if gvq.order1 is not None:
-            for i, d_i in enumerate(dmats):
-                dual += np.real(d_i.T @ (w * gvq.order1[:, i] * dv_dual.conj())) / w
-        if gvq.order2 is not None:
-            lap = grid.laplacian_matrix()
-            dual += np.real(lap.T @ (w * gvq.order2 * dv_dual.conj())) / w
-        if q == "c" and "c" in model.ga and np.any(model.ga["c"]) and da_dual is not None:
-            dual += np.sum(model.ga["c"] * np.real(da_dual), axis=1)
-        out[q] = dual
+        jt_v, jt_a = model.adjoint_jacobians[q]
+        dual = 0.0
+        if jt_v is not None:
+            dual = np.real(jt_v @ dv_dual)
+        if jt_a is not None:
+            dual = dual + jt_a @ da_dual
+        out[q] = dual.reshape((grid.n_interior, grid.dim), order="F") if q == "u" else dual
     return out
 
 
@@ -428,19 +430,27 @@ def weight_trace_product(weight: NoiseWeight, cov: CovarianceOperator) -> float:
     return float(np.real(np.sum(np.diag(comp) * w)))
 
 
-def _f_blocks(
-    left: np.ndarray,
-    right: np.ndarray,
-    wnw: np.ndarray,
-    targets: Optional[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Rows F[targets, :] and columns F[:, targets] of F = left^H WNW right."""
-    if targets is None:
-        f = left.conj().T @ wnw @ right
-        return f, f
-    f_rows = left[:, targets].conj().T @ wnw @ right
-    f_cols = left.conj().T @ (wnw @ right[:, targets])
-    return f_rows, f_cols
+def _slot_terms(model: LinearizedModel, q: str) -> list:
+    """Terms (l, r, m) of C'_q dq = sum_t l diag(w Phi_t dq) r^H.
+
+    l and r name propagators; m = W_q^{-1} Phi^H W is the weighted adjoint of
+    the term's slot map Phi, so that w Phi dq = m^H (w_q dq).  v and A terms
+    come in pairs T, T^H; the S slot has the single term a diag(w dS) a^H.
+    """
+    n = model.grid.n_interior
+    if q == "S":
+        return [("a", "a", sparse.identity(n, dtype=np.complex128, format="csr"))]
+    if q not in model.adjoint_jacobians:
+        raise UsageError(f"model was not linearized for quantity {q!r}")
+    jt_v, jt_a = model.adjoint_jacobians[q]
+    terms = []
+    if jt_v is not None:  # -a diag(w dv) b^H and its adjoint
+        terms += [("a", "b", -jt_v.conj()), ("b", "a", -jt_v)]
+    if jt_a is not None:  # 2i a diag(w dA_i) b_i^H and its adjoint
+        for i in range(model.grid.dim):
+            jt_i = jt_a[:, i * n : (i + 1) * n]
+            terms += [("a", f"b{i}", -2j * jt_i), (f"b{i}", "a", 2j * jt_i)]
+    return terms
 
 
 def sensitivity_kernel(
@@ -452,100 +462,58 @@ def sensitivity_kernel(
 ) -> KernelMatrix:
     """Sensitivity kernel K of the normal operator for a quantity pair.
 
-    K(x, .) rows are assembled from forward-backward operators so that
-    applying the kernel reproduces C'* Gamma (x) Gamma C' exactly in the
-    discrete setting:
+    C' is a sum of terms l diag(w Phi dq) r^H over the propagator pairs
+    (l, r) in {(a, b), (b, a), (a, b_i), (b_i, a), (a, a)}, with the slot
+    maps Phi read from the model's Jacobians.  With F[l, r] = l^H WNW r,
 
-        source:  K = Re[F_aa(x,y) F_aa(y,x)]
-        scalar:  K = 2 Re[conj(g_q(x)) g_q'(y) F_aa(x,y) F_bb(y,x)]
-                   + 2 Re[conj(g_q(x)) conj(g_q'(y)) F_ab(x,y) F_ab(y,x)]
-        flow:    K^{pq} = 8 m(x) m(y) Re[F_aa F^{qp}_bb(y,x) - F^q_ab F^p_ab(y,x)],
-                 m = omega / c^2.
+        K = Re sum_{s, t} Phi_s^* (F[l_s, l_t] o F[r_t, r_s]^T) Phi_t,
 
-    Density kernels involve stencil-chained local correlations and are not
-    assembled explicitly; use the matrix-free composition instead.
+    where Phi^* is the adjoint in the interior quadrature.  Applying K with
+    the interior weights reproduces C'* Gamma (x) Gamma C' exactly, for every
+    pair of {S, c, gamma, rho, u}.  In targets mode only the F rows at the
+    targets' stencil neighbourhood are formed.
     """
     qx, qy = quantities
     grid = model.grid
-    w_rec = grid.receiver_weights
-    a = model.h_alpha
-    tgt = None if targets is None else np.asarray(targets, dtype=int)
-    n_rows = grid.n_interior if tgt is None else len(tgt)
-    if tgt is None and 16 * grid.n_interior**2 > budget_bytes:
+    n = grid.n_interior
+    if targets is None and 16 * n**2 > budget_bytes:
         raise MemoryBudgetError("full kernel exceeds memory budget; pass targets")
-    wnw = _weight_sandwich(weight, w_rec)
+    tgt = None if targets is None else np.asarray(targets, dtype=int)
+    terms_x = _slot_terms(model, qx)
+    terms_y = _slot_terms(model, qy)
+    dx = grid.dim if qx == "u" else 1
+    dy = grid.dim if qy == "u" else 1
+    rows = np.arange(dx * n) if tgt is None else (n * np.arange(dx)[:, None] + tgt).ravel()
+    lefts = [m[rows] for _, _, m in terms_x]
+    nbhd = np.arange(n) if tgt is None else np.unique(np.concatenate([m.indices for m in lefts]))
+    lefts = [left[:, nbhd] for left in lefts]
 
-    if (qx, qy) == ("S", "S"):
-        f_rows, f_cols = _f_blocks(a, a, wnw, tgt)
-        entries = np.real(f_rows * f_cols.T)
-        return KernelMatrix(entries=entries, quantities=(qx, qy), row_idx=tgt)
+    props = {"a": model.h_alpha, "b": model.beta_scalar}
+    props.update({f"b{i}": b_i for i, b_i in enumerate(model.beta_flow or ())})
+    wnw = _weight_sandwich(weight, grid.receiver_weights)
+    back: Dict[str, np.ndarray] = {}
+    f_rows: Dict[Tuple[str, str], np.ndarray] = {}
 
-    if qx in ("c", "gamma") and qy in ("c", "gamma"):
-        if model.beta_scalar is None:
-            raise UsageError("model lacks the scalar ingression propagator")
-        b = model.beta_scalar
-        gx = model.gv[qx].order0
-        gy = model.gv[qy].order0
-        faa_rows, _ = _f_blocks(a, a, wnw, tgt)
-        _, fbb_cols = _f_blocks(b, b, wnw, tgt)
-        fab_rows, fab_cols = _f_blocks(a, b, wnw, tgt)
-        gx_rows = gx if tgt is None else gx[tgt]
-        entries = 2.0 * np.real(
-            gx_rows.conj()[:, None] * faa_rows * fbb_cols.T * gy[None, :]
+    def f(l: str, r: str) -> np.ndarray:
+        """Rows F[l, r][nbhd, :], each formed once."""
+        if (l, r) not in f_rows:
+            if l not in back:
+                back[l] = props[l][:, nbhd].conj().T @ wnw
+            f_rows[l, r] = back[l] @ props[r]
+        return f_rows[l, r]
+
+    # WNW is Hermitian, so the rows of F[r_t, r_s]^T are those of conj(F[r_s, r_t])
+    entries = np.zeros((len(rows), dy * n))
+    for lt, rt, mt in terms_y:
+        acc = sum(
+            left @ (f(ls, lt) * f(rs, rt).conj())
+            for (ls, rs, _), left in zip(terms_x, lefts)
         )
-        entries += 2.0 * np.real(
-            gx_rows.conj()[:, None] * fab_rows * fab_cols.T * gy.conj()[None, :]
-        )
-        return KernelMatrix(entries=entries, quantities=(qx, qy), row_idx=tgt)
-
-    if (qx, qy) == ("u", "u"):
-        if model.beta_flow is None:
-            raise UsageError("model lacks flow ingression propagators")
-        d = len(model.beta_flow)
-        m_coeff = model.ga["u"]  # omega / c^2, shape (n_int,)
-        m_rows = m_coeff if tgt is None else m_coeff[tgt]
-        faa_rows, _ = _f_blocks(a, a, wnw, tgt)
-        fab_rows = []
-        fab_cols = []
-        for b_i in model.beta_flow:
-            r, c_ = _f_blocks(a, b_i, wnw, tgt)
-            fab_rows.append(r)
-            fab_cols.append(c_)
-        entries = np.empty((d, d, n_rows, grid.n_interior))
-        for p in range(d):
-            for q in range(d):
-                # F^{qp}_bb(y, x) column block: (B_q^H WNW B_p)[:, targets]
-                if tgt is None:
-                    fqp = model.beta_flow[q].conj().T @ wnw @ model.beta_flow[p]
-                    fqp_cols = fqp
-                else:
-                    fqp_cols = model.beta_flow[q].conj().T @ (
-                        wnw @ model.beta_flow[p][:, tgt]
-                    )
-                term = faa_rows * fqp_cols.T - fab_rows[q] * fab_cols[p].T
-                entries[p, q] = (
-                    8.0 * m_rows[:, None] * m_coeff[None, :] * np.real(term)
-                )
-        return KernelMatrix(entries=entries, quantities=(qx, qy), row_idx=tgt)
-
-    raise UsageError(
-        f"kernel assembly not supported for quantity pair {quantities!r}; "
-        "use the matrix-free normal operator"
-    )
-
-
-def apply_kernel(kernel: KernelMatrix, dq: np.ndarray, grid: Grid) -> np.ndarray:
-    """Apply an assembled kernel with the interior quadrature."""
-    w = grid.interior_weights
-    if kernel.entries.ndim == 2:
-        return kernel.entries @ (np.asarray(dq) * w)
-    d = kernel.entries.shape[0]
-    dq = np.asarray(dq)
-    out = np.zeros((kernel.entries.shape[2], d))
-    for p in range(d):
-        for q in range(d):
-            out[:, p] += kernel.entries[p, q] @ (dq[:, q] * w)
-    return out
+        entries += np.real(mt.conj() @ acc.T).T
+    entries = entries.reshape(dx, -1, dy, n).transpose(0, 2, 1, 3)
+    if dx == dy == 1:
+        entries = entries[0, 0]
+    return KernelMatrix(entries=entries, quantities=(qx, qy), row_idx=tgt)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,13 @@ produces the (v, A, S) coefficients of the generic wave operator
     v   = k^2 - (omega^2 + 2i gamma omega)/c^2 + rho^{1/2} Lap(rho^{-1/2})
           - 2i omega f rho (u . grad f),      f := 1/(rho^{1/2} c).
 
-All differential operators are the shared finite-difference stencils of the
-grid, so the partial derivatives returned here are the exact derivatives of
-the discrete recast for flat backgrounds (and second-order consistent
-otherwise), which is what the derivative/adjoint consistency tests require.
+recast_jacobian gives, per quantity, the sparse Jacobians (J_v, J_A) of the
+(v, A) slots; S passes into its own slot unchanged.  They are the one chain
+rule from (c, rho, gamma, u) onto the slots: the covariance derivative, its
+adjoint and the sensitivity kernels all read them.  All differential
+operators are the shared finite-difference stencils of the grid, so the
+Jacobians are the exact derivatives of the discrete recast for flat
+backgrounds (and second-order consistent otherwise).
 """
 
 from __future__ import annotations
@@ -34,12 +37,9 @@ __all__ = [
     "MediumParams",
     "HelmholtzParams",
     "FrequencyContext",
-    "PartialV",
     "frequency_band",
     "recast",
-    "partial_v",
-    "partial_A",
-    "damping_profile",
+    "recast_jacobian",
     "helmholtz_delta",
     "uniform_medium",
     "medium_from_descriptor",
@@ -47,17 +47,7 @@ __all__ = [
     "divergence_free_projector",
     "project_divergence_free",
     "stream_function_flow",
-    "DAMPING_GAMMA0",
-    "DAMPING_OMEGA0",
 ]
-
-# damping power law: gamma0/2pi = 4.29 uHz, omega0/2pi = 3 mHz,
-# plateau 2pi x 125 uHz above 5.3 mHz
-DAMPING_GAMMA0 = 2.0 * np.pi * 4.29e-6
-DAMPING_OMEGA0 = 2.0 * np.pi * 3.0e-3
-DAMPING_CUTOFF = 2.0 * np.pi * 5.3e-3
-DAMPING_PLATEAU = 2.0 * np.pi * 125e-6
-DAMPING_EXPONENT = 5.77
 
 
 @dataclass
@@ -189,17 +179,8 @@ class HelmholtzParams:
         return value
 
 
-def damping_profile(omega: float) -> float:
-    """Frequency-dependent damping: power law below 5.3 mHz, plateau above."""
-    if omega <= 0:
-        raise UsageError("omega must be positive")
-    if omega >= DAMPING_CUTOFF:
-        return DAMPING_PLATEAU
-    return DAMPING_GAMMA0 * abs(omega / DAMPING_OMEGA0) ** DAMPING_EXPONENT
-
-
 # ---------------------------------------------------------------------------
-# Recast and its parameter-wise derivatives
+# Recast and its Jacobians
 # ---------------------------------------------------------------------------
 def recast(params: MediumParams, freq: FrequencyContext) -> HelmholtzParams:
     """Transform physical parameters to the (v, A, S) Helmholtz coefficients."""
@@ -225,117 +206,74 @@ def recast(params: MediumParams, freq: FrequencyContext) -> HelmholtzParams:
     return HelmholtzParams(v=v, A=a_field, S=params.S.copy(), k_ref=k_ref, omega=omega)
 
 
-@dataclass
-class PartialV:
-    """Coefficients (g0, g1, g2) of [d_q v](dq) = g0 dq + g1 . grad dq + g2 Lap dq.
+def recast_jacobian(
+    q_name: str, params: MediumParams, freq: FrequencyContext
+) -> Tuple[Optional[sparse.csr_matrix], Optional[sparse.csr_matrix]]:
+    """Sparse Jacobians (J_v, J_A) of the recast slots for one physical quantity.
 
-    For q = 'u', order0 has shape (n, d) and is dotted with the flow
-    perturbation; order1/order2 are unused.
+    J_v = diag(g0) + sum_i diag(g1_i) D_i + diag(g2) L maps a perturbation of
+    q to dv; J_A maps it to dA stacked by component, [dA_x; dA_y].  A flow
+    perturbation is stacked the same way.  None marks a slot that q does not
+    enter; S enters only its own slot, so both of its Jacobians are None.
     """
-
-    quantity: str
-    order0: Optional[np.ndarray]
-    order1: Optional[np.ndarray] = None
-    order2: Optional[np.ndarray] = None
-
-    def apply(self, dq: np.ndarray, grid: Grid) -> np.ndarray:
-        """Evaluate the directional derivative of v for a perturbation dq."""
-        if self.quantity == "u":
-            if dq.ndim != 2:
-                raise UsageError("flow perturbation must be a vector field")
-            return np.sum(self.order0 * dq, axis=1).astype(np.complex128)
-        out = np.zeros(len(dq), dtype=np.complex128)
-        if self.order0 is not None:
-            out += self.order0 * dq
-        if self.order1 is not None:
-            dmats = grid.gradient_matrices()
-            for i, d_i in enumerate(dmats):
-                out += self.order1[:, i] * (d_i @ dq)
-        if self.order2 is not None:
-            out += self.order2 * (grid.laplacian_matrix() @ dq)
-        return out
-
-
-def partial_v(q_name: str, params: MediumParams, freq: FrequencyContext) -> PartialV:
-    """Coefficient fields of the v-derivative for one physical quantity."""
+    if q_name == "S":
+        return None, None
+    if q_name not in ("c", "gamma", "rho", "u"):
+        raise UsageError(f"unknown quantity {q_name!r}")
     grid = params.grid
     omega = freq.omega
-    c, rho, gamma = params.c, params.rho, params.gamma
-    n = grid.n_interior
-
+    c, rho, u = params.c, params.rho, params.u
+    flow = u is not None and np.any(u)
     if q_name == "gamma":
-        return PartialV("gamma", order0=(-2j * omega / c**2).astype(np.complex128))
+        return _diag(-2j * omega / c**2), None
 
+    dmats = grid.gradient_matrices() if flow or q_name != "c" else ()
+    f = 1.0 / (np.sqrt(rho) * c)
+
+    def u_dot_grad(x: np.ndarray) -> np.ndarray:
+        return sum(u[:, i] * (d_i @ x) for i, d_i in enumerate(dmats))
+
+    if q_name == "u":  # J_v vanishes for flat media, where grad f = 0
+        j_v = sparse.hstack([_diag(-2j * omega * (f * rho) * (d_i @ f)) for d_i in dmats])
+        j_a = sparse.block_diag([_diag(omega / c**2)] * grid.dim, format="csr")
+        return j_v.tocsr(), j_a
+
+    g0 = g1 = g2 = None  # coefficients of dq, grad dq and Lap dq in dv
+    j_a = None
     if q_name == "c":
-        g0 = (2.0 * (omega**2 + 2j * omega * gamma) / c**3).astype(np.complex128)
-        g1 = None
-        if params.u is not None and np.any(params.u):
-            f = 1.0 / (np.sqrt(rho) * c)
+        g0 = 2.0 * (omega**2 + 2j * omega * params.gamma) / c**3
+        if flow:
             e = -1.0 / (np.sqrt(rho) * c**2)  # df/dc
-            dmats = grid.gradient_matrices()
-            grad_f = np.column_stack([d @ f for d in dmats])
-            grad_e = np.column_stack([d @ e for d in dmats])
-            u_dot_gf = np.sum(params.u * grad_f, axis=1)
-            u_dot_ge = np.sum(params.u * grad_e, axis=1)
-            g0 = g0 - 2j * omega * (e * rho * u_dot_gf + f * rho * u_dot_ge)
-            g1 = -2j * omega * (f * rho * e)[:, None] * params.u
-        return PartialV("c", order0=g0, order1=g1)
+            g0 = g0 - 2j * omega * (e * rho * u_dot_grad(f) + f * rho * u_dot_grad(e))
+            g1 = -2j * omega * (f * rho * e)[:, None] * u
+            j_a = sparse.vstack(
+                [_diag(-omega * u[:, i] / c**3) for i in range(grid.dim)], format="csr"
+            )
+    else:  # rho
+        g2 = -0.5 / rho
+        if np.ptp(rho) > 0 or flow:
+            lap = grid.laplacian_matrix()
+            g0 = 0.5 * rho**-0.5 * (lap @ rho**-0.5) - 0.5 * np.sqrt(rho) * (lap @ rho**-1.5)
+            g1 = -np.sqrt(rho)[:, None] * np.column_stack([d @ (rho**-1.5) for d in dmats])
+            if flow:
+                e = -0.5 / (rho**1.5 * c)  # df/drho
+                u_gf = u_dot_grad(f)
+                g0 = g0 - 2j * omega * (e * rho * u_gf + f * u_gf + f * rho * u_dot_grad(e))
+                g1 = g1 - 2j * omega * (f * rho * e)[:, None] * u
 
-    if q_name == "rho":
-        g2 = (-0.5 / rho).astype(np.complex128)
-        if np.ptp(rho) == 0 and (params.u is None or not np.any(params.u)):
-            return PartialV("rho", order0=None, order1=None, order2=g2)
-        lap = grid.laplacian_matrix()
-        dmats = grid.gradient_matrices()
-        g0 = 0.5 * rho**-0.5 * (lap @ rho**-0.5) - 0.5 * np.sqrt(rho) * (
-            lap @ rho**-1.5
-        )
-        g1 = -np.sqrt(rho)[:, None] * np.column_stack([d @ (rho**-1.5) for d in dmats])
-        g0 = g0.astype(np.complex128)
-        g1 = g1.astype(np.complex128)
-        if params.u is not None and np.any(params.u):
-            f = 1.0 / (np.sqrt(rho) * c)
-            e = -0.5 / (rho**1.5 * c)  # df/drho
-            grad_f = np.column_stack([d @ f for d in dmats])
-            grad_e = np.column_stack([d @ e for d in dmats])
-            u_dot_gf = np.sum(params.u * grad_f, axis=1)
-            u_dot_ge = np.sum(params.u * grad_e, axis=1)
-            g0 = g0 - 2j * omega * (e * rho * u_dot_gf + f * u_dot_gf + f * rho * u_dot_ge)
-            g1 = g1 - 2j * omega * (f * rho * e)[:, None] * params.u
-        return PartialV("rho", order0=g0, order1=g1, order2=g2)
-
-    if q_name == "u":
-        f = 1.0 / (np.sqrt(rho) * c)
-        dmats = grid.gradient_matrices()
-        grad_f = np.column_stack([d @ f for d in dmats])  # zero for flat media
-        g0 = (-2j * omega * (f * rho)[:, None] * grad_f).astype(np.complex128)
-        return PartialV("u", order0=g0)
-
-    if q_name == "S":
-        return PartialV("S", order0=np.zeros(n, dtype=np.complex128))
-
-    raise UsageError(f"unknown quantity {q_name!r}")
+    parts = [] if g0 is None else [_diag(g0)]
+    if g1 is not None:
+        parts += [_diag(g1[:, i]) @ d_i for i, d_i in enumerate(dmats)]
+    if g2 is not None:
+        parts.append(_diag(g2) @ grid.laplacian_matrix())
+    j_v = sum(parts[1:], parts[0]).astype(np.complex128, copy=False)
+    return j_v.tocsr(), j_a
 
 
-def partial_A(q_name: str, params: MediumParams, freq: FrequencyContext) -> np.ndarray:
-    """Coefficient of the A-derivative: [d_q A](dq) = coeff * dq (pointwise).
-
-    Returns shape (n, d) for q='c' (coeff per component, zero without flow)
-    and (n,) for q='u' (the same scalar omega/c^2 scales each component);
-    damping and density do not enter A.
-    """
-    n = params.grid.n_interior
-    d = params.grid.dim
-    omega = freq.omega
-    if q_name == "c":
-        if params.u is None:
-            return np.zeros((n, d))
-        return -omega * params.u / params.c[:, None] ** 3
-    if q_name == "u":
-        return omega / params.c**2
-    if q_name in ("gamma", "rho", "S"):
-        return np.zeros((n, d))
-    raise UsageError(f"unknown quantity {q_name!r}")
+def _diag(x: np.ndarray) -> sparse.csr_matrix:
+    """diag(x) in CSR form, built directly (scipy's diags goes through DIA, 3x slower)."""
+    n = len(x)
+    return sparse.csr_matrix((x, np.arange(n), np.arange(n + 1)), shape=(n, n))
 
 
 def helmholtz_delta(ref: HelmholtzParams, hp: HelmholtzParams, grid: Grid) -> DeltaOperator:

@@ -249,11 +249,16 @@ class TestExitCodes:
             ("geometry.n_receivers", [12]),
             ("frequencies.count", False),
             ("frequencies.f_max_hz", None),
+            ("kernels.band_count", 1.5),  # would end in a TypeError inside kernels
+            ("kernels.source_strength", "1"),
+            ("inversion.max_outer", "2"),  # would end in a TypeError inside invert
+            ("inversion.max_cg", True),
+            ("inversion.tau", None),
         ],
     )
     def test_non_numeric_config_value_is_2(self, tiny_config, key, value):
         # a string or bool would compare (or fail to compare) as if it were a
-        # number; a count must be an integer
+        # number; a count must be an integer, in every block of the document
         path, cfg, tmp = tiny_config
         cfg2 = json.loads(path.read_text())
         *blocks, leaf = key.split(".")
@@ -268,6 +273,12 @@ class TestExitCodes:
         out = tmp / "run"
         assert cli.main(["synth", "--config", str(p2), "--out", str(out)]) == cli.EXIT_CONFIG
         assert not out.exists()
+
+    def test_nullable_inversion_keys_accept_null(self, tiny_config):
+        path, cfg, tmp = tiny_config
+        cfg2 = json.loads(path.read_text())
+        cfg2["inversion"].update(beta=None, beta_scale=None, alpha0=None)
+        cli.validate_config(cfg2)
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_2(self, tiny_config, workers):
@@ -425,11 +436,22 @@ class TestShippedConfigs:
 
 class TestBoundarySource:
     def test_boundary_source_config_plumbs_through(self, tiny_config, tmp_path):
+        # synth samples interior sources only; invert models the boundary term
         path, cfg, tmp = tiny_config
         cfg2 = json.loads(Path(path).read_text())
         cfg2["medium"]["boundary_source"] = {"value": 0.05}
         p2 = tmp_path / "bnd.json"
         p2.write_text(json.dumps(cfg2))
         out = tmp_path / "bnd_run"
-        assert cli.main(["synth", "--config", str(p2), "--out", str(out)]) == 0
+        assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 0
         assert cli.main(["invert", "--config", str(p2), "--out", str(out)]) == 0
+
+    def test_synth_rejects_boundary_source(self, tiny_config, tmp_path):
+        path, cfg, tmp = tiny_config
+        cfg2 = json.loads(Path(path).read_text())
+        cfg2["medium"]["boundary_source"] = {"value": 0.05}
+        p2 = tmp_path / "bnd.json"
+        p2.write_text(json.dumps(cfg2))
+        out = tmp_path / "bnd_run"
+        assert cli.main(["synth", "--config", str(p2), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()

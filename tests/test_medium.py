@@ -1,4 +1,4 @@
-"""Medium model tests: recast, partial derivatives, damping law, flow utilities."""
+"""Medium model tests: recast, its Jacobians, flow utilities."""
 
 import numpy as np
 import pytest
@@ -75,38 +75,43 @@ class TestRecast:
             params.validate()
 
 
+def _is_diagonal(j):
+    return not np.any(j.toarray() - np.diag(j.diagonal()))
+
+
 class TestPartialDerivatives:
     def test_gamma_coefficient(self, grid):
         params = medium.uniform_medium(grid, c=1.0, rho=1.0, gamma=0.1)
         f1 = medium.FrequencyContext(omega=1.0)
-        pv = medium.partial_v("gamma", params, f1)
-        assert np.allclose(pv.order0, -2j, atol=1e-14)
-        assert pv.order1 is None and pv.order2 is None
+        j_v, j_a = medium.recast_jacobian("gamma", params, f1)
+        assert np.allclose(j_v.diagonal(), -2j, atol=1e-14)
+        assert _is_diagonal(j_v) and j_a is None
 
     def test_sound_speed_coefficient(self, grid, freq):
         params = medium.uniform_medium(grid, c=1.3, rho=1.0, gamma=0.2)
-        pv = medium.partial_v("c", params, freq)
+        j_v, _ = medium.recast_jacobian("c", params, freq)
         expect = 2.0 * (freq.omega**2 + 2j * freq.omega * 0.2) / 1.3**3
-        assert np.allclose(pv.order0, expect, atol=1e-12)
-        assert pv.order1 is None
+        assert np.allclose(j_v.diagonal(), expect, atol=1e-12)
+        assert _is_diagonal(j_v)
 
     def test_density_constant_background(self, grid, freq):
+        # only the Laplacian term: J_v = diag(-1/(2 rho)) L
         params = medium.uniform_medium(grid, c=1.0, rho=2.5)
-        pv = medium.partial_v("rho", params, freq)
-        assert pv.order0 is None
-        assert pv.order1 is None
-        assert np.allclose(pv.order2, -0.5 / 2.5, atol=1e-14)
+        j_v, j_a = medium.recast_jacobian("rho", params, freq)
+        lap = grid.laplacian_matrix().toarray()
+        assert np.allclose(j_v.toarray(), (-0.5 / 2.5) * lap, atol=1e-14 * np.abs(lap).max())
+        assert j_a is None
 
     def test_partial_A_flow_identity_scaling(self, grid):
         params = medium.uniform_medium(grid, c=1.0, rho=1.0)
         f1 = medium.FrequencyContext(omega=1.0)
-        coeff = medium.partial_A("u", params, f1)
-        assert np.allclose(coeff, 1.0)
+        _, j_a = medium.recast_jacobian("u", params, f1)
+        assert np.allclose(j_a.toarray(), np.eye(grid.n_interior * grid.dim))
 
     def test_partial_A_sound_speed_without_flow(self, grid, freq):
         params = medium.uniform_medium(grid, c=1.0, rho=1.0)
-        coeff = medium.partial_A("c", params, freq)
-        assert not np.any(coeff)
+        _, j_a = medium.recast_jacobian("c", params, freq)
+        assert j_a is None
 
     def test_partial_A_sound_speed_with_flow(self, grid):
         # -omega u / c^3 * dc: omega = 1, c = 1, u = (1, 0), dc = 2 -> (-2, 0)
@@ -115,15 +120,15 @@ class TestPartialDerivatives:
         u[:, 0] = 1.0
         params.u = u  # skip projection: coefficient formula is pointwise
         f1 = medium.FrequencyContext(omega=1.0)
-        coeff = medium.partial_A("c", params, f1)
-        da = coeff * 2.0
+        _, j_a = medium.recast_jacobian("c", params, f1)
+        da = (j_a @ np.full(grid.n_interior, 2.0)).reshape((-1, 2), order="F")
         assert np.allclose(da[:, 0], -2.0)
         assert np.allclose(da[:, 1], 0.0)
 
     def test_unknown_quantity(self, grid, freq):
         params = medium.uniform_medium(grid)
         with pytest.raises(UsageError):
-            medium.partial_v("zeta", params, freq)
+            medium.recast_jacobian("zeta", params, freq)
 
     @pytest.mark.parametrize("q", ["c", "gamma", "rho", "u"])
     def test_matches_finite_differences_of_recast(self, grid, freq, q):
@@ -134,7 +139,6 @@ class TestPartialDerivatives:
             pts = grid.interior_nodes
             bump = np.exp(-np.sum(pts**2, axis=1) / (2 * 0.2**2))
             params.c = params.c * (1 + 0.05 * bump)
-        rng = np.random.default_rng(1)
         pts = grid.interior_nodes
         prof = np.exp(-np.sum((pts - [0.1, 0.05]) ** 2, axis=1) / (2 * 0.15**2))
         if q == "u":
@@ -143,9 +147,9 @@ class TestPartialDerivatives:
         else:
             dq = 0.3 * prof
         hp0 = medium.recast(params, freq)
-        pv = medium.partial_v(q, params, freq)
-        dv = pv.apply(dq, grid)
-        da_coeff = medium.partial_A(q, params, freq) if q in ("c", "u") else None
+        j_v, j_a = medium.recast_jacobian(q, params, freq)
+        flat = dq.ravel(order="F")
+        dv = j_v @ flat
         rems = []
         hs = [1e-1, 1e-2, 1e-3]
         for h in hs:
@@ -158,30 +162,13 @@ class TestPartialDerivatives:
             rem = np.linalg.norm(hp.v - hp0.v - h * dv)
             if q == "u":
                 a0 = hp0.A if hp0.A is not None else 0.0
-                rem += np.linalg.norm(hp.A - a0 - h * da_coeff[:, None] * dq)
+                da = (j_a @ flat).reshape(dq.shape, order="F")
+                rem += np.linalg.norm(hp.A - a0 - h * da)
             rems.append(max(rem, 1e-300))
         if max(rems) < 1e-10:  # exactly linear map (e.g. u at flat background)
             return
         slope = np.polyfit(np.log(hs), np.log(rems), 1)[0]
         assert 1.8 <= slope <= 2.2
-
-
-class TestDampingProfile:
-    def test_reference_point(self):
-        assert medium.damping_profile(medium.DAMPING_OMEGA0) == pytest.approx(
-            medium.DAMPING_GAMMA0, rel=1e-12
-        )
-
-    def test_plateau(self):
-        for omega in (medium.DAMPING_CUTOFF, 2 * np.pi * 6e-3, 2 * np.pi * 9.9e-3):
-            assert medium.damping_profile(omega) == pytest.approx(
-                2 * np.pi * 125e-6, rel=1e-12
-            )
-
-    def test_monotone_nondecreasing(self):
-        omegas = 2 * np.pi * np.linspace(1e-3, 8e-3, 120)
-        vals = [medium.damping_profile(w) for w in omegas]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 class TestFlowUtilities:
