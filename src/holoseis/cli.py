@@ -341,16 +341,19 @@ def cmd_kernels(cfg: dict, out: Path, workers: int = 1) -> List[str]:
     out.mkdir(parents=True, exist_ok=True)
     outputs: List[str] = []
 
-    for qx, qy in pairs:
-        quantities = tuple(sorted({qx, qy, "S"}))
+    # one model per frequency, linearized for every quantity of every pair
+    quantities = tuple(sorted({q for pair in pairs for q in pair} | {"S"}))
 
-        def kernel_one(freq):
-            model = holography.build_model(reference, freq, quantities=quantities)
-            kern = holography.sensitivity_kernel(model, (qx, qy), targets=targets)
-            return kern.entries
+    def kernels_one(freq):
+        model = holography.build_model(reference, freq, quantities=quantities)
+        return [
+            holography.sensitivity_kernel(model, pair, targets=targets).entries
+            for pair in pairs
+        ]
 
-        parts = _map(kernel_one, freqs, workers)
-        avg = np.mean(parts, axis=0)
+    per_freq = _map(kernels_one, freqs, workers)
+    for p_idx, (qx, qy) in enumerate(pairs):
+        avg = np.mean([parts[p_idx] for parts in per_freq], axis=0)
         tag = f"{qx}_{qy}"
         path = out / f"kernel_{tag}.hsm"
         hio.write_matrix(path, avg.astype(complex))
@@ -447,11 +450,13 @@ def cmd_invert(
                 ";".join(f"{k}={v:.6g}" for k, v in err.items()),
                 entry["cg_iterations"],
                 int(entry["cg_converged"]),
+                entry["cg_residual"],
             )
         )
     hio.write_csv(
         out / "diagnostics.csv",
-        "iteration alpha misfit noise_level param_error cg_iterations cg_converged".split(),
+        "iteration alpha misfit noise_level param_error cg_iterations cg_converged "
+        "cg_residual".split(),
         rows,
     )
     outputs.append(str(out / "diagnostics.csv"))

@@ -39,7 +39,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import zgecon, zlange
+from scipy.linalg.lapack import zgecon
 
 from .errors import (
     MemoryBudgetError,
@@ -660,13 +660,17 @@ def update_green(
     v = m_full[supp][:, grid.interior_idx]
     m = len(supp)
     core = np.empty((m, m), dtype=np.complex128)
+    col_sums = np.empty(m)  # of |core|; their maximum is ||core||_1
     k0_int = k0[_view(grid.interior_idx)]
+    diag = np.arange(m)
     for start in range(0, m, _GATHER_ROWS):  # scipy copies a strided dense operand
         sl = slice(start, start + _GATHER_ROWS)
-        core[:, sl] = (v @ k0_int[:, _view(supp[sl])]) * grid.weights[supp[sl]]
-    core.flat[:: m + 1] += 1.0
+        block = core[:, sl]
+        block[...] = (v @ k0_int[:, _view(supp[sl])]) * grid.weights[supp[sl]]
+        block[diag[sl], diag[: block.shape[1]]] += 1.0  # the I_m of the core
+        col_sums[sl] = np.abs(block).sum(axis=0)
     # LAPACK factors the Fortran-ordered view core^T in place; ||core^T||_inf = ||core||_1
-    anorm = zlange("I", core.T)
+    anorm = col_sums.max()  # NaN if any entry is
     lu = lu_factor(core.T, overwrite_a=True, check_finite=False)
     rcond, info = zgecon(lu[0], anorm, norm="I")
     if not np.isfinite(rcond):

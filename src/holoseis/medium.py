@@ -16,9 +16,10 @@ recast_jacobian gives, per quantity, the sparse Jacobians (J_v, J_A) of the
 (v, A) slots; S passes into its own slot unchanged.  They are the one chain
 rule from (c, rho, gamma, u) onto the slots: the covariance derivative, its
 adjoint and the sensitivity kernels all read them.  All differential
-operators are the shared finite-difference stencils of the grid, so the
-Jacobians are the exact derivatives of the discrete recast for flat
-backgrounds (and second-order consistent otherwise).
+operators are the shared finite-difference stencils of the grid, and every
+product under a stencil is differentiated as the discrete product it is
+(the discrete chain rule), so the Jacobians are the exact derivatives of the
+discrete recast on every background.
 """
 
 from __future__ import annotations
@@ -211,8 +212,10 @@ def recast_jacobian(
 ) -> Tuple[Optional[sparse.csr_matrix], Optional[sparse.csr_matrix]]:
     """Sparse Jacobians (J_v, J_A) of the recast slots for one physical quantity.
 
-    J_v = diag(g0) + sum_i diag(g1_i) D_i + diag(g2) L maps a perturbation of
-    q to dv; J_A maps it to dA stacked by component, [dA_x; dA_y].  A flow
+    J_v maps a perturbation of q to dv: diag(g0) plus, for rho,
+    diag(rho^{1/2}) L diag(-rho^{-3/2}/2) and, under a flow,
+    diag(-2i omega f rho) sum_i diag(u_i) D_i diag(df/dq).  J_A maps it to
+    dA stacked by component, [dA_x; dA_y].  A flow
     perturbation is stacked the same way.  None marks a slot that q does not
     enter; S enters only its own slot, so both of its Jacobians are None.
     """
@@ -227,46 +230,40 @@ def recast_jacobian(
     if q_name == "gamma":
         return _diag(-2j * omega / c**2), None
 
-    dmats = grid.gradient_matrices() if flow or q_name != "c" else ()
+    dmats = grid.gradient_matrices() if flow or q_name == "u" else ()
     f = 1.0 / (np.sqrt(rho) * c)
-
-    def u_dot_grad(x: np.ndarray) -> np.ndarray:
-        return sum(u[:, i] * (d_i @ x) for i, d_i in enumerate(dmats))
 
     if q_name == "u":  # J_v vanishes for flat media, where grad f = 0
         j_v = sparse.hstack([_diag(-2j * omega * (f * rho) * (d_i @ f)) for d_i in dmats])
         j_a = sparse.block_diag([_diag(omega / c**2)] * grid.dim, format="csr")
         return j_v.tocsr(), j_a
 
-    g0 = g1 = g2 = None  # coefficients of dq, grad dq and Lap dq in dv
+    # dv = diag(g0) dq + j_off dq, every product differentiated as the discrete
+    # operator it is: D(e dq) = D diag(e) dq, never e D dq + dq D e
+    j_off = None
     j_a = None
     if q_name == "c":
         g0 = 2.0 * (omega**2 + 2j * omega * params.gamma) / c**3
+        e = -1.0 / (np.sqrt(rho) * c**2)  # df/dc
+        d_frho = e * rho  # d(f rho)/dc
         if flow:
-            e = -1.0 / (np.sqrt(rho) * c**2)  # df/dc
-            g0 = g0 - 2j * omega * (e * rho * u_dot_grad(f) + f * rho * u_dot_grad(e))
-            g1 = -2j * omega * (f * rho * e)[:, None] * u
             j_a = sparse.vstack(
                 [_diag(-omega * u[:, i] / c**3) for i in range(grid.dim)], format="csr"
             )
-    else:  # rho
-        g2 = -0.5 / rho
-        if np.ptp(rho) > 0 or flow:
-            lap = grid.laplacian_matrix()
-            g0 = 0.5 * rho**-0.5 * (lap @ rho**-0.5) - 0.5 * np.sqrt(rho) * (lap @ rho**-1.5)
-            g1 = -np.sqrt(rho)[:, None] * np.column_stack([d @ (rho**-1.5) for d in dmats])
-            if flow:
-                e = -0.5 / (rho**1.5 * c)  # df/drho
-                u_gf = u_dot_grad(f)
-                g0 = g0 - 2j * omega * (e * rho * u_gf + f * u_gf + f * rho * u_dot_grad(e))
-                g1 = g1 - 2j * omega * (f * rho * e)[:, None] * u
-
-    parts = [] if g0 is None else [_diag(g0)]
-    if g1 is not None:
-        parts += [_diag(g1[:, i]) @ d_i for i, d_i in enumerate(dmats)]
-    if g2 is not None:
-        parts.append(_diag(g2) @ grid.laplacian_matrix())
-    j_v = sum(parts[1:], parts[0]).astype(np.complex128, copy=False)
+    else:  # rho: rho^{1/2} Lap(rho^{-1/2})
+        lap = grid.laplacian_matrix()
+        g0 = 0.5 * rho**-0.5 * (lap @ rho**-0.5)
+        j_off = _diag(np.sqrt(rho)) @ lap @ _diag(-0.5 * rho**-1.5)
+        e = -0.5 / (rho**1.5 * c)  # df/drho
+        d_frho = e * rho + f  # d(f rho)/drho
+    if flow:  # -2i omega (f rho)(u . grad f)
+        u_grad = sum(_diag(u[:, i]) @ d_i for i, d_i in enumerate(dmats))
+        g0 = g0 - 2j * omega * d_frho * (u_grad @ f)
+        j_flow = _diag(-2j * omega * f * rho) @ u_grad @ _diag(e)
+        j_off = j_flow if j_off is None else j_off + j_flow
+    j_v = _diag(g0.astype(np.complex128))
+    if j_off is not None:
+        j_v = j_v + j_off
     return j_v.tocsr(), j_a
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holoseis import cli, io as hio
+from holoseis import cli, inversion, io as hio
 from holoseis.errors import UsageError
 
 
@@ -155,6 +155,30 @@ class TestKernels:
         assert meta["band_count"] == 2
         assert (out / "kernel_S_S_t0_x.csv").exists()
 
+    def test_one_model_per_frequency(self, tiny_config, monkeypatch):
+        # every pair's kernel comes from one model per frequency, and that
+        # model's extra quantities leave each pair's kernel bytes unchanged
+        path, cfg, tmp = tiny_config
+        cfg["kernels"]["pairs"] = [["S", "S"], ["c", "c"], ["c", "gamma"]]
+        path.write_text(json.dumps(cfg))
+        calls = []
+        build = cli.holography.build_model
+
+        def spy(params, freq, quantities=("S",), **kwargs):
+            calls.append(tuple(quantities))
+            return build(params, freq, quantities=quantities, **kwargs)
+
+        monkeypatch.setattr(cli.holography, "build_model", spy)
+        assert cli.main(["kernels", "--config", str(path), "--out", str(tmp / "all")]) == 0
+        assert calls == [("S", "c", "gamma")] * cfg["kernels"]["band_count"]
+        for pair in cfg["kernels"]["pairs"]:
+            cfg["kernels"]["pairs"] = [pair]
+            path.write_text(json.dumps(cfg))
+            out = tmp / "_".join(pair)
+            assert cli.main(["kernels", "--config", str(path), "--out", str(out)]) == 0
+            name = f"kernel_{pair[0]}_{pair[1]}.hsm"
+            assert (out / name).read_bytes() == (tmp / "all" / name).read_bytes()
+
     def test_single_frequency_band_of_width_one(self, tiny_config, tmp_path):
         path, cfg, tmp = tiny_config
         cfg2 = json.loads(Path(path).read_text())
@@ -191,6 +215,9 @@ class TestInvert:
             rows = list(csv.DictReader(f))
         assert rows and all(int(r["cg_iterations"]) >= 0 for r in rows)
         assert all(r["cg_converged"] in ("0", "1") for r in rows)
+        # the recorded inner residual is the one the CG stop rule read
+        converged = [float(r["cg_residual"]) for r in rows if r["cg_converged"] == "1"]
+        assert converged and all(0.0 <= res <= inversion.CG_TOL for res in converged)
 
 
 class TestExitCodes:

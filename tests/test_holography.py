@@ -261,6 +261,30 @@ class TestDerivativeAdjoint:
             nm = np.sqrt(hs_inner(d, d, w_rec).real)
             assert abs(lhs - rhs) <= 1e-10 * nd * nm
 
+    @pytest.mark.parametrize("q", ["c", "rho"])
+    def test_recast_jacobian_is_the_discrete_derivative(self, nonuniform_model, q):
+        # relative Taylor remainder of recast(q + h dq) falls like h: J_v is the
+        # exact derivative of the discrete recast, flow and Laplacian terms too
+        g, params, freq, model = nonuniform_model
+        params = params.copy()
+        pts = g.interior_nodes
+        if q == "rho":  # no flow: a rho step on a flowing medium is inadmissible
+            params.u = None
+            params.rho = 1.0 + 0.3 * np.exp(-np.sum(pts**2, axis=1) / (2 * 0.2**2))
+        dq = 0.1 * np.exp(-np.sum((pts - [-0.1, 0.05]) ** 2, axis=1) / (2 * 0.1**2))
+        v0 = medium.recast(params, freq).v
+        dv = medium.recast_jacobian(q, params, freq)[0] @ dq
+        hs = [1e-2, 1e-3, 1e-4, 1e-5]
+        rems = []
+        for h in hs:
+            p = params.copy()
+            setattr(p, q, getattr(p, q) + h * dq)
+            rem = medium.recast(p, freq).v - v0 - h * dv
+            rems.append(np.linalg.norm(rem) / (h * np.linalg.norm(dv)))
+        slope = np.polyfit(np.log(hs), np.log(rems), 1)[0]
+        assert 0.9 <= slope <= 1.1, rems
+        assert rems[-1] <= 1e-5, rems
+
     def test_derivative_output_hermitian(self, nonuniform_model):
         g, params, freq, model = nonuniform_model
         rng = np.random.default_rng(3)

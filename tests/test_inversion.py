@@ -131,6 +131,32 @@ class TestCG:
             )
 
 
+class TestCgTolerance:
+    def test_reconstruction_resolved_at_cg_tol(self, setting, monkeypatch):
+        # the shipped CG_TOL reproduces a 1e-10 solve to 1e-4 with the same
+        # stop and iteration count on a short source inversion whose first
+        # step, as in a one-step flow inversion, carries its solve error
+        # into the reconstruction; at 1e-3 this reconstruction moves 3e-4
+        g, truth, freq, hp, g_op, cov, blk = setting
+        r = stochastic.sample_wavefields(hp, g_op, 400, seed=3)
+        corr = stochastic.empirical_corr(r, g.receiver_weights)
+        data = [inversion.FrequencyData(freq=freq, corr=corr, n_realizations=400)]
+        q0 = truth.copy()
+        q0.S = np.zeros(g.n_interior)
+        config = inversion.InversionConfig(
+            grid=g, q0=q0, quantities=("S",), beta=10 * corr.trace() / corr.n,
+            alpha0_scale=0.2, max_outer=2, max_cg=500,
+        )
+        shipped = inversion.run_irgnm(config, data)
+        monkeypatch.setattr(inversion, "CG_TOL", 1e-10)
+        exact = inversion.run_irgnm(config, data)
+        assert all(e["cg_converged"] for e in exact[1]["iterations"])
+        assert shipped[1]["stopped_by"] == exact[1]["stopped_by"]
+        assert len(shipped[1]["iterations"]) == len(exact[1]["iterations"])
+        s, s_exact = shipped[0].S, exact[0].S
+        assert np.linalg.norm(s - s_exact) <= 1e-4 * np.linalg.norm(s_exact)
+
+
 class TestIrgnmStep:
     def test_zero_residual_zero_update(self, setting):
         g, params, freq, hp, g_op, cov, blk = setting
