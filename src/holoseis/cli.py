@@ -167,10 +167,11 @@ def build_grid(cfg: dict) -> greens.Grid:
     )
 
 
-def build_frequencies(cfg: dict) -> List[medium.FrequencyContext]:
+def build_frequencies(cfg: dict, count: Optional[int] = None) -> List[medium.FrequencyContext]:
+    """The configured band at count frequencies (default: frequencies.count)."""
     f = cfg["frequencies"]
     return medium.frequency_band(
-        f["count"],
+        f["count"] if count is None else count,
         2.0 * np.pi * f["f_min_hz"],
         2.0 * np.pi * f["f_max_hz"],
         power=f.get("power", 1.0),
@@ -324,13 +325,7 @@ def cmd_kernels(cfg: dict, out: Path, workers: int = 1) -> List[str]:
     kcfg = cfg.get("kernels", {})
     pairs = [tuple(p) for p in kcfg.get("pairs", [["S", "S"]])]
     band_count = kcfg.get("band_count", cfg["frequencies"]["count"])
-    f = cfg["frequencies"]
-    freqs = medium.frequency_band(
-        band_count,
-        2.0 * np.pi * f["f_min_hz"],
-        2.0 * np.pi * f["f_max_hz"],
-        power=f.get("power", 1.0),
-    )
+    freqs = build_frequencies(cfg, band_count)
     targets_xy = kcfg.get("targets", [[0.0, 0.0]])
     targets = [
         int(np.argmin(np.sum((grid.interior_nodes - np.asarray(t)) ** 2, axis=1)))

@@ -99,7 +99,6 @@ class Hologram:
     """Pointwise egression-ingression correlation on the interior nodes."""
 
     values: np.ndarray
-    omega: float
 
 
 @dataclass
@@ -108,25 +107,22 @@ class KernelMatrix:
 
     entries: (n_rows, n_int) real for scalar quantity pairs, or
     (d_x, d_y, n_rows, n_int) when a flow enters, with d_x = d for a flow
-    row quantity and 1 otherwise (d_y likewise).  row_idx is None when the
-    full interior-by-interior kernel was assembled.
+    row quantity and 1 otherwise (d_y likewise).
     """
 
     entries: np.ndarray
-    quantities: Tuple[str, str]
-    row_idx: Optional[np.ndarray] = None
 
 
 @dataclass
 class NoiseWeight:
-    """Lavrentiev approximation of the inverse data covariance.
+    """Approximation Gamma of the inverse data covariance on the receiver quadrature.
 
-    gamma_n is the kernel of (beta Id + C)^{-1} on the receiver quadrature;
-    as an operator its eigenvalues lie in (0, 1/beta].
+    gamma_n is its kernel: that of (beta Id + C)^{-1} for the Lavrentiev
+    weight, whose operator eigenvalues lie in (0, 1/beta], and diag(1/w) for
+    the identity weight of an unweighted run.
     """
 
     gamma_n: np.ndarray
-    lavrentiev_beta: float
     weights: np.ndarray
 
 
@@ -403,7 +399,7 @@ def backprop_realizations(
     (values,) = _diag_sandwiches(pair.rows, m_adj, (pair.rows,))
     if pair.masks is None:
         values = values.real.astype(np.complex128)
-    return Hologram(values=values, omega=realizations.omega)
+    return Hologram(values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +509,7 @@ def sensitivity_kernel(
     entries = entries.reshape(dx, -1, dy, n).transpose(0, 2, 1, 3)
     if dx == dy == 1:
         entries = entries[0, 0]
-    return KernelMatrix(entries=entries, quantities=(qx, qy), row_idx=tgt)
+    return KernelMatrix(entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +528,4 @@ def smooth_field(grid: Grid, field: np.ndarray, width: float) -> np.ndarray:
         raise UsageError("smoothing requires a structured interior block")
     sigma = width / grid.spacing
     shaped = np.asarray(field).reshape(grid.interior_shape)
-    if np.iscomplexobj(shaped):
-        out = ndimage.gaussian_filter(
-            shaped.real, sigma, mode="constant"
-        ) + 1j * ndimage.gaussian_filter(shaped.imag, sigma, mode="constant")
-    else:
-        out = ndimage.gaussian_filter(shaped, sigma, mode="constant")
-    return out.reshape(field.shape)
+    return ndimage.gaussian_filter(shaped, sigma, mode="constant").reshape(field.shape)

@@ -24,6 +24,11 @@ The regularization follows the power law alpha_n = alpha_0 * ALPHA_DECAY^n
 operator; the loop stops by a discrepancy rule whose noise level comes from
 the separable trace tr(C_4) = tr(C)^2 of the realization-noise covariance.
 
+Every frequency carries a noise weight, so the misfit, the normal operator
+and the right-hand side have one form.  An unweighted run uses the identity
+weight on the receiver quadrature, Gamma = W^{-1}, whose W Gamma W is W; a
+weighted run uses the Lavrentiev weight, whose beta must be positive.
+
 Mass-conserving flow updates solve the same equation in the kernel of the
 density-weighted divergence: CG runs on P N P with the divergence-free
 projector P of the medium module (projected CG), the right-hand side is
@@ -67,7 +72,6 @@ __all__ = [
     "InversionState",
     "CGResult",
     "lavrentiev_weight",
-    "default_lavrentiev_beta",
     "cg_normal_solve",
     "power_iteration",
     "irgnm_step",
@@ -101,7 +105,7 @@ class InversionConfig:
     alpha0: Optional[float] = None  # None: largest eigenvalue by power iteration
     alpha0_scale: float = 1.0  # multiplier on the power-iteration eigenvalue
     tau: float = 1.05
-    beta: Optional[float] = None  # None: 0.1 tr(C_n)/dim per frequency
+    beta: Optional[float] = None  # > 0; None: 0.1 tr(C_n)/dim per frequency
     max_outer: int = 15
     max_cg: int = 50
     weighted: bool = True
@@ -176,11 +180,6 @@ class ParameterSpace:
 # ---------------------------------------------------------------------------
 # Lavrentiev weight and CG
 # ---------------------------------------------------------------------------
-def default_lavrentiev_beta(cov: CovarianceOperator) -> float:
-    """beta = 0.1 tr(C)/dim: a fixed fraction of the mean eigenvalue."""
-    return 0.1 * cov.trace() / cov.n
-
-
 def lavrentiev_weight(cov: CovarianceOperator, beta: float) -> NoiseWeight:
     """Weight Gamma_n = (beta Id + C)^{-1} via a Hermitian eigendecomposition.
 
@@ -196,9 +195,7 @@ def lavrentiev_weight(cov: CovarianceOperator, beta: float) -> NoiseWeight:
     if np.min(vals) <= 0:
         raise NumericalBreakdownError("weight system lost positive definiteness")
     inv = (vecs / vals[None, :]) @ vecs.conj().T
-    return NoiseWeight(
-        gamma_n=0.5 * (inv + inv.conj().T), lavrentiev_beta=float(beta), weights=w.copy()
-    )
+    return NoiseWeight(gamma_n=0.5 * (inv + inv.conj().T), weights=w.copy())
 
 
 @dataclass
@@ -219,19 +216,19 @@ def cg_normal_solve(
     apply_normal: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,
     alpha: float,
+    weights: np.ndarray,
     max_iter: int = 50,
     tol: float = 1e-6,
-    weights: Optional[np.ndarray] = None,
 ) -> CGResult:
     """Conjugate gradients on the self-adjoint PSD system (N + alpha I) x = rhs.
 
     apply_normal evaluates N x (without the alpha shift).  The inner product
-    is quadrature-weighted when weights are supplied, which is what makes the
-    matrix-free normal operator exactly self-adjoint.
+    is quadrature-weighted, which is what makes the matrix-free normal
+    operator exactly self-adjoint.
     """
 
     def inner(a, b):
-        return float(np.sum(a * b * weights)) if weights is not None else float(a @ b)
+        return float(np.sum(a * b * weights))
 
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -268,7 +265,7 @@ def cg_normal_solve(
 def power_iteration(
     apply_op: Callable[[np.ndarray], np.ndarray],
     size: int,
-    weights: Optional[np.ndarray] = None,
+    weights: np.ndarray,
     tol: float = 0.01,
     max_iter: int = 100,
     seed: int = 0,
@@ -278,7 +275,7 @@ def power_iteration(
     v = rng.standard_normal(size)
 
     def inner(a, b):
-        return float(np.sum(a * b * weights)) if weights is not None else float(a @ b)
+        return float(np.sum(a * b * weights))
 
     lam = 0.0
     v /= np.sqrt(inner(v, v))
@@ -303,8 +300,8 @@ def _build_stack(
     data: Sequence[FrequencyData],
     config: InversionConfig,
     greens_cache: Dict[float, GreensOperator],
-) -> List[Tuple[FrequencyData, LinearizedModel, CovarianceOperator, Optional[NoiseWeight]]]:
-    """Per-frequency forward stack at the current iterate."""
+) -> List[Tuple[FrequencyData, LinearizedModel, CovarianceOperator, NoiseWeight]]:
+    """Per-frequency forward stack at the current iterate, each with its noise weight."""
     stack = []
     for item in data:
         omega = item.freq.omega
@@ -322,16 +319,14 @@ def _build_stack(
             boundary_src=config.boundary_src,
         )
         cov = model.covariance()
-        weight = None
-        if config.weighted:
-            if config.beta is not None:
-                beta = config.beta
-            else:
-                # 0.1 tr(C_n)/dim, floored by the data trace so the weight
-                # stays finite when the iterate produces no covariance yet
-                beta = max(default_lavrentiev_beta(cov), default_lavrentiev_beta(item.corr))
-            if beta > 0:
-                weight = lavrentiev_weight(cov, beta)
+        if not config.weighted:
+            weight = NoiseWeight(gamma_n=np.diag(1.0 / cov.weights), weights=cov.weights)
+        elif config.beta is not None:
+            weight = lavrentiev_weight(cov, config.beta)
+        else:
+            # 0.1 tr(C_n)/dim, floored by the data trace so the weight
+            # stays finite when the iterate produces no covariance yet
+            weight = lavrentiev_weight(cov, 0.1 * max(cov.trace(), item.corr.trace()) / cov.n)
         stack.append((item, model, cov, weight))
     return stack
 
@@ -341,15 +336,8 @@ def _misfit_and_noise(stack) -> Tuple[float, float]:
     noise_sq = 0.0
     for item, _model, cov, weight in stack:
         resid = item.corr.matrix - cov.matrix
-        w_rec = cov.weights
-        if weight is None:
-            misfit_sq += hs_inner(resid, resid, w_rec).real
-            tr = cov.trace()
-        else:
-            rw = weighted_residual(weight, resid)
-            misfit_sq += hs_inner(rw, resid, w_rec).real
-            tr = weight_trace_product(weight, cov)
-        noise_sq += tr**2 / item.n_realizations
+        misfit_sq += hs_inner(weighted_residual(weight, resid), resid, cov.weights).real
+        noise_sq += weight_trace_product(weight, cov) ** 2 / item.n_realizations
     return float(np.sqrt(max(misfit_sq, 0.0))), float(np.sqrt(noise_sq))
 
 
@@ -383,8 +371,7 @@ def _make_normal_operator(
         acc = np.zeros_like(flat)
         for _item, model, _cov, weight in stack:
             dc = apply_derivative(model, dq)
-            dc_w = weighted_residual(weight, dc) if weight is not None else dc
-            duals = apply_adjoint(model, dc_w, space.quantities)
+            duals = apply_adjoint(model, weighted_residual(weight, dc), space.quantities)
             acc += space.pack(duals)
         return sandwich(acc)
 
@@ -395,8 +382,7 @@ def _stack_rhs(stack, space: ParameterSpace) -> np.ndarray:
     acc = np.zeros(space.size)
     for item, model, cov, weight in stack:
         resid = item.corr.matrix - cov.matrix
-        rw = weighted_residual(weight, resid) if weight is not None else resid
-        duals = apply_adjoint(model, rw, space.quantities)
+        duals = apply_adjoint(model, weighted_residual(weight, resid), space.quantities)
         acc += space.pack(duals)
     return acc
 
@@ -409,29 +395,18 @@ def _field(params: MediumParams, q: str) -> np.ndarray:
 
 def irgnm_step(
     state: InversionState,
-    data: Sequence[FrequencyData],
+    stack,
     config: InversionConfig,
-    greens_cache: Optional[Dict[float, GreensOperator]] = None,
-    stack=None,
-    sandwich: Optional[Callable] = None,
+    sandwich: Callable,
 ) -> Tuple[Dict[str, np.ndarray], InversionState, dict]:
-    """One Gauss-Newton update at the current iterate.
+    """One Gauss-Newton update from the forward stack at the current iterate.
 
-    Returns the update fields, the advanced state (iterate replaced, schedule
-    moved one step), and per-step diagnostics.  A flow update also reports
-    its divergence residual |R du| and norm |du|.  `sandwich` is the
-    operator of _sandwich_operator; it is built here when not given, and
-    run_irgnm passes one so the projector is factored once per run.
+    stack is _build_stack's at state.q_n and sandwich the operator of
+    _sandwich_operator.  Returns the update fields, the advanced state
+    (iterate replaced, schedule moved one step), and per-step diagnostics.
+    A flow update also reports its divergence residual |R du| and norm |du|.
     """
-    if greens_cache is None:
-        greens_cache = {}
-    if stack is None:
-        stack = _build_stack(state.q_n, data, config, greens_cache)
     space = ParameterSpace(config.grid, config.quantities)
-    if sandwich is None:
-        sandwich = _sandwich_operator(space, config)
-    misfit, noise = _misfit_and_noise(stack)
-
     normal = _make_normal_operator(stack, space, sandwich)
     prox = space.pack(
         {q: _field(state.q_0, q) - _field(state.q_n, q) for q in space.quantities}
@@ -441,16 +416,14 @@ def irgnm_step(
         normal,
         rhs,
         alpha=state.alpha_n,
+        weights=space.weights,
         max_iter=config.max_cg,
         tol=CG_TOL,
-        weights=space.weights,
     )
     update = sandwich(result.x)
     dq_fields = space.unpack(update)
     info = {
         "alpha": state.alpha_n,
-        "misfit": misfit,
-        "noise_level": noise,
         "cg_iterations": result.iterations,
         "cg_converged": result.converged,
         "cg_residual": result.relative_residual,
@@ -495,7 +468,8 @@ def run_irgnm(
     max_outer iterations, or on a divergence guard (three consecutive misfit
     increases).  Diagnostics collect the per-iteration schedule, misfits, and
     parameter errors when the ground truth is supplied.  Every run starts from
-    config.q0; only one forward stack is alive at a time.
+    config.q0; only one forward stack is alive at a time, and its misfit is
+    evaluated once.
     """
     greens_cache: Dict[float, GreensOperator] = {}
     space = ParameterSpace(config.grid, config.quantities)
@@ -522,8 +496,8 @@ def run_irgnm(
     }
     increases = 0
     prev_misfit = None
+    misfit, noise = _misfit_and_noise(stack)
     while state.iteration < config.max_outer:
-        misfit, noise = _misfit_and_noise(stack)
         if misfit <= config.tau * noise:
             diagnostics["stopped_by"] = "discrepancy"
             break
@@ -538,10 +512,8 @@ def run_irgnm(
         prev_misfit = misfit
 
         n = state.iteration
-        dq, state, info = irgnm_step(
-            state, data, config, greens_cache, stack=stack, sandwich=sandwich
-        )
-        entry = {"iteration": n, **info}
+        _, state, info = irgnm_step(state, stack, config, sandwich)
+        entry = {"iteration": n, "misfit": misfit, "noise_level": noise, **info}
         if truth is not None:
             err = {}
             for q in space.quantities:
@@ -554,8 +526,8 @@ def run_irgnm(
         diagnostics["iterations"].append(entry)
         stack = None  # release the current stack before building the next one
         stack = _build_stack(state.q_n, data, config, greens_cache)
+        misfit, noise = _misfit_and_noise(stack)
 
-    misfit, noise = _misfit_and_noise(stack)
     diagnostics["final_misfit"] = misfit
     diagnostics["final_noise_level"] = noise
     return state.q_n, diagnostics

@@ -53,12 +53,10 @@ __all__ = [
 
 @dataclass
 class FrequencyContext:
-    """One member of the frequency band: omega, source power, band metadata."""
+    """One member of the frequency band: omega and source power."""
 
     omega: float
     power: float = 1.0
-    n_frequencies: int = 1
-    band: Tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.omega <= 0:
@@ -74,12 +72,7 @@ def frequency_band(
     if n < 1:
         raise UsageError("need at least one frequency")
     omegas = np.linspace(omega_min, omega_max, n) if n > 1 else np.array([omega_min])
-    return [
-        FrequencyContext(
-            omega=float(w), power=power, n_frequencies=n, band=(omega_min, omega_max)
-        )
-        for w in omegas
-    ]
+    return [FrequencyContext(omega=float(w), power=power) for w in omegas]
 
 
 @dataclass

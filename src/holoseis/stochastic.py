@@ -59,7 +59,6 @@ class RealizationSet:
     fields: np.ndarray
     seed: int
     omega: float
-    grid_hash: str = ""
 
     @property
     def n_realizations(self) -> int:
@@ -205,9 +204,7 @@ def sample_wavefields(
             np.multiply(amp, draws[1], out=row.imag)
         blk *= w
         np.matmul(blk, a_sup.T, out=fields[start:stop])
-    return RealizationSet(
-        fields=fields, seed=int(seed), omega=hp.omega, grid_hash=grid.content_hash()
-    )
+    return RealizationSet(fields=fields, seed=int(seed), omega=hp.omega)
 
 
 def empirical_corr(realizations: RealizationSet, weights: np.ndarray) -> CovarianceOperator:

@@ -307,6 +307,25 @@ class TestExitCodes:
         cfg2["inversion"].update(beta=None, beta_scale=None, alpha0=None)
         cli.validate_config(cfg2)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("beta", -1.0), ("beta", 0.0), ("beta_scale", 0.0), ("beta_scale", -3.0)],
+    )
+    def test_nonpositive_lavrentiev_beta_is_2(self, tiny_config, key, value):
+        # a weighted run needs a Lavrentiev beta > 0: a non-positive level is
+        # rejected, not run as an unweighted inversion
+        path, cfg, tmp = tiny_config
+        out = tmp / "run"
+        assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 0
+        cfg2 = json.loads(path.read_text())
+        cfg2["inversion"][key] = value
+        p2 = tmp / "beta.json"
+        p2.write_text(json.dumps(cfg2))
+        inv = tmp / "inv"
+        argv = ["invert", "--config", str(p2), "--out", str(inv), "--archives", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert not list(inv.glob("reconstruction_*.hsm"))
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_2(self, tiny_config, workers):
         path, cfg, tmp = tiny_config

@@ -26,6 +26,16 @@ def setting():
     return g, params, freq, hp, g_op, cov, blk
 
 
+def _step(state, data, config, stack=None):
+    """irgnm_step from the given stack, or from a fresh one at state.q_n."""
+    if stack is None:
+        stack = inversion._build_stack(state.q_n, data, config, {})
+    space = inversion.ParameterSpace(config.grid, config.quantities)
+    return inversion.irgnm_step(
+        state, stack, config, inversion._sandwich_operator(space, config)
+    )
+
+
 class TestLavrentievWeight:
     def test_zero_covariance_gives_identity_over_beta(self, setting):
         g, *_ = setting
@@ -84,7 +94,9 @@ class TestLavrentievWeight:
 class TestCG:
     def test_identity_converges_in_one_iteration(self):
         rhs = np.arange(1.0, 9.0)
-        res = inversion.cg_normal_solve(lambda x: x, rhs, alpha=0.0, max_iter=10)
+        res = inversion.cg_normal_solve(
+            lambda x: x, rhs, alpha=0.0, weights=np.ones(rhs.size), max_iter=10
+        )
         assert res.iterations == 1
         assert np.allclose(res.x, rhs, atol=1e-14)
 
@@ -94,7 +106,12 @@ class TestCG:
         rng = np.random.default_rng(1)
         rhs = rng.standard_normal(len(diag))
         res = inversion.cg_normal_solve(
-            lambda x: diag * x, rhs, alpha=0.0, max_iter=20, tol=1e-12
+            lambda x: diag * x,
+            rhs,
+            alpha=0.0,
+            weights=np.ones(diag.size),
+            max_iter=20,
+            tol=1e-12,
         )
         assert res.iterations <= 5
         assert np.allclose(res.x, rhs / diag, atol=1e-9)
@@ -119,7 +136,7 @@ class TestCG:
         rhs = rng.standard_normal(n)
         alpha = 0.05 * np.max(np.linalg.eigvalsh(0.5 * (dense + dense.T)))
         res = inversion.cg_normal_solve(
-            normal, rhs, alpha=alpha, max_iter=500, tol=1e-12, weights=space.weights
+            normal, rhs, alpha=alpha, weights=space.weights, max_iter=500, tol=1e-12
         )
         direct = np.linalg.solve(dense + alpha * np.eye(n), rhs)
         assert np.linalg.norm(res.x - direct) <= 1e-8 * np.linalg.norm(direct)
@@ -127,7 +144,7 @@ class TestCG:
     def test_nonfinite_raises(self):
         with pytest.raises(NumericalBreakdownError):
             inversion.cg_normal_solve(
-                lambda x: x * np.nan, np.ones(4), alpha=0.0, max_iter=3
+                lambda x: x * np.nan, np.ones(4), alpha=0.0, weights=np.ones(4), max_iter=3
             )
 
 
@@ -165,7 +182,7 @@ class TestIrgnmStep:
         )
         data = [inversion.FrequencyData(freq=freq, corr=cov, n_realizations=100)]
         state = inversion.InversionState(q_n=params.copy(), q_0=params, alpha_0=1.0)
-        dq, new_state, info = inversion.irgnm_step(state, data, config)
+        dq, new_state, info = _step(state, data, config)
         assert np.max(np.abs(dq["S"])) < 1e-12
         assert new_state.iteration == 1
 
@@ -204,7 +221,7 @@ class TestIrgnmStep:
         )
         data = [inversion.FrequencyData(freq=freq, corr=cov, n_realizations=1)]
         state = inversion.InversionState(q_n=q0.copy(), q_0=q0, alpha_0=alpha)
-        dq, *_ = inversion.irgnm_step(state, data, config)
+        dq, *_ = _step(state, data, config)
         # dense forward matrix: vec(C) = F S in the quadrature metric
         n = g.n_interior
         f_mat = np.zeros((g.n_receivers**2, n), dtype=complex)
@@ -347,12 +364,9 @@ def _null_space_oracle(stack, space, rho, alpha, prox):
             e = np.zeros(n)
             e[j] = 1.0
             dc = holography.apply_derivative(model, space.unpack(e))
-            if weight is not None:
-                dc = holography.weighted_residual(weight, dc)
+            dc = holography.weighted_residual(weight, dc)
             normal[:, j] += space.pack(holography.apply_adjoint(model, dc, ("u",)))
-        resid = item.corr.matrix - cov.matrix
-        if weight is not None:
-            resid = holography.weighted_residual(weight, resid)
+        resid = holography.weighted_residual(weight, item.corr.matrix - cov.matrix)
         rhs += space.pack(holography.apply_adjoint(model, resid, ("u",)))
     z = linalg.null_space(medium.flow_divergence_matrix(space.grid, rho).toarray())
     lhs = z.T @ (normal + alpha * np.eye(n)) @ z
@@ -391,7 +405,7 @@ class TestConstrainedFlow:
             weights=space.weights,
         )
         state = inversion.InversionState(q_n=q_n, q_0=q0, alpha_0=0.01 * lam)
-        du, new_state, info = inversion.irgnm_step(state, data, config, stack=stack)
+        du, new_state, info = _step(state, data, config, stack=stack)
         prox = -q_n.u.ravel(order="F")
         oracle = _null_space_oracle(stack, space, q0.rho, state.alpha_n, prox)
         got = du["u"].ravel(order="F")
@@ -414,7 +428,7 @@ class TestConstrainedFlow:
         config = inversion.InversionConfig(grid=g, q0=q0, quantities=("u",), max_cg=2000)
         state = inversion.InversionState(q_n=q0.copy(), q_0=q0, alpha_0=1.0)
         stack = inversion._build_stack(q0, data, config, {})
-        du, _, info = inversion.irgnm_step(state, data, config, stack=stack)
+        du, _, info = _step(state, data, config, stack=stack)
         assert np.any(du["u"])
         assert info["divergence_residual"] <= 1e-8 * max(info["update_norm"], 1e-300)
         space = inversion.ParameterSpace(g, ("u",))
@@ -442,7 +456,7 @@ class TestConstrainedFlow:
         state = inversion.InversionState(q_n=q_n, q_0=q0, alpha_0=1.0)
         tracemalloc.start()
         try:
-            du, _, info = inversion.irgnm_step(state, data, config, stack=stack)
+            du, _, info = _step(state, data, config, stack=stack)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -505,3 +519,60 @@ class TestOuterLoopMemory:
         _, diag = inversion.run_irgnm(config, data)
         assert len(diag["iterations"]) == 3
         assert alive_at_build == [0, 0, 0, 0]
+
+
+class TestOneDataPath:
+    def test_one_misfit_per_forward_stack(self, setting, monkeypatch):
+        # the stop test, the iteration record and final_misfit all read the
+        # one misfit evaluated per forward stack
+        g, params, freq, hp, g_op, cov, blk = setting
+        r = stochastic.sample_wavefields(hp, g_op, 100, seed=12)
+        corr = stochastic.empirical_corr(r, g.receiver_weights)
+        data = [inversion.FrequencyData(freq=freq, corr=corr, n_realizations=100)]
+        q0 = params.copy()
+        q0.S = np.zeros(g.n_interior)
+        config = inversion.InversionConfig(
+            grid=g, q0=q0, quantities=("S",), max_outer=3, tau=0.0,
+            beta=10 * corr.trace() / corr.n,
+        )
+        calls = {"_build_stack": 0, "_misfit_and_noise": 0}
+        misfits = []
+
+        def spy(name):
+            real = getattr(inversion, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                out = real(*args, **kwargs)
+                if name == "_misfit_and_noise":
+                    misfits.append(out)
+                return out
+
+            monkeypatch.setattr(inversion, name, counted)
+
+        spy("_build_stack")
+        spy("_misfit_and_noise")
+        _, diag = inversion.run_irgnm(config, data)
+        assert len(diag["iterations"]) == 3
+        assert calls["_misfit_and_noise"] == calls["_build_stack"] == 4
+        recorded = [(e["misfit"], e["noise_level"]) for e in diag["iterations"]]
+        assert recorded == misfits[:3]
+        assert (diag["final_misfit"], diag["final_noise_level"]) == misfits[3]
+
+    def test_unweighted_is_identity_weight(self, setting):
+        # weighted=False carries Gamma = W^{-1}: the misfit is the plain
+        # quadrature norm of the residual and the noise level uses tr(C)
+        g, params, freq, hp, g_op, cov, blk = setting
+        r = stochastic.sample_wavefields(hp, g_op, 50, seed=13)
+        corr = stochastic.empirical_corr(r, g.receiver_weights)
+        data = [inversion.FrequencyData(freq=freq, corr=corr, n_realizations=50)]
+        config = inversion.InversionConfig(grid=g, q0=params, quantities=("S",), weighted=False)
+        stack = inversion._build_stack(params, data, config, {})
+        [(_item, _model, model_cov, weight)] = stack
+        resid = corr.matrix - model_cov.matrix
+        rw = holography.weighted_residual(weight, resid)
+        assert np.max(np.abs(rw - resid)) <= 1e-14 * np.max(np.abs(resid))
+        misfit, noise = inversion._misfit_and_noise(stack)
+        plain = np.sqrt(stochastic.hs_inner(resid, resid, g.receiver_weights).real)
+        assert misfit == pytest.approx(plain, rel=1e-13)
+        assert noise == pytest.approx(model_cov.trace() / np.sqrt(50), rel=1e-13)

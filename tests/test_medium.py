@@ -192,7 +192,6 @@ class TestFlowUtilities:
         band = medium.frequency_band(5, 1.0, 2.0)
         omegas = [f.omega for f in band]
         assert omegas == pytest.approx(list(np.linspace(1.0, 2.0, 5)))
-        assert all(f.n_frequencies == 5 and f.band == (1.0, 2.0) for f in band)
 
 
 class TestDescriptors:
