@@ -151,6 +151,12 @@ def validate_config(cfg: dict) -> None:
             for key in names.split() if isinstance(block, dict) else ():
                 if key in block and not (block[key] is None and key in NULLABLE_KEYS):
                     _number(block, key, None, kinds)
+    inv = cfg.get("inversion")
+    weighted = inv.get("weighted", True) if isinstance(inv, dict) else True
+    if not isinstance(weighted, bool):
+        raise UsageError(f"config key 'weighted' must be true or false, got {weighted!r}")
+    if not weighted and any(inv.get(key) is not None for key in ("beta", "beta_scale")):
+        raise UsageError("'beta' and 'beta_scale' set a Lavrentiev weight: 'weighted' is false")
 
 
 def build_grid(cfg: dict) -> greens.Grid:
@@ -410,19 +416,15 @@ def cmd_invert(
         beta = icfg["beta_scale"] * float(
             np.mean([d.corr.trace() / d.corr.n for d in data])
         )
+    # keys the config leaves out keep InversionConfig's defaults
+    keys = "alpha0 alpha0_scale tau max_outer max_cg weighted smoothing_width".split()
     config = inversion.InversionConfig(
         grid=grid,
         q0=q0,
         quantities=quantities,
-        alpha0=icfg.get("alpha0"),
-        alpha0_scale=icfg.get("alpha0_scale", 1.0),
-        tau=icfg.get("tau", 1.05),
         beta=beta,
-        max_outer=icfg.get("max_outer", 15),
-        max_cg=icfg.get("max_cg", 50),
-        weighted=icfg.get("weighted", True),
-        smoothing_width=icfg.get("smoothing_width", 0.0),
         boundary_src=boundary_src,
+        **{key: icfg[key] for key in keys if key in icfg},
     )
     out.mkdir(parents=True, exist_ok=True)
     q_fin, diag = inversion.run_irgnm(config, data, truth=truth)

@@ -505,18 +505,17 @@ class DeltaOperator:
     Attributes
     ----------
     dv : np.ndarray, complex, shape (n_int,)
-    dA : np.ndarray or None, real, shape (n_int, d)
-    gradient_stencil : tuple of sparse matrices
-        The shared finite-difference gradients of the grid.
+    dA : np.ndarray, real, shape (n_int, d)
+        Zero for a zeroth-order perturbation; only a nonzero dA reads the
+        grid's finite-difference gradients, which unstructured grids lack.
     """
 
     dv: np.ndarray
-    dA: Optional[np.ndarray]
-    gradient_stencil: Tuple[sparse.csr_matrix, ...]
+    dA: np.ndarray
 
     def is_zero(self) -> bool:
         """True when dv and dA vanish; a NaN entry counts as nonzero."""
-        return not np.any(self.dv) and (self.dA is None or not np.any(self.dA))
+        return not np.any(self.dv) and not np.any(self.dA)
 
     def operator_matrix(self, grid: Grid) -> sparse.csr_matrix:
         """Sparse (n, n) matrix of (L_q - L_0) acting on full-grid fields."""
@@ -528,8 +527,8 @@ class DeltaOperator:
             (np.ones(n_int), (grid.interior_idx, np.arange(n_int))), shape=(n, n_int)
         )
         block = sparse.diags(self.dv.astype(np.complex128), format="csr")
-        if self.dA is not None:
-            for i, d_i in enumerate(self.gradient_stencil):
+        if np.any(self.dA):
+            for i, d_i in enumerate(grid.gradient_matrices()):
                 block = block - 2j * sparse.diags(self.dA[:, i]) @ d_i
         return (emb @ block @ emb.T).tocsr()
 

@@ -183,7 +183,7 @@ def build_model(
     hp_ref = recast(ref, freq)
     if g_ref is None:
         g_ref = assemble_green(grid, hp.k_ref)
-    delta = helmholtz_delta(hp_ref, hp, grid)
+    delta = helmholtz_delta(hp_ref, hp)
     g = g_ref if delta.is_zero() else update_green(g_ref, delta)
 
     rows = g.receiver_rows

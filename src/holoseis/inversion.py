@@ -387,12 +387,6 @@ def _stack_rhs(stack, space: ParameterSpace) -> np.ndarray:
     return acc
 
 
-def _field(params: MediumParams, q: str) -> np.ndarray:
-    """Field q of params; a missing flow counts as zero."""
-    f = getattr(params, q)
-    return np.zeros((params.grid.n_interior, params.grid.dim)) if f is None else f
-
-
 def irgnm_step(
     state: InversionState,
     stack,
@@ -409,7 +403,7 @@ def irgnm_step(
     space = ParameterSpace(config.grid, config.quantities)
     normal = _make_normal_operator(stack, space, sandwich)
     prox = space.pack(
-        {q: _field(state.q_0, q) - _field(state.q_n, q) for q in space.quantities}
+        {q: getattr(state.q_0, q) - getattr(state.q_n, q) for q in space.quantities}
     )
     rhs = sandwich(_stack_rhs(stack, space)) + state.alpha_n * prox
     result = cg_normal_solve(
@@ -440,7 +434,7 @@ def irgnm_step(
 
     q_next = state.q_n.copy()
     for q, upd in dq_fields.items():
-        new = _field(q_next, q) + upd
+        new = getattr(q_next, q) + upd
         if q in NONNEGATIVE_QUANTITIES:
             clipped = int(np.sum(new < 0))
             if clipped:
@@ -518,9 +512,9 @@ def run_irgnm(
             err = {}
             for q in space.quantities:
                 block = ParameterSpace(config.grid, (q,))
-                t = _field(truth, q)
-                denom = block.norm(block.pack({q: t - _field(config.q0, q)}))
-                num = block.norm(block.pack({q: _field(state.q_n, q) - t}))
+                t = getattr(truth, q)
+                denom = block.norm(block.pack({q: t - getattr(config.q0, q)}))
+                num = block.norm(block.pack({q: getattr(state.q_n, q) - t}))
                 err[q] = num / denom if denom > 0 else np.nan
             entry["param_error"] = err
         diagnostics["iterations"].append(entry)

@@ -2,7 +2,11 @@
 
 A medium is described by sound speed c, density rho, damping gamma >= 0, a
 mass-conserving flow u and a source strength S >= 0 on the interior nodes of
-a grid; the exterior stays frozen at scalar reference values.  The recast map
+a grid; the exterior stays frozen at scalar reference values.  The flow is
+always an (n_int, d) array, and a zero flow is the flow-free medium: the
+stencil terms of u (its mass check, its term in v and in the Jacobians) are
+taken only where the flow is nonzero, so a flow-free medium on an
+unstructured grid never needs finite-difference stencils.  The recast map
 produces the (v, A, S) coefficients of the generic wave operator
 
     -(Laplace + 2i A . grad - v + k^2) psi = s,
@@ -84,8 +88,8 @@ class MediumParams:
     grid : Grid
     c, rho, gamma, S : np.ndarray, shape (n_int,)
         Sound speed, density, damping (>= 0), source strength (>= 0).
-    u : np.ndarray or None, shape (n_int, d)
-        Flow field; None means flow-free.
+    u : np.ndarray, shape (n_int, d)
+        Flow field; zero means flow-free.
     c_ref, rho_ref, gamma_ref : float
         Exterior/reference values; also define the reference wavenumber.
     c_min, rho_min : float
@@ -97,7 +101,7 @@ class MediumParams:
     rho: np.ndarray
     gamma: np.ndarray
     S: np.ndarray
-    u: Optional[np.ndarray] = None
+    u: np.ndarray
     c_ref: float = 1.0
     rho_ref: float = 1.0
     gamma_ref: float = 0.0
@@ -120,15 +124,15 @@ class MediumParams:
             raise InvalidParameterError("damping must be non-negative")
         if np.min(self.S) < 0:
             raise InvalidParameterError("source strength must be non-negative")
-        if self.u is not None:
-            if self.u.shape != (n, self.grid.dim):
-                raise InvalidParameterError(f"u must have shape ({n}, {self.grid.dim})")
-            if not np.all(np.isfinite(self.u)):
-                raise InvalidParameterError("u has non-finite entries")
+        if self.u.shape != (n, self.grid.dim):
+            raise InvalidParameterError(f"u must have shape ({n}, {self.grid.dim})")
+        if not np.all(np.isfinite(self.u)):
+            raise InvalidParameterError("u has non-finite entries")
+        if np.any(self.u):
             r = flow_divergence_matrix(self.grid, self.rho)
             resid = np.linalg.norm(r @ self.u.ravel(order="F"))
             scale = np.linalg.norm(self.rho[:, None] * self.u)
-            if scale > 0 and resid > div_tol * scale:
+            if resid > div_tol * scale:
                 raise InvalidParameterError(
                     f"div(rho u) residual {resid:.3e} exceeds {div_tol:.0e} * |rho u|"
                 )
@@ -140,7 +144,7 @@ class MediumParams:
             rho=self.rho.copy(),
             gamma=self.gamma.copy(),
             S=self.S.copy(),
-            u=None if self.u is None else self.u.copy(),
+            u=self.u.copy(),
         )
 
     def reference_wavenumber(self, freq: FrequencyContext) -> complex:
@@ -155,10 +159,10 @@ class MediumParams:
 
 @dataclass
 class HelmholtzParams:
-    """Recast coefficients (v, A, S) plus the reference wavenumber."""
+    """Recast coefficients (v, A, S) plus the reference wavenumber; A = 0 is flow-free."""
 
     v: np.ndarray  # (n_int,), complex
-    A: Optional[np.ndarray]  # (n_int, d) real or None
+    A: np.ndarray  # (n_int, d), real
     S: np.ndarray  # (n_int,), real >= 0
     k_ref: complex
     omega: float
@@ -166,7 +170,7 @@ class HelmholtzParams:
     def sign_condition(self, grid: Grid) -> np.ndarray:
         """Pointwise div A - Im k^2 + Im v (should be <= 0 for admissibility)."""
         value = np.imag(self.v) - np.imag(self.k_ref**2) * np.ones_like(self.v.real)
-        if self.A is not None:
+        if np.any(self.A):
             dmats = grid.gradient_matrices()
             div_a = sum(dmats[i] @ self.A[:, i] for i in range(self.A.shape[1]))
             value = value + np.real(div_a)
@@ -190,13 +194,12 @@ def recast(params: MediumParams, freq: FrequencyContext) -> HelmholtzParams:
         lap = grid.laplacian_matrix()
         v += np.sqrt(rho) * (lap @ (rho**-0.5))
 
-    a_field = None
-    if params.u is not None and np.any(params.u):
+    if np.any(params.u):
         f = 1.0 / (np.sqrt(rho) * params.c)
         dmats = grid.gradient_matrices()
         grad_f = np.column_stack([d @ f for d in dmats])  # (n, dim)
         v -= 2j * omega * f * rho * np.sum(params.u * grad_f, axis=1)
-        a_field = omega * params.u / params.c[:, None] ** 2
+    a_field = omega * params.u / params.c[:, None] ** 2
     return HelmholtzParams(v=v, A=a_field, S=params.S.copy(), k_ref=k_ref, omega=omega)
 
 
@@ -219,7 +222,7 @@ def recast_jacobian(
     grid = params.grid
     omega = freq.omega
     c, rho, u = params.c, params.rho, params.u
-    flow = u is not None and np.any(u)
+    flow = np.any(u)
     if q_name == "gamma":
         return _diag(-2j * omega / c**2), None
 
@@ -266,22 +269,9 @@ def _diag(x: np.ndarray) -> sparse.csr_matrix:
     return sparse.csr_matrix((x, np.arange(n), np.arange(n + 1)), shape=(n, n))
 
 
-def helmholtz_delta(ref: HelmholtzParams, hp: HelmholtzParams, grid: Grid) -> DeltaOperator:
+def helmholtz_delta(ref: HelmholtzParams, hp: HelmholtzParams) -> DeltaOperator:
     """Perturbation operator (L_q - L_0) between two recast parameter sets."""
-    dv = hp.v - ref.v
-    if hp.A is None and ref.A is None:
-        da = None
-    else:
-        d = grid.dim
-        a1 = hp.A if hp.A is not None else np.zeros((grid.n_interior, d))
-        a0 = ref.A if ref.A is not None else np.zeros((grid.n_interior, d))
-        da = a1 - a0
-        if not np.any(da):
-            da = None
-    # stencils are only needed for first-order (flow) perturbations, and are
-    # unavailable on unstructured source grids
-    stencil = grid.gradient_matrices() if da is not None else ()
-    return DeltaOperator(dv=dv, dA=da, gradient_stencil=stencil)
+    return DeltaOperator(dv=hp.v - ref.v, dA=hp.A - ref.A)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +345,7 @@ def uniform_medium(
         rho=np.full(n, float(rho)),
         gamma=np.full(n, float(gamma)),
         S=np.full(n, float(source)),
-        u=None,
+        u=np.zeros((n, grid.dim)),
         c_ref=float(c),
         rho_ref=float(rho),
         gamma_ref=float(gamma),

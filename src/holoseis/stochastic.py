@@ -39,7 +39,6 @@ __all__ = [
     "sample_wavefields",
     "empirical_corr",
     "source_cov_from_damping",
-    "isserlis_cov4_apply",
     "hs_inner",
     "hs_norm",
 ]
@@ -79,9 +78,6 @@ class CovarianceOperator:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.matrix @ (self.weights * f)
 
     def operator_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the weighted operator W^{1/2} C W^{1/2} (real)."""
@@ -227,15 +223,3 @@ def source_cov_from_damping(params: MediumParams, freq: FrequencyContext) -> np.
     if np.min(params.gamma) < 0:
         raise UsageError("damping must be non-negative")
     return freq.power * params.gamma / params.c**2
-
-
-def isserlis_cov4_apply(cov: CovarianceOperator, e: np.ndarray) -> np.ndarray:
-    """Apply the separable realization-noise operator C4 (f x g) = Cf x Cg.
-
-    For a kernel E on Gamma x Gamma the action is C o E o C* composed with
-    the receiver quadrature; the 4-index tensor is never materialized.
-    """
-    if e.shape != cov.matrix.shape:
-        raise UsageError("kernel shape must match the covariance")
-    w = cov.weights
-    return cov.matrix @ (w[:, None] * e * w[None, :]) @ cov.matrix.conj().T

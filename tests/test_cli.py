@@ -326,6 +326,35 @@ class TestExitCodes:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert not list(inv.glob("reconstruction_*.hsm"))
 
+    @pytest.mark.parametrize(
+        "update",
+        [
+            {"weighted": "false"},  # a non-empty string would run weighted
+            {"weighted": 0},
+            {"weighted": None},
+            {"weighted": False, "beta": -1.0},  # a level with no weight to set
+            {"weighted": False, "beta": 0.5},
+            {"weighted": False, "beta_scale": 5.0},
+        ],
+        ids=["string", "int", "null", "beta-neg", "beta-pos", "beta_scale"],
+    )
+    def test_weighted_takes_effect_or_is_2(self, tiny_config, update):
+        # 'weighted' is a JSON bool, and an unweighted run takes no
+        # Lavrentiev level: either contradiction is rejected, not run
+        path, cfg, tmp = tiny_config
+        out = tmp / "run"
+        assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 0
+        cfg2 = json.loads(path.read_text())
+        cfg2["inversion"].update(update)
+        with pytest.raises(UsageError):
+            cli.validate_config(cfg2)
+        p2 = tmp / "weighted.json"
+        p2.write_text(json.dumps(cfg2))
+        inv = tmp / "inv"
+        argv = ["invert", "--config", str(p2), "--out", str(inv), "--archives", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert not inv.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_2(self, tiny_config, workers):
         path, cfg, tmp = tiny_config

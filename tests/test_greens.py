@@ -259,7 +259,7 @@ def setup():
     pts = g.interior_nodes
     mask = (np.abs(pts[:, 0] - 0.1) < 0.2) & (np.abs(pts[:, 1] + 0.1) < 0.2)
     dv[mask] = 3.0 + 1.0j
-    delta = greens.DeltaOperator(dv=dv, dA=None, gradient_stencil=g.gradient_matrices())
+    delta = greens.DeltaOperator(dv=dv, dA=np.zeros((g.n_interior, 2)))
     return g, g0, delta
 
 
@@ -268,9 +268,7 @@ class TestUpdateGreen:
     def test_zero_delta_bit_equal(self, setup):
         g, g0, _ = setup
         d0 = greens.DeltaOperator(
-            dv=np.zeros(g.n_interior, dtype=complex),
-            dA=None,
-            gradient_stencil=g.gradient_matrices(),
+            dv=np.zeros(g.n_interior, dtype=complex), dA=np.zeros((g.n_interior, 2))
         )
         gq = greens.update_green(g0, d0)
         assert np.array_equal(gq.kernel, g0.kernel)
@@ -291,9 +289,7 @@ class TestUpdateGreen:
         w = g.weights
 
         def remainder(scale):
-            d = greens.DeltaOperator(
-                dv=scale * delta.dv, dA=None, gradient_stencil=delta.gradient_stencil
-            )
+            d = greens.DeltaOperator(dv=scale * delta.dv, dA=delta.dA)
             gq = greens.update_green(g0, d)
             m = d.operator_matrix(g).toarray()
             first = g0.kernel - (g0.kernel * w[None, :]) @ m @ g0.kernel
@@ -308,11 +304,7 @@ class TestUpdateGreen:
         pts = g.interior_nodes
         mask = np.sum(pts**2, axis=1) < 0.16
         da[mask, 0] = 0.5
-        delta = greens.DeltaOperator(
-            dv=np.zeros(g.n_interior, dtype=complex),
-            dA=da,
-            gradient_stencil=g.gradient_matrices(),
-        )
+        delta = greens.DeltaOperator(dv=np.zeros(g.n_interior, dtype=complex), dA=da)
         gq = greens.update_green(g0, delta)
         asym = np.max(np.abs(gq.kernel - gq.kernel.T))
         assert asym > 1e-8
@@ -336,8 +328,8 @@ class TestUpdateGreen:
         def rel(got, ref):
             return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
-        for dv, dA in ((delta.dv, None), (no_dv, da), (delta.dv, da)):
-            d = greens.DeltaOperator(dv=dv, dA=dA, gradient_stencil=delta.gradient_stencil)
+        for dv, dA in ((delta.dv, delta.dA), (no_dv, da), (delta.dv, da)):
+            d = greens.DeltaOperator(dv=dv, dA=dA)
             m = d.operator_matrix(g).toarray()
             direct = np.linalg.solve(np.eye(g.n_nodes) + (k0 * g.weights[None, :]) @ m, k0)
             gq = greens.update_green(g0, d)
@@ -398,7 +390,7 @@ class TestUpdateGreen:
         g, g0, delta = setup
         dv = np.full(g.n_interior, background, dtype=complex)
         dv[3] = np.nan
-        d = greens.DeltaOperator(dv=dv, dA=None, gradient_stencil=delta.gradient_stencil)
+        d = greens.DeltaOperator(dv=dv, dA=delta.dA)
         with pytest.raises((ResonanceError, NumericalBreakdownError)):
             greens.update_green(g0, d)
 

@@ -208,6 +208,28 @@ class TestPropagators:
         den = np.linalg.norm(exact.beta_scalar[:, inner])
         assert num / den < 0.05
 
+    def test_perturbed_disk_grid_needs_no_stencils(self):
+        # a disk grid has no finite-difference stencils; a flow-free sound-speed
+        # perturbation still reaches the resolvent update, which matches the
+        # dense solve of the same second-kind system
+        lam = 0.4
+        g = greens.disk_grid(0.5, lam, 7.5, receiver_radius=0.3, n_receivers=12)
+        with pytest.raises(UsageError):
+            g.gradient_matrices()
+        freq = medium.FrequencyContext(omega=2 * np.pi / lam)
+        params = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=0.5)
+        params.S = np.full(g.n_interior, 0.5)
+        params.c = 1.0 + 0.1 * np.exp(-np.sum(g.interior_nodes**2, axis=1) / 0.02)
+        model = holography.build_model(params, freq, quantities=("S", "c"))
+        assert model.g._lu is not None  # the factored form of update_green
+        ref = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=0.5)
+        delta = medium.helmholtz_delta(medium.recast(ref, freq), model.hp)
+        k0 = greens.assemble_green(g, model.hp.k_ref).kernel
+        m = delta.operator_matrix(g).toarray()
+        direct = np.linalg.solve(np.eye(g.n_nodes) + (k0 * g.weights[None, :]) @ m, k0)
+        rel = np.max(np.abs(model.g.kernel - direct)) / np.max(np.abs(direct))
+        assert rel <= 1e-8
+
 
 class TestReceiverRows:
     def test_evaluated_once_per_iterate(self, monkeypatch):
@@ -269,7 +291,7 @@ class TestDerivativeAdjoint:
         params = params.copy()
         pts = g.interior_nodes
         if q == "rho":  # no flow: a rho step on a flowing medium is inadmissible
-            params.u = None
+            params.u = np.zeros_like(params.u)
             params.rho = 1.0 + 0.3 * np.exp(-np.sum(pts**2, axis=1) / (2 * 0.2**2))
         dq = 0.1 * np.exp(-np.sum((pts - [-0.1, 0.05]) ** 2, axis=1) / (2 * 0.1**2))
         v0 = medium.recast(params, freq).v

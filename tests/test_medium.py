@@ -22,7 +22,8 @@ class TestRecast:
         params = medium.uniform_medium(grid, c=2.0, rho=3.0, gamma=0.0)
         hp = medium.recast(params, freq)
         assert np.max(np.abs(hp.v)) < 1e-12 * abs(hp.k_ref) ** 2
-        assert hp.A is None
+        assert params.u.shape == (grid.n_interior, 2) and not np.any(params.u)
+        assert not np.any(hp.A)
 
     def test_flow_coefficient_formula(self, grid, freq):
         # A = omega u / c^2: omega = 1, c = 2, u = (4, 0) -> A = (1, 0)
@@ -161,9 +162,8 @@ class TestPartialDerivatives:
             hp = medium.recast(p, freq)
             rem = np.linalg.norm(hp.v - hp0.v - h * dv)
             if q == "u":
-                a0 = hp0.A if hp0.A is not None else 0.0
                 da = (j_a @ flat).reshape(dq.shape, order="F")
-                rem += np.linalg.norm(hp.A - a0 - h * da)
+                rem += np.linalg.norm(hp.A - hp0.A - h * da)
             rems.append(max(rem, 1e-300))
         if max(rems) < 1e-10:  # exactly linear map (e.g. u at flat background)
             return
@@ -200,7 +200,7 @@ class TestDescriptors:
         params = medium.medium_from_descriptor(grid, desc)
         assert np.allclose(params.c, 2.0)
         assert np.allclose(params.rho, 1.5)
-        assert params.u is None
+        assert not np.any(params.u)
 
     def test_block_perturbation(self, grid):
         desc = {
@@ -251,7 +251,7 @@ class TestDescriptors:
         }
         params = medium.medium_from_descriptor(grid, desc)
         params.validate()
-        assert params.u is not None and np.any(params.u)
+        assert np.any(params.u)
 
     def test_raw_field_reference(self, grid, tmp_path):
         from holoseis import io as hio

@@ -219,32 +219,6 @@ class TestSourceModel:
 
 
 class TestIsserlis:
-    def test_identity_weight_leaves_kernel(self, setting):
-        g, *_ , cov = setting
-        rng = np.random.default_rng(0)
-        e = rng.standard_normal((g.n_receivers,) * 2) * (1 + 0j)
-        ident = stochastic.CovarianceOperator(
-            matrix=np.diag(1.0 / g.receiver_weights), weights=g.receiver_weights
-        )
-        out = stochastic.isserlis_cov4_apply(ident, e)
-        assert np.allclose(out, e, atol=1e-12)
-
-    def test_rank_one_separability(self, setting):
-        g, *_, cov = setting
-        rng = np.random.default_rng(1)
-        f = rng.standard_normal(g.n_receivers) + 1j * rng.standard_normal(g.n_receivers)
-        h = rng.standard_normal(g.n_receivers) + 1j * rng.standard_normal(g.n_receivers)
-        e = np.outer(f, h.conj())
-        out = stochastic.isserlis_cov4_apply(cov, e)
-        cf = cov.apply(f)
-        ch = cov.apply(h)
-        assert np.allclose(out, np.outer(cf, ch.conj()), atol=1e-12 * np.abs(out).max())
-
-    def test_shape_mismatch(self, setting):
-        *_, cov = setting
-        with pytest.raises(UsageError):
-            stochastic.isserlis_cov4_apply(cov, np.zeros((3, 3)))
-
     def test_fourth_moments_match_second_moments(self):
         # Cov(Corr(r1,r2), Corr(r3,r4)) = C(r1,r3) C(r4,r2), sampled over
         # 1e5 realizations.  The four receivers sit within a quarter
