@@ -13,10 +13,11 @@ stored *without* weights and every application inserts them explicitly.
 
 The interior nodes lie on a lattice of step ``grid.spacing``, so the uniform
 reference kernel is evaluated once per distinct lattice offset and gathered
-into the interior block on first use; receiver rows, all that sampling and
-the Lindsey-Braun propagators read, are evaluated pair by pair without it.
-No kernel is kept between calls or on disk: every assembly evaluates it
-afresh.
+into the interior block on first use.  Receiver rows, all that sampling and
+the Lindsey-Braun propagators read, need no gather: their interior columns
+are evaluated for one receiver per orbit of the grid's quarter-turn symmetry,
+the rest by permutation, and the receiver block directly.  No kernel is kept
+between calls or on disk: every assembly evaluates it afresh.
 
 A perturbed medium enters through the second-kind identity
 
@@ -108,6 +109,9 @@ class Grid:
     spacing: Optional[float] = None
     domain_measure: Optional[float] = None
     _stencils: Optional[Tuple[sparse.csr_matrix, ...]] = field(
+        default=None, repr=False, compare=False
+    )
+    _quarter_turn: Optional[Tuple[np.ndarray, ...]] = field(
         default=None, repr=False, compare=False
     )
 
@@ -396,8 +400,9 @@ def _diagonal_values(grid: Grid, k: complex) -> np.ndarray:
 
     Receiver self-entries are line averages set by assemble_receiver_rows.
     """
-    w = grid.interior_weights
-    return np.array([green_diagonal_2d(k, a) for a in np.sqrt(w / np.pi)])
+    cell_radius = np.sqrt(grid.interior_weights / np.pi)
+    log_avg = np.log(1.0 / cell_radius) + 0.5  # the formula of green_diagonal_2d
+    return (log_avg - np.log(complex(k) / 2.0) - EULER_GAMMA) / (2.0 * np.pi) + 0.25j
 
 
 def _radial_kernel(k: complex, r: np.ndarray) -> np.ndarray:
@@ -422,6 +427,46 @@ def _lattice_indices(grid: Grid) -> np.ndarray:
     if len(np.unique(lattice, axis=0)) != len(lattice):
         raise UsageError("two interior nodes share a lattice point")
     return lattice
+
+
+def _quarter_turn(grid: Grid) -> Tuple[np.ndarray, ...]:
+    """Interior permutations P^s of the grid's quarter-turn group, identity first.
+
+    The rotation (x, y) -> (-y, x) maps interior position j to P[j] and
+    receiver i to receiver i + n_rec/4 (mod n_rec).  The group is accepted
+    only when the rotated node coordinates equal the permuted ones to a few
+    ulps; otherwise (n_rec not a multiple of 4, no lattice, a non-square
+    lattice, an off-centre ring) it is the identity alone.  Cached on the grid.
+    """
+    if grid._quarter_turn is None:
+        object.__setattr__(grid, "_quarter_turn", _find_quarter_turn(grid))
+    return grid._quarter_turn
+
+
+def _find_quarter_turn(grid: Grid) -> Tuple[np.ndarray, ...]:
+    identity = (np.arange(grid.n_interior),)
+    n_rec = grid.n_receivers
+    if n_rec % 4:
+        return identity
+    try:
+        lattice = _lattice_indices(grid)
+    except UsageError:
+        return identity
+    top = lattice.max()
+    turned = np.column_stack([top - lattice[:, 1], lattice[:, 0]])
+    position = np.full((top + 1, top + 1), -1)
+    position[tuple(lattice.T)] = np.arange(len(lattice))
+    perm = position[tuple(turned.T)]
+    if np.any(perm < 0):
+        return identity
+    src = np.concatenate([grid.interior_idx, grid.receiver_idx])
+    dst = np.concatenate([grid.interior_idx[perm], np.roll(grid.receiver_idx, -n_rec // 4)])
+    turned_nodes = grid.nodes[src][:, ::-1] * [-1.0, 1.0]  # exact: a swap and a sign
+    # the ring's angles 2 pi i / n_rec round to about 4 ulps of the radius
+    tol = 16 * np.finfo(float).eps * np.max(np.abs(grid.nodes))
+    if np.max(np.abs(turned_nodes - grid.nodes[dst])) > tol:
+        return identity
+    return identity + (perm, perm[perm], perm[perm[perm]])
 
 
 def assemble_green(
@@ -480,17 +525,32 @@ def assemble_green(
 def assemble_receiver_rows(grid: Grid, k: complex) -> np.ndarray:
     """Receiver-row block G(x_r, y_j) for all grid nodes, without the full matrix.
 
-    Receiver self-entries get the line-averaged diagonal.
+    The interior columns are evaluated for one receiver per orbit of the
+    grid's quarter-turn group and permuted into the rest of the orbit,
+    rows[i + s n_rec/4, P^s j] = rows[i, j]; a grid without the symmetry has
+    the identity group, so every receiver is its own representative.  The
+    receiver block is evaluated directly and so is exactly symmetric, as the
+    gather's rows and rows.T require; its diagonal is the line average.
     """
     _require_2d(grid)
+    perms = _quarter_turn(grid)
+    n_rep = grid.n_receivers // len(perms)
     rec = grid.receiver_nodes
-    diff = rec[:, None, :] - grid.nodes[None, :, :]
-    r = np.sqrt(np.sum(diff**2, axis=-1))
-    self_pos = (np.arange(grid.n_receivers), grid.receiver_idx)
-    r[self_pos] = 1.0
-    rows = _radial_kernel(k, r)
-    rows[self_pos] = [_green_diagonal_line_2d(k, ell) for ell in grid.receiver_weights]
+    rows = np.empty((grid.n_receivers, grid.n_nodes), dtype=np.complex128)
+    rep = _radial_kernel(k, _distances(rec[:n_rep], grid.interior_nodes))
+    for s, perm in enumerate(perms):
+        rows[s * n_rep : (s + 1) * n_rep][:, grid.interior_idx[perm]] = rep
+    r = _distances(rec, rec)
+    np.fill_diagonal(r, 1.0)
+    block = _radial_kernel(k, r)
+    np.fill_diagonal(block, [_green_diagonal_line_2d(k, ell) for ell in grid.receiver_weights])
+    rows[:, grid.receiver_idx] = block
     return rows
+
+
+def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pairwise distances |x_i - y_j|, exactly symmetric under swapping x and y."""
+    return np.sqrt(np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -167,15 +167,6 @@ class HelmholtzParams:
     k_ref: complex
     omega: float
 
-    def sign_condition(self, grid: Grid) -> np.ndarray:
-        """Pointwise div A - Im k^2 + Im v (should be <= 0 for admissibility)."""
-        value = np.imag(self.v) - np.imag(self.k_ref**2) * np.ones_like(self.v.real)
-        if np.any(self.A):
-            dmats = grid.gradient_matrices()
-            div_a = sum(dmats[i] @ self.A[:, i] for i in range(self.A.shape[1]))
-            value = value + np.real(div_a)
-        return value
-
 
 # ---------------------------------------------------------------------------
 # Recast and its Jacobians

@@ -63,6 +63,16 @@ class TestDiagonal2D:
         for a in (1e-1, 1e-2, 1e-3):
             assert greens.green_diagonal_2d(1.0, a).imag == pytest.approx(0.25)
 
+    def test_interior_diagonal_is_the_scalar_formula(self):
+        g = greens.disk_grid(0.4, 0.4, receiver_radius=0.3, n_receivers=12)
+        k = 7.0 + 0.5j
+        got = greens._diagonal_values(g, k)
+        ref = np.array(
+            [greens.green_diagonal_2d(k, a) for a in np.sqrt(g.interior_weights / np.pi)]
+        )
+        assert np.ptp(g.interior_weights) > 0
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-15
+
     def test_wavenumber_constant_shift(self):
         a = 1e-2
         diff = greens.green_diagonal_2d(2.0, a) - greens.green_diagonal_2d(1.0, a)
@@ -176,11 +186,15 @@ class TestLatticeAssembly:
         "make",
         [
             lambda: greens.square_grid(0.6, 0.5, 7.5, 1.0, n_receivers=16),
+            lambda: greens.square_grid(0.6, 0.5, 7.5, 1.0, n_receivers=18),
+            lambda: greens.square_grid(
+                0.6, 0.5, 7.5, 1.0, n_receivers=16, receiver_phase=0.013
+            ),
             lambda: greens.disk_grid(
                 0.4, 0.4, receiver_radius=0.3, n_receivers=12, receiver_phase=0.1
             ),
         ],
-        ids=["square", "disk"],
+        ids=["square", "square-no-quarter-turn", "square-phase", "disk"],
     )
     def test_every_offdiagonal_entry_matches_point_evaluation(self, make):
         g = make()
@@ -190,6 +204,44 @@ class TestLatticeAssembly:
         off = ~np.eye(g.n_nodes, dtype=bool)
         rel = np.abs(kernel[off] - ref[off]) / np.abs(ref[off])
         assert np.max(rel) <= 1e-13
+
+    def test_receiver_rows_evaluate_one_receiver_per_orbit(self, grid, monkeypatch):
+        points = []
+        hankel = greens.hankel_h1_array
+
+        def counted(n, z):
+            points.append(np.size(z))
+            return hankel(n, z)
+
+        monkeypatch.setattr(greens, "hankel_h1_array", counted)
+        k = 7.0 + 0.5j
+        n, n_rec = grid.n_nodes, grid.n_receivers
+        greens.assemble_receiver_rows(grid, k)
+        assert sum(points) <= n * n_rec // 4 + n_rec**2
+
+        # the same ring moved off the block's centre has no quarter turn
+        nodes = grid.nodes.copy()
+        nodes[grid.receiver_idx] += [0.05, 0.0]
+        shifted = greens.Grid(
+            nodes=nodes,
+            weights=grid.weights,
+            receiver_idx=grid.receiver_idx,
+            interior_idx=grid.interior_idx,
+            wavelength_resolution=grid.wavelength_resolution,
+            interior_shape=grid.interior_shape,
+            spacing=grid.spacing,
+        )
+        points.clear()
+        rows = greens.assemble_receiver_rows(shifted, k)
+        assert sum(points) == n * n_rec
+        ref = np.array(
+            [
+                [greens.green_uniform(k, x, y) if i != j else np.nan for j, y in enumerate(nodes)]
+                for i, x in zip(shifted.receiver_idx, shifted.receiver_nodes)
+            ]
+        )
+        off = ~np.isnan(ref)
+        assert np.max(np.abs(rows[off] - ref[off]) / np.abs(ref[off])) <= 1e-13
 
     def test_off_lattice_node_raises(self, grid):
         nodes = grid.nodes.copy()
