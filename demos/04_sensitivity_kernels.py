@@ -49,10 +49,11 @@ def fwhm(row, t_idx):
 
 
 acc = {("S", "S"): 0.0, ("c", "c"): 0.0}
+weight = holography.NoiseWeight.identity(grid.receiver_weights)  # unweighted kernels
 for fr in freqs:
     model = holography.build_model(params, fr, quantities=("S", "c"))
     for pair in acc:
-        kern = holography.sensitivity_kernel(model, pair, targets=targets)
+        kern = holography.sensitivity_kernel(model, pair, weight, targets=targets)
         acc[pair] = acc[pair] + kern.entries
 
 for pair, total in acc.items():
@@ -65,9 +66,9 @@ for pair, total in acc.items():
 model = holography.build_model(params, freqs[len(freqs) // 2],
                                quantities=("c", "gamma"))
 tgt = [targets[1]]
-k_cc = holography.sensitivity_kernel(model, ("c", "c"), targets=tgt)
-k_gg = holography.sensitivity_kernel(model, ("gamma", "gamma"), targets=tgt)
-k_cg = holography.sensitivity_kernel(model, ("c", "gamma"), targets=tgt)
+k_cc = holography.sensitivity_kernel(model, ("c", "c"), weight, targets=tgt)
+k_gg = holography.sensitivity_kernel(model, ("gamma", "gamma"), weight, targets=tgt)
+k_cg = holography.sensitivity_kernel(model, ("c", "gamma"), weight, targets=tgt)
 print("joint-block kernel magnitudes at the second target "
       "(normalized to the sound-speed kernel):")
 ref = np.max(np.abs(k_cc.entries))

@@ -317,10 +317,11 @@ def criterion_8_kernel_width() -> Tuple[bool, str]:
         int(np.argmin(np.sum((pts - np.asarray(t)) ** 2, axis=1))) for t in targets_xy
     ]
     acc = {("S", "S"): 0.0, ("c", "c"): 0.0}
+    weight = holography.NoiseWeight.identity(grid.receiver_weights)
     for fr in freqs:
         model = holography.build_model(params, fr, quantities=("S", "c"))
         for pair in acc:
-            kern = holography.sensitivity_kernel(model, pair, targets=targets)
+            kern = holography.sensitivity_kernel(model, pair, weight, targets=targets)
             acc[pair] = acc[pair] + kern.entries
     details = []
     passed = True
@@ -413,7 +414,7 @@ def criterion_10_sound_speed_irgnm() -> Tuple[bool, str]:
     data = []
     for i, fr in enumerate(freqs):
         m_true = holography.build_model(truth, fr, quantities=("c",))
-        r = stochastic.sample_wavefields(m_true.hp, m_true.g, 200, seed=500 + i)
+        r = stochastic.sample_wavefields(m_true.hp, m_true, 200, seed=500 + i)
         corr = stochastic.empirical_corr(r, grid.receiver_weights)
         data.append(inversion.FrequencyData(freq=fr, corr=corr, n_realizations=200))
     m0 = holography.build_model(q0, freqs[0], quantities=("c",))
@@ -473,7 +474,7 @@ def criterion_11_constrained_flow() -> Tuple[bool, str]:
     data = []
     for i, fr in enumerate(freqs):
         m_true = holography.build_model(truth, fr, quantities=("u",))
-        r = stochastic.sample_wavefields(m_true.hp, m_true.g, 1000, seed=800 + i)
+        r = stochastic.sample_wavefields(m_true.hp, m_true, 1000, seed=800 + i)
         corr = stochastic.empirical_corr(r, grid.receiver_weights)
         data.append(inversion.FrequencyData(freq=fr, corr=corr, n_realizations=1000))
     m0 = holography.build_model(q0, freqs[0], quantities=("u",))

@@ -221,6 +221,15 @@ def _read_archive(
     )
 
 
+def _frequency_data(
+    archives: Path, idx: int, grid: greens.Grid, freq: medium.FrequencyContext
+) -> inversion.FrequencyData:
+    """Corr of frequency idx's archive and its sample count."""
+    r = _read_archive(archives, idx, grid, freq)
+    corr = stochastic.empirical_corr(r, grid.receiver_weights)
+    return inversion.FrequencyData(freq=freq, corr=corr, n_realizations=r.n_realizations)
+
+
 def _map(fn, items, workers: int) -> list:
     """[fn(item) for item in items], on a thread pool when workers > 1."""
     if workers > 1:
@@ -246,9 +255,7 @@ def cmd_synth(cfg: dict, out: Path, workers: int = 1) -> List[str]:
     def synth_one(item):
         idx, freq = item
         model = holography.build_model(truth, freq, quantities=("S",))
-        r = stochastic.sample_wavefields(
-            model.hp, model.g, n, seed=_frequency_seed(seed, idx)
-        )
+        r = stochastic.sample_wavefields(model.hp, model, n, seed=_frequency_seed(seed, idx))
         path = _archive_path(out, idx)
         hio.write_realizations(path, r.fields, grid.content_hash(), freq.omega, r.seed)
         return str(path)
@@ -344,11 +351,12 @@ def cmd_kernels(cfg: dict, out: Path, workers: int = 1) -> List[str]:
 
     # one model per frequency, linearized for every quantity of every pair
     quantities = tuple(sorted({q for pair in pairs for q in pair} | {"S"}))
+    weight = holography.NoiseWeight.identity(grid.receiver_weights)
 
     def kernels_one(freq):
         model = holography.build_model(reference, freq, quantities=quantities)
         return [
-            holography.sensitivity_kernel(model, pair, targets=targets).entries
+            holography.sensitivity_kernel(model, pair, weight, targets=targets).entries
             for pair in pairs
         ]
 
@@ -392,14 +400,11 @@ def cmd_invert(
     # from the truth background unless S itself is inverted
     if "S" not in quantities:
         q0.S = truth.S.copy()
-    freqs = build_frequencies(cfg)
-    data = []
-    for idx, freq in enumerate(freqs):
-        r = _read_archive(archives, idx, grid, freq)
-        corr = stochastic.empirical_corr(r, grid.receiver_weights)
-        data.append(
-            inversion.FrequencyData(freq=freq, corr=corr, n_realizations=r.n_realizations)
-        )
+    # each frequency keeps its Corr; its realizations are freed before the next read
+    data = [
+        _frequency_data(archives, idx, grid, freq)
+        for idx, freq in enumerate(build_frequencies(cfg))
+    ]
     boundary_src = None
     bnd = cfg["medium"].get("boundary_source")
     if bnd is not None:

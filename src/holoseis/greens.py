@@ -608,7 +608,6 @@ class GreensOperator:
         self,
         grid: Grid,
         k_ref: complex,
-        _kernel: Optional[np.ndarray] = None,
         _gather: Optional[Callable[[Optional[np.ndarray]], np.ndarray]] = None,
         _base: Optional[np.ndarray] = None,
         _supp: Optional[np.ndarray] = None,
@@ -617,7 +616,7 @@ class GreensOperator:
     ):
         self.grid = grid
         self.k_ref = complex(k_ref)
-        self._kernel = _kernel
+        self._kernel: Optional[np.ndarray] = None
         self._gather = _gather  # builds the dense kernel from the receiver rows, if known
         self._receiver_rows: Optional[np.ndarray] = None
         self._base = _base  # K0, shape (n, n)
@@ -707,13 +706,12 @@ def update_green(
     factorized by pivoted LU of the m x m core.  A reciprocal-condition
     estimate guards against interior resonances and non-finite perturbations.
 
-    For a vanishing perturbation the base kernel is returned unchanged
-    (bit-identical copy).
+    A vanishing perturbation returns g0 itself, ungathered if it was lazy.
     """
+    if delta.is_zero():
+        return g0
     grid = g0.grid
     k0 = g0.kernel
-    if delta.is_zero():
-        return GreensOperator(grid=grid, k_ref=g0.k_ref, _kernel=k0.copy())
     m_full = delta.operator_matrix(grid)  # sparse (n, n)
     supp = np.flatnonzero(np.diff(m_full.indptr))
     v = m_full[supp][:, grid.interior_idx]

@@ -34,7 +34,7 @@ stored without weights and every contraction inserts them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -125,6 +125,11 @@ class NoiseWeight:
     gamma_n: np.ndarray
     weights: np.ndarray
 
+    @classmethod
+    def identity(cls, weights: np.ndarray) -> "NoiseWeight":
+        """Gamma = W^{-1} on the receiver quadrature: W Gamma W is W, to rounding."""
+        return cls(gamma_n=np.diag(1.0 / weights), weights=weights)
+
 
 # ---------------------------------------------------------------------------
 # Model assembly at one parameter state
@@ -134,16 +139,20 @@ SlotJacobians = Tuple[Optional[sparse.csr_matrix], Optional[sparse.csr_matrix]]
 
 @dataclass
 class LinearizedModel:
-    """Forward stack at one iterate: Green's operator, propagators, Jacobians.
+    """Forward stack at one iterate: receiver rows, propagators, Jacobians.
 
-    jacobians[q] holds (J_v, J_A) of recast_jacobian for each linearized
-    quantity other than S; adjoint_jacobians[q] holds their weighted
-    transposes W_q^{-1} J^T W, which carry slot duals back to q.
+    receiver_rows is Tr G of the iterate's Green's operator, all that
+    sampling, the model covariance and the Lindsey-Braun pair read, so a
+    model stands in for the operator there; the operator itself (the LU of
+    a resolvent update) is not kept.  jacobians[q] holds (J_v, J_A) of
+    recast_jacobian for each linearized quantity other than S;
+    adjoint_jacobians[q] holds their weighted transposes W_q^{-1} J^T W,
+    which carry slot duals back to q.
     """
 
     grid: Grid
     hp: HelmholtzParams
-    g: GreensOperator
+    receiver_rows: np.ndarray  # (n_rec, n)
     h_alpha: np.ndarray  # (n_rec, n_int)
     beta_scalar: Optional[np.ndarray]  # (n_rec, n_int)
     beta_flow: Optional[Tuple[np.ndarray, ...]]  # plain-gradient ingressions
@@ -152,7 +161,7 @@ class LinearizedModel:
     boundary_src: Optional[np.ndarray] = None
 
     def covariance(self) -> CovarianceOperator:
-        return forward_covariance(self.hp, self.g, self.boundary_src)
+        return forward_covariance(self.hp, self, self.boundary_src)
 
 
 def build_model(
@@ -184,6 +193,7 @@ def build_model(
     if g_ref is None:
         g_ref = assemble_green(grid, hp.k_ref)
     delta = helmholtz_delta(hp_ref, hp)
+    # the reference medium itself never enters the resolvent update
     g = g_ref if delta.is_zero() else update_green(g_ref, delta)
 
     rows = g.receiver_rows
@@ -208,7 +218,7 @@ def build_model(
     return LinearizedModel(
         grid=grid,
         hp=hp,
-        g=g,
+        receiver_rows=rows,
         h_alpha=h_alpha,
         beta_scalar=beta_scalar,
         beta_flow=beta_flow,
@@ -238,9 +248,12 @@ def _is_index(i, n: int) -> bool:
 
 
 def lindsey_braun_pair(
-    g: GreensOperator, pupils: Optional[Tuple[Sequence[int], Sequence[int]]] = None
+    g: Union[GreensOperator, LinearizedModel],
+    pupils: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
 ) -> PropagatorPair:
     """Classical choice H_alpha = H_beta = Tr G used for feature maps.
+
+    g is a Green's operator or a model: only its grid and receiver rows are read.
 
     Pupils are two receiver index lists; each propagator keeps only the rows
     of its pupil, held as a 0/1 mask over the one shared array of rows.
@@ -405,13 +418,6 @@ def backprop_realizations(
 # ---------------------------------------------------------------------------
 # Noise weighting and sensitivity kernels
 # ---------------------------------------------------------------------------
-def _weight_sandwich(weight: Optional[NoiseWeight], w_rec: np.ndarray) -> np.ndarray:
-    """W N W for a noise weight, or plain diag(w) for the identity weight."""
-    if weight is None:
-        return np.diag(w_rec)
-    return w_rec[:, None] * weight.gamma_n * w_rec[None, :]
-
-
 def weighted_residual(weight: NoiseWeight, residual: np.ndarray) -> np.ndarray:
     """Kernel of Gamma o R o Gamma (the whitened residual of the iteration)."""
     w = weight.weights
@@ -451,8 +457,8 @@ def _slot_terms(model: LinearizedModel, q: str) -> list:
 
 def sensitivity_kernel(
     model: LinearizedModel,
-    quantities: Tuple[str, str] = ("S", "S"),
-    weight: Optional[NoiseWeight] = None,
+    quantities: Tuple[str, str],
+    weight: NoiseWeight,
     targets: Optional[Sequence[int]] = None,
     budget_bytes: int = KERNEL_BUDGET_BYTES,
 ) -> KernelMatrix:
@@ -460,7 +466,9 @@ def sensitivity_kernel(
 
     C' is a sum of terms l diag(w Phi dq) r^H over the propagator pairs
     (l, r) in {(a, b), (b, a), (a, b_i), (b_i, a), (a, a)}, with the slot
-    maps Phi read from the model's Jacobians.  With F[l, r] = l^H WNW r,
+    maps Phi read from the model's Jacobians.  With N the kernel of the
+    noise weight (NoiseWeight.identity for unweighted kernels) and
+    F[l, r] = l^H WNW r,
 
         K = Re sum_{s, t} Phi_s^* (F[l_s, l_t] o F[r_t, r_s]^T) Phi_t,
 
@@ -486,7 +494,8 @@ def sensitivity_kernel(
 
     props = {"a": model.h_alpha, "b": model.beta_scalar}
     props.update({f"b{i}": b_i for i, b_i in enumerate(model.beta_flow or ())})
-    wnw = _weight_sandwich(weight, grid.receiver_weights)
+    w_rec = grid.receiver_weights
+    wnw = w_rec[:, None] * weight.gamma_n * w_rec[None, :]
     back: Dict[str, np.ndarray] = {}
     f_rows: Dict[Tuple[str, str], np.ndarray] = {}
 

@@ -301,7 +301,12 @@ def _build_stack(
     config: InversionConfig,
     greens_cache: Dict[float, GreensOperator],
 ) -> List[Tuple[FrequencyData, LinearizedModel, CovarianceOperator, NoiseWeight]]:
-    """Per-frequency forward stack at the current iterate, each with its noise weight."""
+    """Per-frequency forward stack at the current iterate, each with its noise weight.
+
+    An entry keeps the model's receiver rows and ingressions, not its Green's
+    operator, so the LU of each frequency's resolvent update is freed before
+    the next frequency is built: at most one is alive at a time.
+    """
     stack = []
     for item in data:
         omega = item.freq.omega
@@ -320,7 +325,7 @@ def _build_stack(
         )
         cov = model.covariance()
         if not config.weighted:
-            weight = NoiseWeight(gamma_n=np.diag(1.0 / cov.weights), weights=cov.weights)
+            weight = NoiseWeight.identity(cov.weights)
         elif config.beta is not None:
             weight = lavrentiev_weight(cov, config.beta)
         else:

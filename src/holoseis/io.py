@@ -32,7 +32,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,16 +56,31 @@ __all__ = [
 ]
 
 
+def _payload(arr: np.ndarray) -> np.ndarray:
+    """Row-major bytes of arr as a flat uint8 array, which a file writes from
+    or reads into: a view of arr's own buffer when it is C-contiguous
+    (zero-size and rank-0 arrays included), else one row-major copy."""
+    return np.ascontiguousarray(arr).reshape(-1).view(np.uint8)
+
+
+def _read_payload(f, shape: Tuple[int, ...], path) -> np.ndarray:
+    """Read a row-major complex128 payload of this shape straight into a new array."""
+    arr = np.empty(shape, dtype=np.complex128)
+    if f.readinto(_payload(arr)) != arr.nbytes:
+        raise UsageError(f"{path}: truncated payload")
+    return arr
+
+
 def write_matrix(path, array: np.ndarray) -> None:
     """Write a complex array in the binary grid-matrix format."""
-    arr = np.asarray(array, dtype=np.complex128)  # keeps rank 0; tobytes is row-major
+    arr = np.asarray(array, dtype=np.complex128)  # keeps rank 0
     with open(path, "wb") as f:
         f.write(MATRIX_MAGIC)
         f.write(struct.pack("<I", FORMAT_VERSION))
         f.write(struct.pack("<Q", arr.ndim))
         for d in arr.shape:
             f.write(struct.pack("<Q", d))
-        f.write(arr.tobytes())
+        f.write(_payload(arr))
 
 
 def _read_exact(f, size: int, path, part: str) -> bytes:
@@ -87,9 +102,7 @@ def read_matrix(path) -> np.ndarray:
             raise UsageError(f"{path}: unsupported version {version}")
         (rank,) = struct.unpack("<Q", _read_exact(f, 8, path, "header"))
         shape = struct.unpack("<" + "Q" * rank, _read_exact(f, 8 * rank, path, "header"))
-        count = int(np.prod(shape)) if rank else 1
-        payload = _read_exact(f, 16 * count, path, "payload")
-        return np.frombuffer(payload, dtype=np.complex128).reshape(shape).copy()
+        return _read_payload(f, shape, path)
 
 
 @dataclass
@@ -123,7 +136,7 @@ def write_realizations(
                 FORMAT_VERSION, digest, float(omega), arr.shape[0], int(seed), arr.shape[1]
             )
         )
-        f.write(arr.tobytes())
+        f.write(_payload(arr))
 
 
 def read_realizations(path) -> RealizationArchive:
@@ -139,13 +152,12 @@ def read_realizations(path) -> RealizationArchive:
         version, digest, omega, n_real, seed, n_rec = _ARCHIVE_HEADER.unpack(header)
         if version != FORMAT_VERSION:
             raise UsageError(f"{path}: unsupported version {version}")
-        payload = _read_exact(f, 16 * n_real * n_rec, path, "payload")
         return RealizationArchive(
             grid_hash=digest.hex(),
             omega=omega,
             n_realizations=n_real,
             seed=seed,
-            fields=np.frombuffer(payload, dtype=np.complex128).reshape(n_real, n_rec).copy(),
+            fields=_read_payload(f, (n_real, n_rec), path),
         )
 
 

@@ -21,7 +21,7 @@ moving one bit generator's counter, without a new generator per realization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 from scipy.linalg.blas import zherk
@@ -29,6 +29,9 @@ from scipy.linalg.blas import zherk
 from .errors import UsageError
 from .greens import Grid, GreensOperator
 from .medium import FrequencyContext, HelmholtzParams, MediumParams
+
+if TYPE_CHECKING:
+    from .holography import LinearizedModel
 
 _SAMPLE_BATCH: int = 1024  # realizations per GEMM with the receiver rows
 
@@ -134,11 +137,12 @@ def _boundary_block(
 
 def forward_covariance(
     hp: HelmholtzParams,
-    g: GreensOperator,
+    g: Union[GreensOperator, LinearizedModel],
     boundary_src: Optional[Union[np.ndarray, float]] = None,
 ) -> CovarianceOperator:
     """Model covariance C = Tr G (M_S + Tr* Cov[s_bnd] Tr) G* Tr* on receivers.
 
+    g is a Green's operator or a model: only its grid and receiver rows are read.
     boundary_src may be a 1D array (diagonal boundary source strength M_B on
     the receiver/boundary nodes) or a dense PSD kernel matrix on them.
     """
@@ -161,12 +165,13 @@ def forward_covariance(
 
 def sample_wavefields(
     hp: HelmholtzParams,
-    g: GreensOperator,
+    g: Union[GreensOperator, LinearizedModel],
     n_realizations: int,
     seed: int,
 ) -> RealizationSet:
     """Draw N independent surface wavefields Tr(G s) for circular Gaussian s.
 
+    g is a Green's operator or a model: only its grid and receiver rows are read.
     Only the m nodes of supp(S) = {i : S_i != 0} are drawn and summed.
     Realization j takes 2m normals from the Philox stream
     ``Philox(key=seed).jumped(j)``, whose counter is [0, 0, j, 0]: the real

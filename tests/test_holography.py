@@ -92,7 +92,7 @@ class TestPropagators:
     def test_source_pair_alpha_equals_beta(self, setting):
         g, params, freq, model = setting
         # without pupils both propagators are the one array of receiver rows
-        pair = holography.lindsey_braun_pair(model.g)
+        pair = holography.lindsey_braun_pair(model)
         assert pair.masks is None
         assert np.array_equal(pair.rows, model.h_alpha)
 
@@ -102,9 +102,11 @@ class TestPropagators:
         point.S = np.zeros(g.n_interior)
         j = g.n_interior // 3
         point.S[j] = 1.0
-        m = holography.build_model(point, freq, quantities=("c",), g_ref=model.g)
-        col = model.g.kernel[g.receiver_idx, g.interior_idx[j]]
-        row = model.g.kernel[g.interior_idx, g.interior_idx[j]]
+        # a flat medium: the model's operator is the reference itself
+        g_ref = greens.assemble_green(g, model.hp.k_ref)
+        m = holography.build_model(point, freq, quantities=("c",), g_ref=g_ref)
+        col = g_ref.kernel[g.receiver_idx, g.interior_idx[j]]
+        row = g_ref.kernel[g.interior_idx, g.interior_idx[j]]
         expect = g.interior_weights[j] * np.outer(col, row.conj())
         assert np.allclose(m.beta_scalar, expect, atol=1e-12 * np.abs(expect).max())
 
@@ -136,7 +138,7 @@ class TestPropagators:
             from scipy.special import hankel1
 
             rec = g.receiver_nodes
-            gx = model.g.kernel[np.ix_(g.receiver_idx, g.interior_idx)]
+            gx = model.receiver_rows[:, g.interior_idx]
             diff = pts[:, None, :] - pts[None, :, :]  # y - z
             r = np.sqrt(np.sum(diff**2, axis=-1))
             np.fill_diagonal(r, 1.0)
@@ -159,7 +161,7 @@ class TestPropagators:
     def test_pupil_masks_zero_rows(self, setting):
         g, params, freq, model = setting
         pupils = ([0, 1, 2], [3, 4])
-        pair = holography.lindsey_braun_pair(model.g, pupils=pupils)
+        pair = holography.lindsey_braun_pair(model, pupils=pupils)
         expect = np.zeros((2, g.n_receivers))
         expect[0, :3] = 1.0
         expect[1, 3:5] = 1.0
@@ -182,12 +184,12 @@ class TestPropagators:
     def test_invalid_pupils_raise(self, setting, pupils):
         g, params, freq, model = setting
         with pytest.raises(UsageError, match="pupils"):
-            holography.lindsey_braun_pair(model.g, pupils=pupils)
+            holography.lindsey_braun_pair(model, pupils=pupils)
 
     def test_unknown_quantity_raises(self, setting):
         g, params, freq, model = setting
         with pytest.raises(UsageError):
-            holography.build_model(params, freq, quantities=("zeta",), g_ref=model.g)
+            holography.build_model(params, freq, quantities=("zeta",))
 
     def test_imag_shortcut_matches_product_on_equipartition_grid(self):
         # damping-proportional sources surrounding the receivers: the exact
@@ -221,13 +223,17 @@ class TestPropagators:
         params.S = np.full(g.n_interior, 0.5)
         params.c = 1.0 + 0.1 * np.exp(-np.sum(g.interior_nodes**2, axis=1) / 0.02)
         model = holography.build_model(params, freq, quantities=("S", "c"))
-        assert model.g._lu is not None  # the factored form of update_green
         ref = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=0.5)
         delta = medium.helmholtz_delta(medium.recast(ref, freq), model.hp)
-        k0 = greens.assemble_green(g, model.hp.k_ref).kernel
+        g_ref = greens.assemble_green(g, model.hp.k_ref)
+        gq = greens.update_green(g_ref, delta)
+        assert gq._lu is not None  # the factored form of update_green
+        # the model's receiver rows are those of that factored operator
+        assert np.array_equal(model.receiver_rows, gq.receiver_rows)
+        k0 = g_ref.kernel
         m = delta.operator_matrix(g).toarray()
         direct = np.linalg.solve(np.eye(g.n_nodes) + (k0 * g.weights[None, :]) @ m, k0)
-        rel = np.max(np.abs(model.g.kernel - direct)) / np.max(np.abs(direct))
+        rel = np.max(np.abs(gq.kernel - direct)) / np.max(np.abs(direct))
         assert rel <= 1e-8
 
 
@@ -251,11 +257,12 @@ class TestReceiverRows:
         monkeypatch.setattr(greens.GreensOperator, "rows", spy)
         model = holography.build_model(params, freq, quantities=("c",))
         model.covariance()
-        stochastic.sample_wavefields(model.hp, model.g, 4, seed=1)
-        on_iterate = [idx for op, idx in calls if op is model.g]
+        stochastic.sample_wavefields(model.hp, model, 4, seed=1)
+        on_iterate = [(op, idx) for op, idx in calls if op._lu is not None]
         assert len(on_iterate) == 1
-        assert np.array_equal(on_iterate[0], g.receiver_idx)
-        assert np.array_equal(model.g.receiver_rows, rows(model.g, g.receiver_idx))
+        op, idx = on_iterate[0]
+        assert np.array_equal(idx, g.receiver_idx)
+        assert np.array_equal(model.receiver_rows, rows(op, g.receiver_idx))
 
 
 class TestDerivativeAdjoint:
@@ -341,7 +348,7 @@ class TestDerivativeAdjoint:
         hp1 = medium.HelmholtzParams(
             v=model.hp.v, A=model.hp.A, S=s, k_ref=model.hp.k_ref, omega=freq.omega
         )
-        cov = stochastic.forward_covariance(hp1, model.g)
+        cov = stochastic.forward_covariance(hp1, model)
         dual = holography.apply_adjoint(model, cov.matrix, ("S",))["S"]
         assert np.argmax(dual) == j
 
@@ -351,10 +358,10 @@ class TestBackpropagation:
         # the paper's identity: back-propagation is C'* applied to the data,
         # the S block of the adjoint at the empirical correlation
         g, params, freq, model = setting
-        pair = holography.lindsey_braun_pair(model.g)
+        pair = holography.lindsey_braun_pair(model)
         w = g.receiver_weights
         for n in (300, 1, 5):  # N < n_rec = 16 gives a rank-deficient correlation
-            r = stochastic.sample_wavefields(model.hp, model.g, n, seed=5)
+            r = stochastic.sample_wavefields(model.hp, model, n, seed=5)
             holo = holography.backprop_realizations(pair, r, w).values
             corr = stochastic.empirical_corr(r, w).matrix
             dual = holography.apply_adjoint(model, corr, ("S",))["S"]
@@ -372,10 +379,10 @@ class TestBackpropagation:
         data, holos = [], []
         for i, freq in enumerate(freqs):
             m = holography.build_model(truth, freq, quantities=("S",))
-            r = stochastic.sample_wavefields(m.hp, m.g, 40, seed=30 + i)
+            r = stochastic.sample_wavefields(m.hp, m, 40, seed=30 + i)
             corr = stochastic.empirical_corr(r, g.receiver_weights)
             data.append(inversion.FrequencyData(freq=freq, corr=corr, n_realizations=40))
-            pair = holography.lindsey_braun_pair(m.g)
+            pair = holography.lindsey_braun_pair(m)
             holos.append(holography.backprop_realizations(pair, r, g.receiver_weights))
         config = inversion.InversionConfig(grid=g, q0=q0, quantities=("S",), weighted=False)
         stack = inversion._build_stack(q0, data, config, {})
@@ -390,10 +397,10 @@ class TestBackpropagation:
         # Diag(H_alpha^H W Corr W H_beta) from the empirical correlation of the
         # same realizations; the pupil pair holds two distinct arrays
         g, params, freq, model = setting
-        pair = holography.lindsey_braun_pair(model.g, pupils=pupils)
+        pair = holography.lindsey_braun_pair(model, pupils=pupils)
         w = g.receiver_weights
         for n in (300, 1, 5):  # N < n_rec = 16 gives a rank-deficient correlation
-            r = stochastic.sample_wavefields(model.hp, model.g, n, seed=5)
+            r = stochastic.sample_wavefields(model.hp, model, n, seed=5)
             holo = holography.backprop_realizations(pair, r, w).values
             corr = stochastic.empirical_corr(r, w).matrix
             masks = np.ones((2, g.n_receivers)) if pair.masks is None else pair.masks
@@ -410,8 +417,8 @@ class TestBackpropagation:
 
     def test_single_realization_gram_nonnegative(self, setting):
         g, params, freq, model = setting
-        r = stochastic.sample_wavefields(model.hp, model.g, 1, seed=6)
-        pair = holography.lindsey_braun_pair(model.g)
+        r = stochastic.sample_wavefields(model.hp, model, 1, seed=6)
+        pair = holography.lindsey_braun_pair(model)
         holo = holography.backprop_realizations(pair, r, g.receiver_weights)
         assert np.max(np.abs(holo.values.imag)) <= 1e-14 * np.max(np.abs(holo.values))
         assert np.min(holo.values.real) >= 0.0
@@ -419,10 +426,10 @@ class TestBackpropagation:
     def test_peak_memory_independent_of_realization_count(self, setting):
         # the back-propagated factor rows number at most n_rec, whatever N is
         g, params, freq, model = setting
-        pair = holography.lindsey_braun_pair(model.g, pupils=([0, 2, 4, 6], [1, 2, 3, 9]))
+        pair = holography.lindsey_braun_pair(model, pupils=([0, 2, 4, 6], [1, 2, 3, 9]))
         peaks = []
         for n in (64, 4000):
-            r = stochastic.sample_wavefields(model.hp, model.g, n, seed=5)
+            r = stochastic.sample_wavefields(model.hp, model, n, seed=5)
             tracemalloc.start()
             holography.backprop_realizations(pair, r, g.receiver_weights)
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -433,12 +440,12 @@ class TestBackpropagation:
     def test_expectation_over_batches(self, setting):
         g, params, freq, model = setting
         cov = model.covariance()
-        pair = holography.lindsey_braun_pair(model.g)
+        pair = holography.lindsey_braun_pair(model)
         expect = holography.apply_adjoint(model, cov.matrix, ("S",))["S"]
         acc = np.zeros(g.n_interior, dtype=complex)
         batches, n = 50, 32
         for s in range(batches):
-            r = stochastic.sample_wavefields(model.hp, model.g, n, seed=7000 + s)
+            r = stochastic.sample_wavefields(model.hp, model, n, seed=7000 + s)
             acc += holography.backprop_realizations(pair, r, g.receiver_weights).values
         acc /= batches
         rel = np.linalg.norm(acc - expect) / np.linalg.norm(expect)
@@ -467,6 +474,10 @@ KERNEL_CASES = [("setting", p) for p in FIRST_PAIRS] + [
 ]
 
 
+def _unweighted(g):
+    return holography.NoiseWeight.identity(g.receiver_weights)
+
+
 class TestSensitivityKernels:
     @pytest.mark.parametrize(
         "fixture, pair", KERNEL_CASES, ids=[f"pair{i}" for i in range(len(KERNEL_CASES))]
@@ -492,30 +503,43 @@ class TestSensitivityKernels:
         scale = np.max(np.abs(via_comp))
         assert np.max(np.abs(via_kernel - via_comp)) <= 1e-10 * scale
 
+    def test_identity_weight_sandwich_is_plain_w(self):
+        # W Gamma W of the identity weight is diag(w) to within one ulp on
+        # rings of 16 to 100 receivers, and bit for bit on the 40-receiver
+        # ring of the kernel preset, criterion 8 and demo 04
+        for n_rec in range(16, 101):
+            w = greens.square_grid(0.2, 0.5, 7.5, 1.0, n_receivers=n_rec).receiver_weights
+            gamma = holography.NoiseWeight.identity(w).gamma_n
+            wnw = w[:, None] * gamma * w[None, :]
+            assert not np.any(wnw - np.diag(np.diag(wnw)))
+            assert np.all(np.abs(np.diag(wnw) - w) <= np.spacing(w))
+            if n_rec == 40:
+                assert np.array_equal(wnw, np.diag(w))
+
     def test_source_kernel_nonnegative(self, setting):
         g, params, freq, model = setting
-        kern = holography.sensitivity_kernel(model, ("S", "S"))
+        kern = holography.sensitivity_kernel(model, ("S", "S"), _unweighted(g))
         assert kern.entries.min() >= 0.0
 
     def test_targets_mode_matches_rows(self, setting):
         g, params, freq, model = setting
-        full = holography.sensitivity_kernel(model, ("c", "c"))
+        full = holography.sensitivity_kernel(model, ("c", "c"), _unweighted(g))
         tgt = np.array([4, 57, 200])
-        rows = holography.sensitivity_kernel(model, ("c", "c"), targets=tgt)
+        rows = holography.sensitivity_kernel(model, ("c", "c"), _unweighted(g), targets=tgt)
         assert np.allclose(
             rows.entries, full.entries[tgt, :], atol=1e-10 * np.abs(full.entries).max()
         )
 
     def test_scalar_kernel_symmetry(self, setting):
         g, params, freq, model = setting
-        kern = holography.sensitivity_kernel(model, ("c", "c"))
+        kern = holography.sensitivity_kernel(model, ("c", "c"), _unweighted(g))
         assert np.max(np.abs(kern.entries - kern.entries.T)) <= 1e-10 * np.max(
             np.abs(kern.entries)
         )
 
     def test_flow_kernel_exchange_symmetry(self, setting):
         g, params, freq, model = setting
-        kern = holography.sensitivity_kernel(model, ("u", "u"))
+        kern = holography.sensitivity_kernel(model, ("u", "u"), _unweighted(g))
         scale = np.max(np.abs(kern.entries))
         for p in range(2):
             for q in range(2):
@@ -526,7 +550,7 @@ class TestSensitivityKernels:
     def test_memory_guard_suggests_targets(self, setting):
         g, params, freq, model = setting
         with pytest.raises(MemoryBudgetError):
-            holography.sensitivity_kernel(model, ("S", "S"), budget_bytes=128)
+            holography.sensitivity_kernel(model, ("S", "S"), _unweighted(g), budget_bytes=128)
 
 
 class TestSmoothing:
@@ -548,7 +572,7 @@ class TestSmoothing:
 class TestHologramIntensity:
     def test_empty_pupil_gives_zero_hologram(self, setting):
         g, params, freq, model = setting
-        r = stochastic.sample_wavefields(model.hp, model.g, 16, seed=9)
-        pair = holography.lindsey_braun_pair(model.g, pupils=([], []))
+        r = stochastic.sample_wavefields(model.hp, model, 16, seed=9)
+        pair = holography.lindsey_braun_pair(model, pupils=([], []))
         holo = holography.backprop_realizations(pair, r, g.receiver_weights)
         assert not np.any(holo.values)

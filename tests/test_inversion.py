@@ -421,7 +421,7 @@ class TestConstrainedFlow:
         psi = np.exp(-np.sum(pts**2, axis=1) / (2 * 0.18**2))
         truth.u = medium.stream_function_flow(g, psi, truth.rho, amplitude=0.01)
         m_true = holography.build_model(truth, freq, quantities=("u",), g_ref=g_op)
-        r = stochastic.sample_wavefields(m_true.hp, m_true.g, 400, seed=5)
+        r = stochastic.sample_wavefields(m_true.hp, m_true, 400, seed=5)
         corr = stochastic.empirical_corr(r, g.receiver_weights)
         data = [inversion.FrequencyData(freq=freq, corr=corr, n_realizations=400)]
         q0 = params.copy()
@@ -519,6 +519,40 @@ class TestOuterLoopMemory:
         _, diag = inversion.run_irgnm(config, data)
         assert len(diag["iterations"]) == 3
         assert alive_at_build == [0, 0, 0, 0]
+
+    def test_stack_keeps_no_factored_operator(self):
+        # a sound-speed stack on the whole interior: each frequency's m x m LU
+        # is freed once its entry holds the receiver rows and ingressions, so
+        # the stack plus the reference kernels it caches stay below the F
+        # kernels, one LU and the entries' (n_rec, n) blocks
+        g = greens.square_grid(0.3, 0.2 / 1.02, 7.1, receiver_radius=1.0, n_receivers=16)
+        freqs = medium.frequency_band(3, 2 * np.pi / 0.21, 2 * np.pi / 0.2)
+        q0 = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=0.1)
+        q0.S = np.full(g.n_interior, 0.5)
+        q0.c = 1.0 + 0.1 * np.exp(-np.sum(g.interior_nodes**2, axis=1) / 0.045)
+        data = []
+        for freq in freqs:
+            cov = holography.build_model(q0, freq, quantities=("S",)).covariance()
+            data.append(inversion.FrequencyData(freq=freq, corr=cov, n_realizations=100))
+        config = inversion.InversionConfig(
+            grid=g, q0=q0, quantities=("c",), beta=0.1 * data[0].corr.trace() / g.n_receivers
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            greens_cache = {}  # run_irgnm keeps the reference operators across iterates
+            stack = inversion._build_stack(q0, data, config, greens_cache)
+            gc.collect()
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(stack) == len(greens_cache) == 3
+        n, m, n_rec = g.n_nodes, g.n_interior, g.n_receivers
+        # slack: per entry, the receiver rows and the two propagators
+        # (n_rec, n_int), plus 64 kB for the sparse Jacobians, parameter
+        # fields and receiver matrices
+        slack = 3 * (3 * 16 * n_rec * n + 64 * 1024)
+        assert current < 3 * 16 * n**2 + 16 * m**2 + slack, current
 
 
 class TestOneDataPath:

@@ -1,6 +1,7 @@
 """Binary formats, archives, manifests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,34 @@ class TestMatrixFormat:
             path = tmp_path / "x.hsm"
             hio.write_matrix(path, arr)
             assert np.array_equal(hio.read_matrix(path), arr)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (0, 3), (3, 0)], ids=str)
+    def test_roundtrip_rank0_and_zero_size(self, tmp_path, shape):
+        arr = np.full(shape, 1.5 - 2j)
+        path = tmp_path / "x.hsm"
+        hio.write_matrix(path, arr)
+        back = hio.read_matrix(path)
+        assert back.shape == shape
+        assert np.array_equal(back, arr)
+
+    def test_roundtrip_strided(self, tmp_path):
+        arr = (np.arange(24) * (1 + 1j)).reshape(4, 6)[:, ::2]  # a strided view
+        path = tmp_path / "x.hsm"
+        hio.write_matrix(path, arr)
+        assert np.array_equal(hio.read_matrix(path), arr)
+
+    def test_roundtrip_stages_no_copy(self, tmp_path):
+        arr = np.ones((4096, 64), dtype=complex)
+        path = tmp_path / "m.hsm"
+        tracemalloc.start()
+        try:
+            hio.write_matrix(path, arr)
+            back = hio.read_matrix(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, arr)
+        assert peak < 1.25 * arr.nbytes
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "m.hsm"
@@ -80,6 +109,21 @@ class TestRealizationArchive:
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(UsageError, match="truncated"):
             hio.read_realizations(path)
+
+    def test_roundtrip_stages_no_copy(self, tmp_path):
+        # the payload is written from the array's own buffer and read into the
+        # returned array, so a write-read cycle holds one payload, not two
+        fields = np.ones((4096, 64), dtype=complex)
+        path = tmp_path / "r.hsr"
+        tracemalloc.start()
+        try:
+            hio.write_realizations(path, fields, "ab" * 32, 1.0, 0)
+            arc = hio.read_realizations(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(arc.fields, fields)
+        assert peak < 1.25 * fields.nbytes
 
     def test_missing_archive_names_path(self, tmp_path):
         path = tmp_path / "nowhere" / "r.hsr"
