@@ -8,7 +8,7 @@ Subcommands
     invert     run the regularized Gauss-Newton inversion on archives
     selftest   run the acceptance suite (one pass/fail line per criterion)
 
-All experiments are described by one JSON document (see EXAMPLE_CONFIG).
+All experiments are described by one JSON document (see configs/ and the README).
 Outputs are binary grid files, CSV cuts, and JSON metadata; every run writes
 a manifest sufficient to reproduce its outputs bit-identically.
 
@@ -35,34 +35,6 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-EXAMPLE_CONFIG = {
-    "geometry": {
-        "half_width": 0.6,
-        "receiver_radius": 1.0,
-        "n_receivers": 100,
-        "points_per_wavelength": 7.5,
-    },
-    "medium": {
-        "reference": {"c": 5.0287356321839083e-4, "rho": 1.0, "gamma": 0.0},
-        "source": {"model": "zero"},
-        "perturbations": [
-            {
-                "field": "S",
-                "shape": "block",
-                "center": [0.3, -0.25],
-                "half_width": 0.1,
-                "amplitude": 1.0,
-            }
-        ],
-    },
-    "frequencies": {"count": 1, "f_min_hz": 3.0e-3, "f_max_hz": 3.0e-3, "power": 1.0},
-    "realizations": 2000,
-    "seed": 12345,
-    "inversion": {"quantities": ["S"], "tau": 1.05, "max_outer": 15, "max_cg": 50},
-    "kernels": {"pairs": [["S", "S"]], "targets": [[0.3, -0.25]], "band_count": 1},
-}
-
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -109,9 +81,13 @@ def load_config(path: str) -> dict:
 
 
 def _number(block: dict, key: str, default: float, kinds: tuple = (int, float)) -> float:
-    """block[key] (or default), rejected unless it is a finite number of the given kinds."""
+    """block[key] (or default; None means the key is required), rejected unless
+    it is a finite number of the given kinds."""
+    if default is None and key not in block:
+        raise UsageError(f"config key {key!r} is required")
     value = block.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, kinds) or not np.isfinite(value):
+    finite = not isinstance(value, float) or np.isfinite(value)  # ints may exceed int64
+    if isinstance(value, bool) or not isinstance(value, kinds) or not finite:
         kind = "an integer" if kinds == (int,) else "a finite number"
         raise UsageError(f"config key {key!r} must be {kind}, got {value!r}")
     return value
@@ -131,6 +107,8 @@ def validate_config(cfg: dict) -> None:
     geo = cfg.get("geometry")
     if not isinstance(geo, dict):
         raise UsageError("config needs a 'geometry' block")
+    if _number(geo, "half_width", None) <= 0:
+        raise UsageError("geometry.half_width must be positive")
     if _number(geo, "points_per_wavelength", 7.5) < 7.0:
         raise UsageError("resolution must be at least 7 points per wavelength")
     if _number(geo, "n_receivers", 0, (int,)) < 2:
@@ -141,8 +119,10 @@ def validate_config(cfg: dict) -> None:
     f_min = _number(freqs, "f_min_hz", 0)
     if f_min <= 0 or _number(freqs, "f_max_hz", 0) < f_min:
         raise UsageError("frequency band must satisfy 0 < f_min <= f_max")
-    if _number(cfg, "realizations", 1, (int,)) < 1:
+    if _number(cfg, "realizations", None, (int,)) < 1:
         raise UsageError("need at least one realization")
+    if not 0 <= _number(cfg, "seed", None, (int,)) < 2**64:
+        raise UsageError(f"seed must be in [0, 2**64), got {cfg['seed']}")
     if "medium" not in cfg:
         raise UsageError("config needs a 'medium' descriptor")
     for keys, kinds in ((COUNT_KEYS, (int,)), (NUMBER_KEYS, (int, float))):
@@ -152,6 +132,9 @@ def validate_config(cfg: dict) -> None:
                 if key in block and not (block[key] is None and key in NULLABLE_KEYS):
                     _number(block, key, None, kinds)
     inv = cfg.get("inversion")
+    names = inv.get("quantities", ["S"]) if isinstance(inv, dict) else ["S"]
+    if not (isinstance(names, list) and names and all(isinstance(q, str) for q in names)):
+        raise UsageError(f"config key 'quantities' must be a list of names, got {names!r}")
     weighted = inv.get("weighted", True) if isinstance(inv, dict) else True
     if not isinstance(weighted, bool):
         raise UsageError(f"config key 'weighted' must be true or false, got {weighted!r}")
@@ -537,7 +520,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["seed"] = int(args.seed)
+            cfg["seed"] = args.seed
+            validate_config(cfg)
         out = Path(args.out)
         if args.command == "synth":
             cmd_synth(cfg, out, workers=args.workers)

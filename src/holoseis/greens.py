@@ -25,17 +25,20 @@ A perturbed medium enters through the second-kind identity
     (L_q - L_0) psi = dv * psi - 2i dA . grad(psi),
 
 solved by a pivoted LU factorization restricted to the support of the
-perturbation.  The returned operator keeps only the base kernel, the sparse
-supported rows of L_q - L_0 and the LU of the support-sized core, and reads
-receiver rows and the propagators' Hermitian products off blocks of the base
-kernel; the full perturbed kernel is evaluated only when requested.
+perturbation.  Every operator has the one form K = K0 - U core^{-1} V K0:
+the reference kernel K0 plus, for a perturbed medium, the resolvent update
+(the support, the sparse supported rows V of L_q - L_0 and the LU of the
+support-sized core).  Receiver rows and the propagators' Hermitian products
+are read off blocks of K0; the full perturbed kernel is evaluated only when
+requested.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -368,43 +371,27 @@ def green_uniform(k: complex, x: np.ndarray, y: np.ndarray) -> complex:
 def green_diagonal_2d(k: complex, cell_radius: float) -> complex:
     """Cell-averaged 2D self-interaction over a disk of given radius.
 
-    Average of the leading log term of (i/4) H1_0(k r),
-
-        (1/(pi a^2)) Int_disk (1/2pi) ln(1/r) dA = (1/2pi)(ln(1/a) + 1/2),
-
-    plus the constant terms i/4 - (1/2pi)(ln(k/2) + EULER_GAMMA) of the
-    small-argument expansion (principal branch for complex k).
+    The average of ln(1/r) over the disk is ln(1/a) + 1/2; see _self_term.
     """
     if cell_radius <= 0:
         raise UsageError("cell_radius must be positive")
-    k = complex(k)
-    log_avg = np.log(1.0 / cell_radius) + 0.5
-    return complex(
-        (log_avg - np.log(k / 2.0) - EULER_GAMMA) / (2.0 * np.pi) + 0.25j
-    )
+    return complex(_self_term(k, np.log(1.0 / cell_radius) + 0.5))
 
 
-def _green_diagonal_line_2d(k: complex, length: float) -> complex:
-    """2D self-interaction averaged along a boundary segment of given length."""
-    k = complex(k)
-    # (1/L) Int_{-L/2}^{L/2} ln(1/|s|) ds = ln(2/L) + 1
-    log_avg = np.log(2.0 / length) + 1.0
-    return complex((log_avg - np.log(k / 2.0) - EULER_GAMMA) / (2.0 * np.pi) + 0.25j)
+def _self_term(k: complex, log_avg):
+    """Regularized self-interaction of a node, given the average log_avg of
+    ln(1/r) over the cell or segment the node stands for.
+
+    The leading log term of (i/4) H1_0(k r) averages to (1/2pi) log_avg; the
+    rest are the constant terms i/4 - (1/2pi)(ln(k/2) + EULER_GAMMA) of the
+    small-argument expansion (principal branch for complex k).
+    """
+    return (log_avg - np.log(complex(k) / 2.0) - EULER_GAMMA) / (2.0 * np.pi) + 0.25j
 
 
 # ---------------------------------------------------------------------------
 # Dense assembly
 # ---------------------------------------------------------------------------
-def _diagonal_values(grid: Grid, k: complex) -> np.ndarray:
-    """Regularized self-interaction of each interior node, from its cell measure.
-
-    Receiver self-entries are line averages set by assemble_receiver_rows.
-    """
-    cell_radius = np.sqrt(grid.interior_weights / np.pi)
-    log_avg = np.log(1.0 / cell_radius) + 0.5  # the formula of green_diagonal_2d
-    return (log_avg - np.log(complex(k) / 2.0) - EULER_GAMMA) / (2.0 * np.pi) + 0.25j
-
-
 def _radial_kernel(k: complex, r: np.ndarray) -> np.ndarray:
     """Uniform-medium kernel at distances r > 0, the array form of green_uniform."""
     return 0.25j * hankel_h1_array(0, complex(k) * r)
@@ -500,7 +487,7 @@ def assemble_green(
         raise UsageError("every node must be an interior node or a receiver")
     lattice = _lattice_indices(grid)
 
-    def gather(rows: Optional[np.ndarray]) -> np.ndarray:
+    def gather(rows: np.ndarray) -> np.ndarray:
         offsets = np.indices(lattice.max(axis=0) + 1, dtype=float)
         r_table = grid.spacing * np.sqrt(np.sum(offsets**2, axis=0))
         r_table.flat[0] = grid.spacing  # placeholder; the diagonal is overwritten below
@@ -512,14 +499,13 @@ def assemble_green(
             block = lattice[start : start + _GATHER_ROWS]
             steps = tuple(np.abs(np.subtract.outer(b, a)) for b, a in zip(block.T, lattice.T))
             kernel[np.ix_(int_idx[start : start + _GATHER_ROWS], int_idx)] = table[steps]
-        if rows is None:
-            rows = assemble_receiver_rows(grid, k)
         kernel[grid.receiver_idx, :] = rows
         kernel[:, grid.receiver_idx] = rows.T
-        kernel[int_idx, int_idx] = _diagonal_values(grid, k)
+        cell_radius = np.sqrt(grid.interior_weights / np.pi)
+        kernel[int_idx, int_idx] = _self_term(k, np.log(1.0 / cell_radius) + 0.5)
         return kernel
 
-    return GreensOperator(grid=grid, k_ref=k, _gather=gather)
+    return GreensOperator(grid=grid, k_ref=k, _base=gather)
 
 
 def assemble_receiver_rows(grid: Grid, k: complex) -> np.ndarray:
@@ -543,7 +529,8 @@ def assemble_receiver_rows(grid: Grid, k: complex) -> np.ndarray:
     r = _distances(rec, rec)
     np.fill_diagonal(r, 1.0)
     block = _radial_kernel(k, r)
-    np.fill_diagonal(block, [_green_diagonal_line_2d(k, ell) for ell in grid.receiver_weights])
+    # the average of ln(1/|s|) over a segment of length L is ln(2/L) + 1
+    np.fill_diagonal(block, _self_term(k, np.log(2.0 / grid.receiver_weights) + 1.0))
     rows[:, grid.receiver_idx] = block
     return rows
 
@@ -594,56 +581,42 @@ class DeltaOperator:
 
 
 class GreensOperator:
-    """Green's operator on a grid: dense kernel or a factored resolvent update.
+    """Green's operator on a grid: K = K0 - U core^-1 V K0, U = (K0 W)[:, supp].
 
-    The reference operator of assemble_green gathers its dense kernel on
-    first use; its receiver rows need no gather.  The factored form keeps the
-    base kernel K0, the support of the perturbation, its sparse supported
-    rows V of (L_q - L_0) and the pivoted LU of the m x m core
-    I + V K0[:, supp] W.  Rows and Hermitian products read blocks of K0 and
-    never form V K0 or the perturbed kernel.
+    _base is the reference kernel K0, or the gather that builds it from the
+    receiver rows on first use.  _update is update_green's (supp, V, LU of
+    core^T), with V the supported rows of (L_q - L_0), whose columns lie in
+    the interior, and core = I + V K0[interior, supp] W; the reference
+    operator has none, so K = K0.  Rows and Hermitian products read blocks of
+    K0 and never form V K0 or the perturbed kernel.
     """
 
-    def __init__(
-        self,
-        grid: Grid,
-        k_ref: complex,
-        _gather: Optional[Callable[[Optional[np.ndarray]], np.ndarray]] = None,
-        _base: Optional[np.ndarray] = None,
-        _supp: Optional[np.ndarray] = None,
-        _v: Optional[sparse.csr_matrix] = None,
-        _lu=None,
-    ):
+    def __init__(self, grid: Grid, k_ref: complex, _base, _update=None):
         self.grid = grid
         self.k_ref = complex(k_ref)
-        self._kernel: Optional[np.ndarray] = None
-        self._gather = _gather  # builds the dense kernel from the receiver rows, if known
-        self._receiver_rows: Optional[np.ndarray] = None
-        self._base = _base  # K0, shape (n, n)
-        self._supp = _supp
-        self._v = _v  # V, shape (m, n_int): its columns lie in the interior
-        self._lu = _lu  # pivoted LU of core^T
+        self._base = _base
+        self._update = _update
 
-    # -- representation ------------------------------------------------------
-    def _dense(self) -> Optional[np.ndarray]:
-        """The dense kernel, gathered on first use; None for the factored form."""
-        if self._gather is not None:
-            self._kernel = self._gather(self._receiver_rows)
-            self._gather = None
-        return self._kernel
+    @property
+    def base(self) -> np.ndarray:
+        """The reference kernel K0, gathered on first use from the receiver
+        rows, which are then read as a view of K0, so Tr G is held once."""
+        if callable(self._base):
+            self._base = self._base(self.receiver_rows)
+            self.receiver_rows = self._base[_view(self.grid.receiver_idx)]
+        return self._base
 
     @property
     def kernel(self) -> np.ndarray:
-        """Dense kernel matrix; the factored form evaluates every row."""
-        dense = self._dense()
-        return self.rows(np.arange(self.grid.n_nodes)) if dense is None else dense
+        """Dense kernel matrix; an updated operator evaluates every row."""
+        if self._update is None:
+            return self.base
+        return self.rows(np.arange(self.grid.n_nodes))
 
-    @property
+    @functools.cached_property
     def receiver_rows(self) -> np.ndarray:
         """Receiver rows Tr G = K[receiver_idx, :], evaluated once per operator."""
-        if self._receiver_rows is None:
-            self._receiver_rows = self.rows(self.grid.receiver_idx)
-        return self._receiver_rows
+        return self.rows(self.grid.receiver_idx)
 
     # -- products ------------------------------------------------------------
     def rows(self, idx) -> np.ndarray:
@@ -652,15 +625,15 @@ class GreensOperator:
         Ungathered receiver rows are evaluated directly, as the gather does.
         """
         idx = np.asarray(idx)
-        if self._gather is not None and np.array_equal(idx, self.grid.receiver_idx):
-            return assemble_receiver_rows(self.grid, self.k_ref)
-        dense = self._dense()
-        if dense is not None:
-            return dense[idx, :]
+        if self._update is None:
+            if callable(self._base) and np.array_equal(idx, self.grid.receiver_idx):
+                return assemble_receiver_rows(self.grid, self.k_ref)
+            return self.base[idx, :]
+        supp, v, lu = self._update
         base = self._base[idx, :]
-        u = base[:, self._supp] * self.grid.weights[self._supp]  # (k, m)
-        c = lu_solve(self._lu, u.T, check_finite=False).T  # c^T = core^-T u^T
-        base -= (c @ self._v) @ self._base[_view(self.grid.interior_idx)]
+        u = base[:, supp] * self.grid.weights[supp]  # (k, m)
+        c = lu_solve(lu, u.T, check_finite=False).T  # c^T = core^-T u^T
+        base -= (c @ v) @ self._base[_view(self.grid.interior_idx)]
         return base
 
     def mul_kernel_hermitian(self, m_block: np.ndarray, in_idx) -> np.ndarray:
@@ -671,16 +644,15 @@ class GreensOperator:
         of V lie in the interior, so M (V K0[:, in])^H is read off
         term0 = M K0[interior, in]^H; only p-row factors are conjugated.
         """
-        dense = self._dense()
-        k0 = self._base if dense is None else dense
-        k0_int = k0[_view(self.grid.interior_idx)]  # (n_int, n)
+        k0_int = self.base[_view(self.grid.interior_idx)]  # (n_int, n)
         term0 = (m_block.conj() @ k0_int[:, _view(in_idx)].T).conj()
-        if dense is not None:
+        if self._update is None:
             return term0
-        xh = self._v @ term0.conj().T  # (m, p) = V K0[:, in] M^H
-        y = lu_solve(self._lu, xh, trans=1, check_finite=False)  # core^-1 xh
-        y *= self.grid.weights[self._supp][:, None]
-        term0 -= (k0_int[:, _view(self._supp)] @ y).conj().T
+        supp, v, lu = self._update
+        xh = v @ term0.conj().T  # (m, p) = V K0[:, in] M^H
+        y = lu_solve(lu, xh, trans=1, check_finite=False)  # core^-1 xh
+        y *= self.grid.weights[supp][:, None]
+        term0 -= (k0_int[:, _view(supp)] @ y).conj().T
         return term0
 
 
@@ -737,4 +709,4 @@ def update_green(
             f"second-kind system nearly singular: condition estimate "
             f"{(1.0 / rcond if rcond else np.inf):.3e} exceeds {cond_limit:.1e}"
         )
-    return GreensOperator(grid=grid, k_ref=g0.k_ref, _base=k0, _supp=supp, _v=v, _lu=lu)
+    return GreensOperator(grid=grid, k_ref=g0.k_ref, _base=k0, _update=(supp, v, lu))

@@ -40,7 +40,7 @@ import numpy as np
 from scipy import ndimage, sparse
 
 from .errors import MemoryBudgetError, UsageError
-from .greens import Grid, GreensOperator, assemble_green, update_green
+from .greens import Grid, GreensOperator, _view, assemble_green, update_green
 from .medium import (
     FrequencyContext,
     HelmholtzParams,
@@ -197,7 +197,7 @@ def build_model(
     g = g_ref if delta.is_zero() else update_green(g_ref, delta)
 
     rows = g.receiver_rows
-    h_alpha = rows[:, grid.interior_idx]
+    h_alpha = rows[:, _view(grid.interior_idx)]
     beta_scalar = None
     beta_flow = None
     if jacobians:
@@ -258,7 +258,7 @@ def lindsey_braun_pair(
     Pupils are two receiver index lists; each propagator keeps only the rows
     of its pupil, held as a 0/1 mask over the one shared array of rows.
     """
-    rows = g.receiver_rows[:, g.grid.interior_idx]
+    rows = g.receiver_rows[:, _view(g.grid.interior_idx)]
     if pupils is None:
         return PropagatorPair(rows=rows)
     n_rec = g.grid.n_receivers

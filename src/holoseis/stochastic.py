@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg.blas import zherk
 
 from .errors import UsageError
-from .greens import Grid, GreensOperator
+from .greens import Grid, GreensOperator, _view
 from .medium import FrequencyContext, HelmholtzParams, MediumParams
 
 if TYPE_CHECKING:
@@ -151,7 +151,7 @@ def forward_covariance(
     if np.min(s_field) < 0:
         raise UsageError("source strength must be non-negative")
     rows = g.receiver_rows
-    a_int = rows[:, grid.interior_idx]
+    a_int = rows[:, _view(grid.interior_idx)]
     sw = s_field * grid.interior_weights
     cov = (a_int * sw[None, :]) @ a_int.conj().T
 

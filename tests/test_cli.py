@@ -10,6 +10,8 @@ import pytest
 from holoseis import cli, inversion, io as hio
 from holoseis.errors import UsageError
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 @pytest.fixture()
 def tiny_config(tmp_path):
@@ -227,8 +229,7 @@ class TestExitCodes:
         assert cli.main(["synth", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
     def test_schema_violation_is_2(self, tmp_path):
-        cfg = dict(cli.EXAMPLE_CONFIG)
-        cfg = json.loads(json.dumps(cfg))
+        cfg = json.loads((CONFIGS / "lindsey_braun.json").read_text())
         cfg["geometry"]["n_receivers"] = 1
         p = tmp_path / "schema.json"
         p.write_text(json.dumps(cfg))
@@ -281,11 +282,21 @@ class TestExitCodes:
             ("inversion.max_outer", "2"),  # would end in a TypeError inside invert
             ("inversion.max_cg", True),
             ("inversion.tau", None),
+            ("geometry.half_width", 0),  # would divide by zero in build_grid
+            ("geometry.half_width", -0.5),
+            ("seed", -3),  # would end in Philox's ValueError
+            ("seed", 2**64),
+            ("seed", 1.5),  # would run as int(seed) while the manifest keeps 1.5
+            ("seed", "7"),
+            ("inversion.quantities", "cS"),  # would run as ("c", "S")
+            ("inversion.quantities", ["S", 1]),
+            ("inversion.quantities", []),  # would end in a ValueError inside invert
         ],
     )
     def test_non_numeric_config_value_is_2(self, tiny_config, key, value):
         # a string or bool would compare (or fail to compare) as if it were a
-        # number; a count must be an integer, in every block of the document
+        # number; a count must be an integer, in every block of the document,
+        # and a value outside its range is rejected before anything runs
         path, cfg, tmp = tiny_config
         cfg2 = json.loads(path.read_text())
         *blocks, leaf = key.split(".")
@@ -299,6 +310,33 @@ class TestExitCodes:
         p2.write_text(json.dumps(cfg2))
         out = tmp / "run"
         assert cli.main(["synth", "--config", str(p2), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["realizations", "seed", "geometry.half_width"])
+    def test_missing_required_key_is_2(self, tiny_config, key):
+        # these keys have no default: a config without one would end in a KeyError
+        path, cfg, tmp = tiny_config
+        cfg2 = json.loads(path.read_text())
+        *blocks, leaf = key.split(".")
+        target = cfg2
+        for part in blocks:
+            target = target[part]
+        del target[leaf]
+        with pytest.raises(UsageError, match=leaf):
+            cli.validate_config(cfg2)
+        p2 = tmp / "missing.json"
+        p2.write_text(json.dumps(cfg2))
+        out = tmp / "run"
+        assert cli.main(["synth", "--config", str(p2), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-3", str(2**64)])
+    def test_seed_override_out_of_range_is_2(self, tiny_config, seed):
+        # --seed replaces the config's seed, so it is checked like one
+        path, cfg, tmp = tiny_config
+        out = tmp / "run"
+        argv = ["synth", "--config", str(path), "--out", str(out), "--seed", seed]
+        assert cli.main(argv) == cli.EXIT_CONFIG
         assert not out.exists()
 
     def test_nullable_inversion_keys_accept_null(self, tiny_config):
@@ -496,8 +534,12 @@ class TestShippedConfigs:
     def test_shipped_config_validates(self, cfg_path):
         cli.validate_config(json.loads(cfg_path.read_text()))
 
-    def test_example_config_validates(self):
-        cli.validate_config(cli.EXAMPLE_CONFIG)
+    def test_readme_config_validates(self):
+        # the README's example document stays a valid config
+        readme = (CONFIGS.parent / "README.md").read_text()
+        block = readme.split("A config is one JSON document")[1]
+        example = block.split("```json\n")[1].split("```")[0]
+        cli.validate_config(json.loads(example))
 
     def test_kernel_band_config_validates(self):
         cfg_path = (

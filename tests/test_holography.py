@@ -227,7 +227,7 @@ class TestPropagators:
         delta = medium.helmholtz_delta(medium.recast(ref, freq), model.hp)
         g_ref = greens.assemble_green(g, model.hp.k_ref)
         gq = greens.update_green(g_ref, delta)
-        assert gq._lu is not None  # the factored form of update_green
+        assert gq._update is not None  # the factored form of update_green
         # the model's receiver rows are those of that factored operator
         assert np.array_equal(model.receiver_rows, gq.receiver_rows)
         k0 = g_ref.kernel
@@ -258,11 +258,23 @@ class TestReceiverRows:
         model = holography.build_model(params, freq, quantities=("c",))
         model.covariance()
         stochastic.sample_wavefields(model.hp, model, 4, seed=1)
-        on_iterate = [(op, idx) for op, idx in calls if op._lu is not None]
+        on_iterate = [(op, idx) for op, idx in calls if op._update is not None]
         assert len(on_iterate) == 1
         op, idx = on_iterate[0]
         assert np.array_equal(idx, g.receiver_idx)
         assert np.array_equal(model.receiver_rows, rows(op, g.receiver_idx))
+
+    def test_h_alpha_is_a_view_of_the_receiver_rows(self, nonuniform_model):
+        # a model holds its interior Tr G once
+        g, params, freq, model = nonuniform_model
+        assert np.shares_memory(model.h_alpha, model.receiver_rows)
+        assert np.array_equal(model.h_alpha, model.receiver_rows[:, g.interior_idx])
+
+    def test_lindsey_braun_rows_are_a_view_of_the_receiver_rows(self, nonuniform_model):
+        g, params, freq, model = nonuniform_model
+        pair = holography.lindsey_braun_pair(model)
+        assert np.shares_memory(pair.rows, model.receiver_rows)
+        assert np.array_equal(pair.rows, model.receiver_rows[:, g.interior_idx])
 
 
 class TestDerivativeAdjoint:

@@ -1,10 +1,13 @@
-"""Every name a holoseis module exports in __all__ exists in that module, and
-no module reads the process environment."""
+"""Every name a holoseis module exports in __all__ exists in that module, no
+module reads the process environment, and every layer the benchmark traces
+still exists."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +43,21 @@ def test_no_environment_reads(name):
         )
     ]
     assert not reads, f"{name} reads the environment at lines {reads}"
+
+
+def test_benchmark_tracer_names_resolve():
+    # perfbench/layertrace.py wraps each traced function at its module, and a
+    # "Class.method" through the class __dict__: a renamed function or a
+    # method turned into a property would break the benchmark's layer table
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    for module_name, attr in layertrace.TRACED:
+        module = importlib.import_module(f"holoseis.{module_name}")
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            target = vars(getattr(module, cls_name)).get(method)
+        else:
+            target = getattr(module, attr, None)
+        assert callable(target), f"{module_name}.{attr} is not a callable the tracer can wrap"
