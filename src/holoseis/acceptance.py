@@ -171,11 +171,12 @@ def criterion_4_resolvent_update() -> Tuple[bool, str]:
     delta = greens.DeltaOperator(dv=dv, dA=no_flow)
     gq = greens.update_green(g0, delta)
     m = delta.operator_matrix(grid).toarray()
-    lhs = np.eye(grid.n_nodes) + (g0.kernel * grid.weights[None, :]) @ m
-    direct = np.linalg.solve(lhs, g0.kernel)
+    k0 = g0.kernel  # each read of a reference's kernel gathers it afresh
+    lhs = np.eye(grid.n_nodes) + (k0 * grid.weights[None, :]) @ m
+    direct = np.linalg.solve(lhs, k0)
     rel = float(np.max(np.abs(gq.kernel - direct)) / np.max(np.abs(direct)))
     zero = greens.DeltaOperator(dv=np.zeros(grid.n_interior, dtype=complex), dA=no_flow)
-    bit_equal = np.array_equal(greens.update_green(g0, zero).kernel, g0.kernel)
+    bit_equal = np.array_equal(greens.update_green(g0, zero).kernel, k0)
     ok = rel <= 1e-8 and bit_equal
     return ok, f"dense-solve deviation {rel:.3e} (tol 1e-8); zero-delta bit-equal: {bit_equal}"
 

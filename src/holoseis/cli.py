@@ -61,12 +61,17 @@ CONFIG_KEYS = {
     "medium.boundary_source": "value",
 }
 
-# numeric keys of the kernels and inversion blocks, checked when present:
+# numeric keys checked when present (a dotted block path, as in CONFIG_KEYS):
 # integer counts, and finite numbers of which a few may be null (the default)
 COUNT_KEYS = {"kernels": "band_count", "inversion": "max_outer max_cg"}
 NUMBER_KEYS = {
+    "frequencies": "power",
     "kernels": "source_strength",
     "inversion": "tau beta beta_scale alpha0 alpha0_scale smoothing_width",
+    "medium.reference": "c rho gamma",
+    "medium.source": "power value",
+    "medium.perturbations": "half_width amplitude",
+    "medium.flow": "half_width amplitude",
 }
 NULLABLE_KEYS = ("beta", "beta_scale", "alpha0")
 
@@ -93,14 +98,27 @@ def _number(block: dict, key: str, default: float, kinds: tuple = (int, float)) 
     return value
 
 
+def _point(value, key: str) -> None:
+    """Reject value unless it is a point of the plane: a list of 2 finite numbers."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise UsageError(f"config key {key!r} must be a list of 2 numbers, got {value!r}")
+    for coord in value:
+        _number({key: coord}, key, None)
+
+
+def _blocks(cfg: dict, name: str) -> List[dict]:
+    """The dict blocks at a dotted path ("" is the top level); a list-valued
+    block is returned entry by entry."""
+    block = cfg
+    for part in name.split(".") if name else ():
+        block = block.get(part) if isinstance(block, dict) else None
+    entries = block if isinstance(block, list) else [block]
+    return [entry for entry in entries if isinstance(entry, dict)]
+
+
 def validate_config(cfg: dict) -> None:
     for name, allowed in CONFIG_KEYS.items():
-        block = cfg
-        for part in name.split(".") if name else ():
-            block = block.get(part) if isinstance(block, dict) else None
-        for entry in block if isinstance(block, list) else [block]:
-            if not isinstance(entry, dict):
-                continue
+        for entry in _blocks(cfg, name):
             unknown = sorted(set(entry) - set(allowed.split()))
             if unknown:
                 raise UsageError(f"unknown config keys {unknown} in {name or 'the top level'}")
@@ -127,11 +145,26 @@ def validate_config(cfg: dict) -> None:
         raise UsageError("config needs a 'medium' descriptor")
     for keys, kinds in ((COUNT_KEYS, (int,)), (NUMBER_KEYS, (int, float))):
         for name, names in keys.items():
-            block = cfg.get(name)
-            for key in names.split() if isinstance(block, dict) else ():
-                if key in block and not (block[key] is None and key in NULLABLE_KEYS):
-                    _number(block, key, None, kinds)
+            for block in _blocks(cfg, name):
+                for key in names.split():
+                    if key in block and not (block[key] is None and key in NULLABLE_KEYS):
+                        _number(block, key, None, kinds)
+    # build_grid's grids are planar: every position is a point of the plane
+    for block in _blocks(cfg, "medium.perturbations") + _blocks(cfg, "medium.flow"):
+        if "center" in block:
+            _point(block["center"], "center")
+    kernels = cfg.get("kernels")
+    if isinstance(kernels, dict) and "targets" in kernels:
+        targets = kernels["targets"]
+        if not isinstance(targets, list):
+            raise UsageError(f"config key 'targets' must be a list of points, got {targets!r}")
+        for target in targets:
+            _point(target, "targets")
     inv = cfg.get("inversion")
+    # the lower bounds of the inversion's loop counts and stop factor
+    for key, low in (("max_cg", 1), ("max_outer", 0), ("tau", 0)):
+        if isinstance(inv, dict) and key in inv and inv[key] < low:
+            raise UsageError(f"config key {key!r} must be at least {low}, got {inv[key]!r}")
     names = inv.get("quantities", ["S"]) if isinstance(inv, dict) else ["S"]
     if not (isinstance(names, list) and names and all(isinstance(q, str) for q in names)):
         raise UsageError(f"config key 'quantities' must be a list of names, got {names!r}")

@@ -13,11 +13,12 @@ stored *without* weights and every application inserts them explicitly.
 
 The interior nodes lie on a lattice of step ``grid.spacing``, so the uniform
 reference kernel is evaluated once per distinct lattice offset and gathered
-into the interior block on first use.  Receiver rows, all that sampling and
-the Lindsey-Braun propagators read, need no gather: their interior columns
-are evaluated for one receiver per orbit of the grid's quarter-turn symmetry,
-the rest by permutation, and the receiver block directly.  No kernel is kept
-between calls or on disk: every assembly evaluates it afresh.
+into the interior block whenever a block of it is needed.  Receiver rows, all
+that sampling and the Lindsey-Braun propagators read, need no gather: their
+interior columns are evaluated for one receiver per orbit of the grid's
+quarter-turn symmetry, the rest by permutation, and the receiver block
+directly.  A reference operator keeps its receiver rows, never the dense
+kernel, and nothing is kept on disk.
 
 A perturbed medium enters through the second-kind identity
 
@@ -28,9 +29,10 @@ solved by a pivoted LU factorization restricted to the support of the
 perturbation.  Every operator has the one form K = K0 - U core^{-1} V K0:
 the reference kernel K0 plus, for a perturbed medium, the resolvent update
 (the support, the sparse supported rows V of L_q - L_0 and the LU of the
-support-sized core).  Receiver rows and the propagators' Hermitian products
-are read off blocks of K0; the full perturbed kernel is evaluated only when
-requested.
+support-sized core).  The update gathers K0 once and holds it with the LU,
+so both are freed together.  Receiver rows and the propagators' Hermitian
+products are read off blocks of K0; the full perturbed kernel is evaluated
+only when requested.
 """
 
 from __future__ import annotations
@@ -463,13 +465,18 @@ def assemble_green(
 ) -> "GreensOperator":
     """Assemble the dense uniform-medium Green's kernel on all grid nodes.
 
-    The grid, the budget and the lattice are checked at once; the kernel is
-    gathered on first use (``kernel``, ``mul_kernel_hermitian``,
-    ``update_green``), and receiver rows read before that need no gather.
-    Off-diagonal entries are closed-form point evaluations.  Between interior
-    nodes the kernel depends only on the lattice offsets |a_i|, so it is
-    evaluated once on the table of distances h sqrt(sum a_i^2) and gathered
-    into the interior block in row blocks; receiver rows come from
+    The grid, the budget and the lattice are checked at once; the operator
+    keeps the gather, not the kernel, and each read of a kernel block
+    (``kernel``, ``mul_kernel_hermitian``, ``update_green``) gathers it
+    afresh.  Receiver rows need no gather.  Off-diagonal entries are
+    closed-form point evaluations.  Between interior nodes the kernel depends
+    only on the lattice offsets |a_i|, so it is evaluated once, on the first
+    gather, on the table of distances h sqrt(sum a_i^2), reflected to the
+    signed offsets.  Node j seen from node i sits at c + lattice[j] -
+    lattice[i] of that table: on a lattice filled row-major (square_grid)
+    each interior row is a window of the table, copied in one strided
+    assignment; any other interior is gathered row block by row block with a
+    1-D take on the flat table positions.  Receiver rows come from
     assemble_receiver_rows, their transpose (reciprocity) gives the receiver
     columns.  The interior diagonal is the exact cell average of the leading
     singularity plus the constant terms of the small-argument expansion.
@@ -486,21 +493,49 @@ def assemble_green(
     if grid.n_interior + grid.n_receivers != n:
         raise UsageError("every node must be an interior node or a receiver")
     lattice = _lattice_indices(grid)
+    shape = lattice.max(axis=0) + 1
+    # square_grid's interior: consecutive nodes filling the lattice row-major
+    rectangle = isinstance(_view(grid.interior_idx), slice) and np.array_equal(
+        lattice, np.indices(shape).reshape(len(shape), -1).T
+    )
 
-    def gather(rows: np.ndarray) -> np.ndarray:
-        offsets = np.indices(lattice.max(axis=0) + 1, dtype=float)
+    @functools.cache
+    def offset_table() -> np.ndarray:
+        """The kernel at every lattice offset d, |d_i| < shape_i, stored at
+        c + d with c = shape - 1; evaluated on the first gather and kept, as
+        prod(2 shape - 1) entries, a few times n_int."""
+        offsets = np.indices(shape, dtype=float)
         r_table = grid.spacing * np.sqrt(np.sum(offsets**2, axis=0))
         r_table.flat[0] = grid.spacing  # placeholder; the diagonal is overwritten below
         table = _radial_kernel(k, r_table)
+        return table[np.ix_(*(np.abs(np.arange(1 - size, size)) for size in shape))]
 
+    def gather(rows: np.ndarray) -> np.ndarray:
+        table = offset_table()
         kernel = np.empty((n, n), dtype=np.complex128)
         int_idx = grid.interior_idx
-        for start in range(0, len(int_idx), _GATHER_ROWS):
-            block = lattice[start : start + _GATHER_ROWS]
-            steps = tuple(np.abs(np.subtract.outer(b, a)) for b, a in zip(block.T, lattice.T))
-            kernel[np.ix_(int_idx[start : start + _GATHER_ROWS], int_idx)] = table[steps]
-        kernel[grid.receiver_idx, :] = rows
-        kernel[:, grid.receiver_idx] = rows.T
+        cols = _view(int_idx)
+        if rectangle:
+            # node j seen from node i sits at c + lattice[j] - lattice[i] of the
+            # table, so row i, laid out on the lattice, is the window of the
+            # table at c - lattice[i]: one strided copy fills the block
+            windows = np.lib.stride_tricks.sliding_window_view(table, tuple(shape))
+            block = kernel[cols, cols].reshape(2 * tuple(shape), copy=False)
+            block[...] = windows[::-1, ::-1]
+        else:
+            # the same positions as flat table indices, a 1-D take per row block
+            strides = np.array(table.strides) // table.itemsize
+            to_node = lattice @ strides
+            from_node = (shape - 1) @ strides - to_node
+            flat_table = table.ravel()
+            for start in range(0, len(int_idx), _GATHER_ROWS):
+                part = slice(start, start + _GATHER_ROWS)
+                sub = int_idx[part]
+                key = (_view(sub), cols) if isinstance(cols, slice) else np.ix_(sub, int_idx)
+                kernel[key] = flat_table.take(np.add.outer(from_node[part], to_node))
+        rec = _view(grid.receiver_idx)
+        kernel[rec, :] = rows
+        kernel[:, rec] = rows.T
         cell_radius = np.sqrt(grid.interior_weights / np.pi)
         kernel[int_idx, int_idx] = _self_term(k, np.log(1.0 / cell_radius) + 0.5)
         return kernel
@@ -583,12 +618,15 @@ class DeltaOperator:
 class GreensOperator:
     """Green's operator on a grid: K = K0 - U core^-1 V K0, U = (K0 W)[:, supp].
 
-    _base is the reference kernel K0, or the gather that builds it from the
-    receiver rows on first use.  _update is update_green's (supp, V, LU of
-    core^T), with V the supported rows of (L_q - L_0), whose columns lie in
-    the interior, and core = I + V K0[interior, supp] W; the reference
-    operator has none, so K = K0.  Rows and Hermitian products read blocks of
-    K0 and never form V K0 or the perturbed kernel.
+    A reference operator (_update None) holds its receiver rows and, as
+    _base, the gather that builds the reference kernel K0 from them; it never
+    holds K0, so every read of a kernel block gathers afresh.  An updated
+    operator holds the K0 that update_green gathered and update_green's
+    (supp, V, LU of core^T), with V the supported rows of (L_q - L_0), whose
+    columns lie in the interior, and core = I + V K0[interior, supp] W; the
+    kernel and the LU are freed together with the operator.  Rows and
+    Hermitian products read blocks of K0 and never form V K0 or the perturbed
+    kernel.
     """
 
     def __init__(self, grid: Grid, k_ref: complex, _base, _update=None):
@@ -599,16 +637,16 @@ class GreensOperator:
 
     @property
     def base(self) -> np.ndarray:
-        """The reference kernel K0, gathered on first use from the receiver
-        rows, which are then read as a view of K0, so Tr G is held once."""
-        if callable(self._base):
-            self._base = self._base(self.receiver_rows)
-            self.receiver_rows = self._base[_view(self.grid.receiver_idx)]
+        """The reference kernel K0: a fresh gather from the receiver rows on a
+        reference operator, which keeps none, else the updated operator's own."""
+        if self._update is None:
+            return self._base(self.receiver_rows)
         return self._base
 
     @property
     def kernel(self) -> np.ndarray:
-        """Dense kernel matrix; an updated operator evaluates every row."""
+        """Dense kernel matrix: a fresh gather of K0 on a reference operator;
+        an updated operator evaluates every row."""
         if self._update is None:
             return self.base
         return self.rows(np.arange(self.grid.n_nodes))
@@ -622,11 +660,12 @@ class GreensOperator:
     def rows(self, idx) -> np.ndarray:
         """Dense kernel rows K[idx, :] = K0[idx, :] - (c V) K0, c = U[idx] core^-1.
 
-        Ungathered receiver rows are evaluated directly, as the gather does.
+        A reference operator's receiver rows are evaluated directly, as the
+        gather does.
         """
         idx = np.asarray(idx)
         if self._update is None:
-            if callable(self._base) and np.array_equal(idx, self.grid.receiver_idx):
+            if np.array_equal(idx, self.grid.receiver_idx):
                 return assemble_receiver_rows(self.grid, self.k_ref)
             return self.base[idx, :]
         supp, v, lu = self._update
@@ -678,7 +717,9 @@ def update_green(
     factorized by pivoted LU of the m x m core.  A reciprocal-condition
     estimate guards against interior resonances and non-finite perturbations.
 
-    A vanishing perturbation returns g0 itself, ungathered if it was lazy.
+    K0 is gathered here once and held only by the returned operator, so it
+    is freed together with the LU.  A vanishing perturbation returns g0
+    itself, which gathers nothing.
     """
     if delta.is_zero():
         return g0

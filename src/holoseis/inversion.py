@@ -81,7 +81,6 @@ __all__ = [
 SCALAR_INVERTIBLE = ("S", "c", "gamma", "rho")
 ALPHA_DECAY = 0.9  # ratio of successive regularization parameters
 NONNEGATIVE_QUANTITIES = ("S", "c")
-GREENS_BUDGET_BYTES = 2 * 1024**3  # reference operators kept across iterates
 CG_TOL = 1e-4  # relative residual at which the inner CG stops (see module docstring)
 
 
@@ -303,9 +302,11 @@ def _build_stack(
 ) -> List[Tuple[FrequencyData, LinearizedModel, CovarianceOperator, NoiseWeight]]:
     """Per-frequency forward stack at the current iterate, each with its noise weight.
 
-    An entry keeps the model's receiver rows and ingressions, not its Green's
-    operator, so the LU of each frequency's resolvent update is freed before
-    the next frequency is built: at most one is alive at a time.
+    greens_cache keeps one reference operator per frequency across iterates:
+    its receiver rows, never its dense kernel.  An entry keeps the model's
+    receiver rows and ingressions, not its Green's operator, so the K0 and
+    the LU of each frequency's resolvent update are freed before the next
+    frequency is built: at most one of each is alive at a time.
     """
     stack = []
     for item in data:
@@ -313,9 +314,7 @@ def _build_stack(
         g_ref = greens_cache.get(omega)
         if g_ref is None:
             k_ref = params.reference_wavenumber(item.freq)
-            g_ref = assemble_green(config.grid, k_ref)
-            if (len(greens_cache) + 1) * 16 * config.grid.n_nodes**2 <= GREENS_BUDGET_BYTES:
-                greens_cache[omega] = g_ref
+            g_ref = greens_cache[omega] = assemble_green(config.grid, k_ref)
         model = build_model(
             params,
             item.freq,

@@ -291,18 +291,38 @@ class TestExitCodes:
             ("inversion.quantities", "cS"),  # would run as ("c", "S")
             ("inversion.quantities", ["S", 1]),
             ("inversion.quantities", []),  # would end in a ValueError inside invert
+            ("medium.reference.c", "1.0"),  # would end in a TypeError inside build_grid
+            ("medium.reference.gamma", "x"),  # would end in a ValueError
+            ("medium.reference.rho", True),
+            ("frequencies.power", "x"),  # would end in a TypeError
+            ("medium.source.power", "2"),  # float() would accept these strings
+            ("medium.source.value", "1.5"),
+            ("medium.perturbations.0.half_width", "0.12"),
+            ("medium.perturbations.0.amplitude", "1"),
+            ("medium.flow.half_width", "0.15"),
+            ("medium.flow.amplitude", "0.5"),
+            ("medium.perturbations.0.center", [0.1]),  # would broadcast to (0.1, 0.1)
+            ("medium.perturbations.0.center", [0.1, "0.2"]),
+            ("medium.flow.center", [0.0, 0.0, 0.0]),
+            ("medium.flow.center", [0.0, float("nan")]),
+            ("kernels.targets", "abc"),  # would end in a UFuncTypeError inside kernels
+            ("kernels.targets", [[0.15]]),
+            ("inversion.max_cg", 0),  # every step would be zero
+            ("inversion.max_outer", -2),  # no iteration would run
+            ("inversion.tau", -1),  # the stop rule could never fire
         ],
     )
     def test_non_numeric_config_value_is_2(self, tiny_config, key, value):
         # a string or bool would compare (or fail to compare) as if it were a
         # number; a count must be an integer, in every block of the document,
-        # and a value outside its range is rejected before anything runs
+        # a point has one finite number per axis, and a value outside its
+        # range is rejected before anything runs
         path, cfg, tmp = tiny_config
         cfg2 = json.loads(path.read_text())
         *blocks, leaf = key.split(".")
         target = cfg2
         for part in blocks:
-            target = target[part]
+            target = target[int(part)] if part.isdigit() else target.setdefault(part, {})
         target[leaf] = value
         with pytest.raises(UsageError, match=leaf):
             cli.validate_config(cfg2)

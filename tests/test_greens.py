@@ -171,6 +171,22 @@ class TestAssembly:
             greens.assemble_green(grid, 1.0, budget_bytes=1024)
 
 
+def _split_interior(g):
+    """The same grid with its receivers stored in the middle of the interior
+    nodes, so the interior indices are no contiguous range."""
+    half = g.n_interior // 2
+    order = np.concatenate([g.interior_idx[:half], g.receiver_idx, g.interior_idx[half:]])
+    receivers = np.arange(half, half + g.n_receivers)
+    return greens.Grid(
+        nodes=g.nodes[order],
+        weights=g.weights[order],
+        receiver_idx=receivers,
+        interior_idx=np.setdiff1d(np.arange(g.n_nodes), receivers),
+        wavelength_resolution=g.wavelength_resolution,
+        spacing=g.spacing,
+    )
+
+
 def _reference_kernel(g, k):
     """Off-diagonal kernel entries from green_uniform, node pair by node pair."""
     n = g.n_nodes
@@ -193,8 +209,9 @@ class TestLatticeAssembly:
             lambda: greens.disk_grid(
                 0.4, 0.4, receiver_radius=0.3, n_receivers=12, receiver_phase=0.1
             ),
+            lambda: _split_interior(greens.square_grid(0.6, 0.5, 7.5, 1.0, n_receivers=16)),
         ],
-        ids=["square", "square-no-quarter-turn", "square-phase", "disk"],
+        ids=["square", "square-no-quarter-turn", "square-phase", "disk", "split-interior"],
     )
     def test_every_offdiagonal_entry_matches_point_evaluation(self, make):
         g = make()
@@ -259,14 +276,20 @@ class TestLatticeAssembly:
             greens.assemble_green(moved, 7.0 + 0.5j)
 
     def test_allocation_peak_near_kernel_size(self):
-        g = greens.square_grid(0.6, 0.3, 7.5, 1.0, n_receivers=40)
-        tracemalloc.start()
-        try:
-            greens.assemble_green(g, 7.0 + 0.5j).kernel
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * 16 * g.n_nodes**2
+        # the gather goes row block by row block, through slices on a
+        # contiguous interior and through np.ix_ on a split one
+        square = greens.square_grid(0.6, 0.3, 7.5, 1.0, n_receivers=40)
+        disk = greens.disk_grid(
+            0.6, 0.3, receiver_radius=0.4, n_receivers=40, receiver_phase=0.05
+        )
+        for g in (square, disk, _split_interior(square)):
+            tracemalloc.start()
+            try:
+                greens.assemble_green(g, 7.0 + 0.5j).kernel
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * 16 * g.n_nodes**2
 
 
 class TestLazyReference:
@@ -297,12 +320,26 @@ class TestLazyReference:
         rows = early.receiver_rows
         assert np.array_equal(rows, early.kernel[grid.receiver_idx, :])
         late = greens.assemble_green(grid, k)
-        late.kernel
+        kernel = late.kernel
         assert np.array_equal(late.receiver_rows, rows)
-        assert np.array_equal(late.kernel, early.kernel)
-        # once gathered, the operator holds its receiver rows only in the kernel
-        for op in (early, late):
-            assert np.shares_memory(op.receiver_rows, op.kernel)
+        assert np.array_equal(kernel, early.kernel)
+        # a reference keeps its receiver rows and no n x n array: with the
+        # gathered kernel dropped, what the operator retains is far below it
+        del kernel
+        tracemalloc.start()
+        try:
+            op = greens.assemble_green(grid, k)
+            op.kernel
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * 16 * grid.n_receivers * grid.n_nodes
+
+    def test_each_kernel_read_is_a_fresh_gather(self, grid):
+        op = greens.assemble_green(grid, 7.0 + 0.5j)
+        first, second = op.kernel, op.kernel
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
 
 
 @pytest.fixture(scope="module")
@@ -343,12 +380,13 @@ class TestUpdateGreen:
         # perturbation must shrink the remainder by ~4
         g, g0, delta = setup
         w = g.weights
+        k0 = g0.kernel
 
         def remainder(scale):
             d = greens.DeltaOperator(dv=scale * delta.dv, dA=delta.dA)
             gq = greens.update_green(g0, d)
             m = d.operator_matrix(g).toarray()
-            first = g0.kernel - (g0.kernel * w[None, :]) @ m @ g0.kernel
+            first = k0 - (k0 * w[None, :]) @ m @ k0
             return np.max(np.abs(gq.kernel - first))
 
         r1, r2 = remainder(0.02), remainder(0.01)
@@ -420,9 +458,10 @@ class TestUpdateGreen:
         assert shapes == [(g.n_interior, g.n_nodes)]
 
     def test_factored_model_holds_no_m_by_n_block(self):
-        # with the whole interior perturbed, the factored operator keeps the
-        # m x m LU and no (m, n) block V K0: a sound-speed model on a prebuilt
-        # reference peaks below the LU plus one (n_int, n) block
+        # with the whole interior perturbed, a sound-speed model built on an
+        # ungathered reference holds one gathered K0 and the m x m LU at a
+        # time, and no (m, n) block V K0: it peaks below those two plus a
+        # dozen (n_rec, n) blocks (receiver rows, propagators, products)
         from holoseis import holography, medium
 
         g = greens.square_grid(0.3, 0.2 / 1.02, 7.1, receiver_radius=1.0, n_receivers=16)
@@ -430,7 +469,6 @@ class TestUpdateGreen:
         q = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=0.1)
         q.c = 1.0 + 0.1 * np.exp(-np.sum(g.interior_nodes**2, axis=1) / 0.045)
         g_ref = greens.assemble_green(g, medium.recast(q, freq).k_ref)
-        g_ref.kernel
         tracemalloc.start()
         try:
             model = holography.build_model(q, freq, quantities=("c",), g_ref=g_ref)
@@ -440,9 +478,9 @@ class TestUpdateGreen:
         ref = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=0.1)
         delta = medium.helmholtz_delta(medium.recast(ref, freq), model.hp)
         supp, _v, _lu = greens.update_green(g_ref, delta)._update
-        m = len(supp)
+        n, m, n_rec = g.n_nodes, len(supp), g.n_receivers
         assert m == g.n_interior
-        assert peak < 16 * m * m + 16 * m * g.n_nodes
+        assert peak < 16 * (n * n + m * m) + 12 * 16 * n_rec * n
 
     @pytest.mark.parametrize("background", [0.0, 1.0])
     def test_non_finite_delta_raises(self, setup, background):

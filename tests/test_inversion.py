@@ -520,11 +520,10 @@ class TestOuterLoopMemory:
         assert len(diag["iterations"]) == 3
         assert alive_at_build == [0, 0, 0, 0]
 
-    def test_stack_keeps_no_factored_operator(self):
-        # a sound-speed stack on the whole interior: each frequency's m x m LU
-        # is freed once its entry holds the receiver rows and ingressions, so
-        # the stack plus the reference kernels it caches stay below the F
-        # kernels, one LU and the entries' (n_rec, n) blocks
+    @staticmethod
+    def _sound_speed_setting():
+        """Three frequencies' data and a sound-speed config whose perturbation
+        covers the whole interior."""
         g = greens.square_grid(0.3, 0.2 / 1.02, 7.1, receiver_radius=1.0, n_receivers=16)
         freqs = medium.frequency_band(3, 2 * np.pi / 0.21, 2 * np.pi / 0.2)
         q0 = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=0.1)
@@ -537,6 +536,14 @@ class TestOuterLoopMemory:
         config = inversion.InversionConfig(
             grid=g, q0=q0, quantities=("c",), beta=0.1 * data[0].corr.trace() / g.n_receivers
         )
+        return g, q0, data, config
+
+    def test_stack_keeps_no_factored_operator(self):
+        # a sound-speed stack on the whole interior: each frequency's m x m LU
+        # is freed once its entry holds the receiver rows and ingressions, so
+        # the stack plus the reference operators it caches stay below the F
+        # kernels, one LU and the entries' (n_rec, n) blocks
+        g, q0, data, config = self._sound_speed_setting()
         gc.collect()
         tracemalloc.start()
         try:
@@ -553,6 +560,28 @@ class TestOuterLoopMemory:
         # fields and receiver matrices
         slack = 3 * (3 * 16 * n_rec * n + 64 * 1024)
         assert current < 3 * 16 * n**2 + 16 * m**2 + slack, current
+
+    def test_stack_holds_no_reference_kernel(self):
+        # the cached reference operators keep their receiver rows, never K0:
+        # after two iterates' builds on one cache, what stays alive is below
+        # one 16 n^2 kernel plus, per frequency, the entry's blocks and the
+        # cached receiver rows
+        g, q0, data, config = self._sound_speed_setting()
+        n, n_rec = g.n_nodes, g.n_receivers
+        slack = 3 * (4 * 16 * n_rec * n + 64 * 1024)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            greens_cache = {}
+            for params in (q0, config.q0.copy()):
+                stack = None
+                stack = inversion._build_stack(params, data, config, greens_cache)
+                gc.collect()
+                current, _ = tracemalloc.get_traced_memory()
+                assert len(stack) == len(greens_cache) == 3
+                assert current < 16 * n**2 + slack, current
+        finally:
+            tracemalloc.stop()
 
 
 class TestOneDataPath:
