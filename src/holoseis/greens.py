@@ -473,10 +473,9 @@ def assemble_green(
     only on the lattice offsets |a_i|, so it is evaluated once, on the first
     gather, on the table of distances h sqrt(sum a_i^2), reflected to the
     signed offsets.  Node j seen from node i sits at c + lattice[j] -
-    lattice[i] of that table: on a lattice filled row-major (square_grid)
-    each interior row is a window of the table, copied in one strided
-    assignment; any other interior is gathered row block by row block with a
-    1-D take on the flat table positions.  Receiver rows come from
+    lattice[i] of that table, and the interior block is gathered row block
+    by row block with a 1-D take on the flat table positions, so no
+    n_int x n_int index array is formed.  Receiver rows come from
     assemble_receiver_rows, their transpose (reciprocity) gives the receiver
     columns.  The interior diagonal is the exact cell average of the leading
     singularity plus the constant terms of the small-argument expansion.
@@ -494,10 +493,6 @@ def assemble_green(
         raise UsageError("every node must be an interior node or a receiver")
     lattice = _lattice_indices(grid)
     shape = lattice.max(axis=0) + 1
-    # square_grid's interior: consecutive nodes filling the lattice row-major
-    rectangle = isinstance(_view(grid.interior_idx), slice) and np.array_equal(
-        lattice, np.indices(shape).reshape(len(shape), -1).T
-    )
 
     @functools.cache
     def offset_table() -> np.ndarray:
@@ -515,24 +510,17 @@ def assemble_green(
         kernel = np.empty((n, n), dtype=np.complex128)
         int_idx = grid.interior_idx
         cols = _view(int_idx)
-        if rectangle:
-            # node j seen from node i sits at c + lattice[j] - lattice[i] of the
-            # table, so row i, laid out on the lattice, is the window of the
-            # table at c - lattice[i]: one strided copy fills the block
-            windows = np.lib.stride_tricks.sliding_window_view(table, tuple(shape))
-            block = kernel[cols, cols].reshape(2 * tuple(shape), copy=False)
-            block[...] = windows[::-1, ::-1]
-        else:
-            # the same positions as flat table indices, a 1-D take per row block
-            strides = np.array(table.strides) // table.itemsize
-            to_node = lattice @ strides
-            from_node = (shape - 1) @ strides - to_node
-            flat_table = table.ravel()
-            for start in range(0, len(int_idx), _GATHER_ROWS):
-                part = slice(start, start + _GATHER_ROWS)
-                sub = int_idx[part]
-                key = (_view(sub), cols) if isinstance(cols, slice) else np.ix_(sub, int_idx)
-                kernel[key] = flat_table.take(np.add.outer(from_node[part], to_node))
+        # node j seen from node i sits at c + lattice[j] - lattice[i] of the
+        # table: flat table positions, a 1-D take per row block
+        strides = np.array(table.strides) // table.itemsize
+        to_node = lattice @ strides
+        from_node = (shape - 1) @ strides - to_node
+        flat_table = table.ravel()
+        for start in range(0, len(int_idx), _GATHER_ROWS):
+            part = slice(start, start + _GATHER_ROWS)
+            sub = int_idx[part]
+            key = (_view(sub), cols) if isinstance(cols, slice) else np.ix_(sub, int_idx)
+            kernel[key] = flat_table.take(np.add.outer(from_node[part], to_node))
         rec = _view(grid.receiver_idx)
         kernel[rec, :] = rows
         kernel[:, rec] = rows.T

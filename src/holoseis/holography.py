@@ -202,10 +202,13 @@ def build_model(
     beta_flow = None
     if jacobians:
         m_block = h_alpha * (hp.S * grid.interior_weights)[None, :]
-        beta_scalar = g.mul_kernel_hermitian(m_block, grid.interior_idx)
+        in_idx = grid.interior_idx
         if boundary_src is not None:
+            # one product over interior and receiver columns: one read of K0
             mb = _boundary_block(rows[:, grid.receiver_idx], boundary_src, grid)
-            beta_scalar = beta_scalar + g.mul_kernel_hermitian(mb, grid.receiver_idx)
+            m_block = np.hstack([m_block, mb])
+            in_idx = np.concatenate([in_idx, grid.receiver_idx])
+        beta_scalar = g.mul_kernel_hermitian(m_block, in_idx)
         if any(j_a is not None for _, j_a in jacobians.values()):
             dmats = grid.gradient_matrices()
             beta_flow = tuple((beta_scalar @ d_i.T.tocsc()) for d_i in dmats)

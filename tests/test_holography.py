@@ -236,6 +236,32 @@ class TestPropagators:
         rel = np.max(np.abs(gq.kernel - direct)) / np.max(np.abs(direct))
         assert rel <= 1e-8
 
+    def test_boundary_source_ingression_gathers_the_kernel_once(self, setting):
+        # the interior and boundary-source terms of the scalar ingression are
+        # one product over interior and receiver columns, so a model at the
+        # reference medium gathers K0 once
+        g, params, freq, _ = setting
+        g_ref = greens.assemble_green(g, medium.recast(params, freq).k_ref)
+        gather = g_ref._base
+        calls = []
+        g_ref._base = lambda rows: calls.append(1) or gather(rows)
+        b = np.linspace(0.5, 1.5, g.n_receivers)
+        model = holography.build_model(
+            params, freq, quantities=("c",), g_ref=g_ref, boundary_src=b
+        )
+        assert len(calls) == 1
+        k0 = gather(g_ref.receiver_rows)
+        rows = model.receiver_rows
+        m_int = rows[:, g.interior_idx] * (model.hp.S * g.interior_weights)[None, :]
+        m_bnd = stochastic._boundary_block(rows[:, g.receiver_idx], b, g)
+        k0_int = k0[g.interior_idx]
+        expected = (
+            m_int @ k0_int[:, g.interior_idx].conj().T
+            + m_bnd @ k0_int[:, g.receiver_idx].conj().T
+        )
+        err = np.max(np.abs(model.beta_scalar - expected))
+        assert err <= 1e-12 * np.max(np.abs(expected))
+
 
 class TestReceiverRows:
     def test_evaluated_once_per_iterate(self, monkeypatch):
