@@ -20,10 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,172 +40,182 @@ EXIT_NUMERICAL = 3
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-# the keys a config may carry at the top level ("") and in each block (a
-# dotted path; a list-valued block is checked entry by entry); any other key
-# is rejected, so a misspelt or stale key cannot be silently ignored
-CONFIG_KEYS = {
-    "": "description geometry medium frequencies realizations seed inversion "
-    "kernels hologram",
-    "geometry": "half_width receiver_radius n_receivers points_per_wavelength "
-    "receiver_phase",
-    "frequencies": "count f_min_hz f_max_hz power",
-    "inversion": "quantities tau max_outer max_cg beta beta_scale weighted alpha0 "
-    "alpha0_scale smoothing_width",
-    "kernels": "pairs targets band_count source_strength",
-    "hologram": "pupils",
-    "medium": "reference source perturbations flow fields boundary_source",
-    "medium.reference": "c rho gamma",
-    "medium.source": "model power value",
-    "medium.perturbations": "field shape center half_width amplitude",
-    "medium.flow": "model center half_width amplitude",
-    "medium.fields": "c rho gamma S u",
-    "medium.boundary_source": "value",
+class Key(NamedTuple):
+    """One row of CONFIG: the kind of a key's value (a KINDS name), the
+    default read when the key is left out, whether the key is required and
+    whether null is admissible, and the range of a number or of a list's
+    length: least <= x, above < x and x <= most."""
+
+    kind: str
+    default: Any = None
+    required: bool = False
+    null: bool = False
+    least: float = -math.inf
+    above: float = -math.inf
+    most: float = math.inf
+
+    def admits(self, value: Any) -> bool:
+        if value is None or not _fits(self.kind, value):
+            return value is None and self.null
+        size = value if isinstance(value, (int, float)) else len(value)
+        return self.least <= size <= self.most and size > self.above
+
+    def __str__(self) -> str:
+        bounds = ((">=", self.least), (">", self.above), ("<=", self.most))
+        text = " and ".join(f"{op} {bound}" for op, bound in bounds if math.isfinite(bound))
+        of_length = " of length" if self.kind.startswith("[") else ""
+        return f"{self.kind}{of_length} {text}".rstrip()
+
+
+# the values of each kind; a kind in brackets is a list of values of that kind
+KINDS = {
+    "block": lambda v: isinstance(v, dict),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: _fits("int", v) or isinstance(v, float) and math.isfinite(v),
+    "numbers": lambda v: _fits("number", v) or _fits("[number]", v),  # one for all, or each
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "names": lambda v: _fits("[str]", v) and 0 < len(v) == len(set(v)),  # distinct
+    "pair": lambda v: _fits("[str]", v) and len(v) == 2,
+    "point": lambda v: _fits("[number]", v) and len(v) == 2,  # build_grid's grids are planar
 }
 
-# numeric keys checked when present (a dotted block path, as in CONFIG_KEYS):
-# integer counts, and finite numbers of which a few may be null (the default)
-COUNT_KEYS = {"kernels": "band_count", "inversion": "max_outer max_cg"}
-NUMBER_KEYS = {
-    "frequencies": "power",
-    "kernels": "source_strength",
-    "inversion": "tau beta beta_scale alpha0 alpha0_scale smoothing_width",
-    "medium.reference": "c rho gamma",
-    "medium.source": "power value",
-    "medium.perturbations": "half_width amplitude",
-    "medium.flow": "half_width amplitude",
+_INVERSION = inversion.InversionConfig  # the inversion keys default to its fields
+
+# every key a config may carry, one row per dotted key (the entries of a list
+# of blocks share their rows); a key with no row is rejected, so a misspelt or
+# stale key cannot be silently ignored.  The medium descriptor's keys without
+# a default here take medium_from_descriptor's.
+CONFIG = {
+    "description": Key("str"),
+    "geometry": Key("block", required=True),
+    "geometry.half_width": Key("number", required=True, above=0),
+    "geometry.receiver_radius": Key("number", 1.0, above=0),
+    "geometry.n_receivers": Key("int", required=True, least=2),
+    "geometry.points_per_wavelength": Key("number", 7.5, least=7),
+    "geometry.receiver_phase": Key("number", 0.0),
+    "frequencies": Key("block", required=True),
+    "frequencies.count": Key("int", required=True, least=1),
+    "frequencies.f_min_hz": Key("number", required=True, above=0),
+    "frequencies.f_max_hz": Key("number", required=True, above=0),
+    "frequencies.power": Key("number", 1.0, above=0),
+    "realizations": Key("int", required=True, least=1),
+    "seed": Key("int", required=True, least=0, most=2**64 - 1),
+    "medium": Key("block", required=True),
+    "medium.reference": Key("block"),
+    "medium.reference.c": Key("number", 1.0, above=0),
+    "medium.reference.rho": Key("number", 1.0, above=0),
+    "medium.reference.gamma": Key("number", 0.0, least=0),
+    "medium.source": Key("block"),
+    "medium.source.model": Key("str"),
+    "medium.source.power": Key("number", least=0),
+    "medium.source.value": Key("number", least=0),
+    "medium.perturbations": Key("[block]"),
+    "medium.perturbations.field": Key("str", required=True),
+    "medium.perturbations.shape": Key("str"),
+    "medium.perturbations.center": Key("point"),
+    "medium.perturbations.half_width": Key("number", required=True, above=0),
+    "medium.perturbations.amplitude": Key("number", required=True),
+    "medium.flow": Key("block"),
+    "medium.flow.model": Key("str"),
+    "medium.flow.center": Key("point"),
+    "medium.flow.half_width": Key("number", required=True, above=0),
+    "medium.flow.amplitude": Key("number"),
+    "medium.fields": Key("block"),  # a binary grid file per overridden field
+    **{f"medium.fields.{name}": Key("str") for name in ("c", "rho", "gamma", "S", "u")},
+    "medium.boundary_source": Key("block"),
+    "medium.boundary_source.value": Key("numbers", required=True),
+    "inversion": Key("block"),
+    "inversion.quantities": Key("names", ("S",)),
+    "inversion.tau": Key("number", _INVERSION.tau, least=0),
+    "inversion.max_outer": Key("int", _INVERSION.max_outer, least=0),
+    "inversion.max_cg": Key("int", _INVERSION.max_cg, least=1),
+    "inversion.weighted": Key("bool", _INVERSION.weighted),
+    "inversion.beta": Key("number", _INVERSION.beta, null=True, above=0),
+    "inversion.beta_scale": Key("number", null=True, above=0),
+    "inversion.alpha0": Key("number", _INVERSION.alpha0, null=True, above=0),
+    "inversion.alpha0_scale": Key("number", _INVERSION.alpha0_scale, above=0),
+    "inversion.smoothing_width": Key("number", _INVERSION.smoothing_width, least=0),
+    "kernels": Key("block"),
+    "kernels.pairs": Key("[pair]", (("S", "S"),), least=1),
+    "kernels.targets": Key("[point]", ((0.0, 0.0),), least=1),
+    "kernels.band_count": Key("int", least=1),  # left out: frequencies.count
+    "kernels.source_strength": Key("number", 1.0, least=0),
+    "hologram": Key("block"),
+    "hologram.pupils": Key("[[int]]", null=True, least=2, most=2),  # receiver indices
 }
-NULLABLE_KEYS = ("beta", "beta_scale", "alpha0")
 
 
-def load_config(path: str) -> dict:
-    try:
-        cfg = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    validate_config(cfg)
-    return cfg
+def _fits(kind: str, value: Any) -> bool:
+    if kind.startswith("["):
+        return isinstance(value, list) and all(_fits(kind[1:-1], v) for v in value)
+    return KINDS[kind](value)
 
 
-def _number(block: dict, key: str, default: float, kinds: tuple = (int, float)) -> float:
-    """block[key] (or default; None means the key is required), rejected unless
-    it is a finite number of the given kinds."""
-    if default is None and key not in block:
-        raise UsageError(f"config key {key!r} is required")
-    value = block.get(key, default)
-    finite = not isinstance(value, float) or np.isfinite(value)  # ints may exceed int64
-    if isinstance(value, bool) or not isinstance(value, kinds) or not finite:
-        kind = "an integer" if kinds == (int,) else "a finite number"
-        raise UsageError(f"config key {key!r} must be {kind}, got {value!r}")
-    return value
-
-
-def _point(value, key: str) -> None:
-    """Reject value unless it is a point of the plane: a list of 2 finite numbers."""
-    if not (isinstance(value, list) and len(value) == 2):
-        raise UsageError(f"config key {key!r} must be a list of 2 numbers, got {value!r}")
-    for coord in value:
-        _number({key: coord}, key, None)
-
-
-def _blocks(cfg: dict, name: str) -> List[dict]:
-    """The dict blocks at a dotted path ("" is the top level); a list-valued
-    block is returned entry by entry."""
-    block = cfg
-    for part in name.split(".") if name else ():
-        block = block.get(part) if isinstance(block, dict) else None
-    entries = block if isinstance(block, list) else [block]
-    return [entry for entry in entries if isinstance(entry, dict)]
+def setting(cfg: dict, key: str) -> Any:
+    """The value of a dotted key in a validated cfg, or its row's default."""
+    *blocks, leaf = key.split(".")
+    for block in blocks:
+        cfg = cfg.get(block, {})
+    return cfg.get(leaf, CONFIG[key].default)
 
 
 def validate_config(cfg: dict) -> None:
-    for name, allowed in CONFIG_KEYS.items():
-        for entry in _blocks(cfg, name):
-            unknown = sorted(set(entry) - set(allowed.split()))
-            if unknown:
-                raise UsageError(f"unknown config keys {unknown} in {name or 'the top level'}")
-    geo = cfg.get("geometry")
-    if not isinstance(geo, dict):
-        raise UsageError("config needs a 'geometry' block")
-    if _number(geo, "half_width", None) <= 0:
-        raise UsageError("geometry.half_width must be positive")
-    if _number(geo, "points_per_wavelength", 7.5) < 7.0:
-        raise UsageError("resolution must be at least 7 points per wavelength")
-    if _number(geo, "n_receivers", 0, (int,)) < 2:
-        raise UsageError("need at least 2 receivers")
-    freqs = cfg.get("frequencies")
-    if not isinstance(freqs, dict) or _number(freqs, "count", 0, (int,)) < 1:
-        raise UsageError("config needs a 'frequencies' block with count >= 1")
-    f_min = _number(freqs, "f_min_hz", 0)
-    if f_min <= 0 or _number(freqs, "f_max_hz", 0) < f_min:
+    """Reject cfg, naming every fault, unless each of its keys has a row in
+    CONFIG and its value fits that row; then the rules that tie keys together."""
+    if not isinstance(cfg, dict):
+        raise UsageError(f"a config is a JSON object, got {cfg!r}")
+    found = {"": [cfg]}  # the blocks at each dotted path, a list's entries one by one
+    faults = []
+    for key, row in CONFIG.items():
+        path, _, leaf = key.rpartition(".")
+        for block in found.get(path, []):
+            if leaf not in block:
+                if row.required:
+                    faults.append(f"config key {key!r} is required")
+            elif not row.admits(block[leaf]):
+                faults.append(f"config key {key!r} must be {row}, got {block[leaf]!r}")
+            elif "block" in row.kind:
+                entries = block[leaf] if isinstance(block[leaf], list) else [block[leaf]]
+                found.setdefault(key, []).extend(entries)
+    for path, blocks in found.items():
+        unknown = {k for b in blocks for k in b if (f"{path}.{k}" if path else k) not in CONFIG}
+        if unknown:
+            faults.append(f"unknown config keys {sorted(unknown)} in {path or 'the top level'}")
+    if faults:
+        raise UsageError("; ".join(faults))
+    if setting(cfg, "frequencies.f_min_hz") > setting(cfg, "frequencies.f_max_hz"):
         raise UsageError("frequency band must satisfy 0 < f_min <= f_max")
-    if _number(cfg, "realizations", None, (int,)) < 1:
-        raise UsageError("need at least one realization")
-    if not 0 <= _number(cfg, "seed", None, (int,)) < 2**64:
-        raise UsageError(f"seed must be in [0, 2**64), got {cfg['seed']}")
-    if "medium" not in cfg:
-        raise UsageError("config needs a 'medium' descriptor")
-    for keys, kinds in ((COUNT_KEYS, (int,)), (NUMBER_KEYS, (int, float))):
-        for name, names in keys.items():
-            for block in _blocks(cfg, name):
-                for key in names.split():
-                    if key in block and not (block[key] is None and key in NULLABLE_KEYS):
-                        _number(block, key, None, kinds)
-    # build_grid's grids are planar: every position is a point of the plane
-    for block in _blocks(cfg, "medium.perturbations") + _blocks(cfg, "medium.flow"):
-        if "center" in block:
-            _point(block["center"], "center")
-    kernels = cfg.get("kernels")
-    if isinstance(kernels, dict) and "targets" in kernels:
-        targets = kernels["targets"]
-        if not isinstance(targets, list):
-            raise UsageError(f"config key 'targets' must be a list of points, got {targets!r}")
-        for target in targets:
-            _point(target, "targets")
-    inv = cfg.get("inversion")
-    # the lower bounds of the inversion's loop counts and stop factor
-    for key, low in (("max_cg", 1), ("max_outer", 0), ("tau", 0)):
-        if isinstance(inv, dict) and key in inv and inv[key] < low:
-            raise UsageError(f"config key {key!r} must be at least {low}, got {inv[key]!r}")
-    names = inv.get("quantities", ["S"]) if isinstance(inv, dict) else ["S"]
-    if not (isinstance(names, list) and names and all(isinstance(q, str) for q in names)):
-        raise UsageError(f"config key 'quantities' must be a list of names, got {names!r}")
-    weighted = inv.get("weighted", True) if isinstance(inv, dict) else True
-    if not isinstance(weighted, bool):
-        raise UsageError(f"config key 'weighted' must be true or false, got {weighted!r}")
-    if not weighted and any(inv.get(key) is not None for key in ("beta", "beta_scale")):
-        raise UsageError("'beta' and 'beta_scale' set a Lavrentiev weight: 'weighted' is false")
+    # a weighted run takes at most one Lavrentiev level, an unweighted run none
+    levels = [k for k in ("beta", "beta_scale") if setting(cfg, f"inversion.{k}") is not None]
+    if len(levels) > setting(cfg, "inversion.weighted"):
+        raise UsageError(
+            f"inversion sets {levels}: a weighted run takes one at most, an unweighted run none"
+        )
 
 
 def build_grid(cfg: dict) -> greens.Grid:
-    geo = cfg["geometry"]
-    c_ref = cfg["medium"].get("reference", {}).get("c", 1.0)
-    lam_min = c_ref / cfg["frequencies"]["f_max_hz"]
+    keys = "half_width points_per_wavelength receiver_radius n_receivers receiver_phase"
     return greens.square_grid(
-        half_width=geo["half_width"],
-        wavelength=lam_min,
-        points_per_wavelength=geo.get("points_per_wavelength", 7.5),
-        receiver_radius=geo.get("receiver_radius", 1.0),
-        n_receivers=geo["n_receivers"],
-        receiver_phase=geo.get("receiver_phase", 0.0),
+        wavelength=setting(cfg, "medium.reference.c") / setting(cfg, "frequencies.f_max_hz"),
+        **{key: setting(cfg, f"geometry.{key}") for key in keys.split()},
     )
 
 
 def build_frequencies(cfg: dict, count: Optional[int] = None) -> List[medium.FrequencyContext]:
     """The configured band at count frequencies (default: frequencies.count)."""
-    f = cfg["frequencies"]
     return medium.frequency_band(
-        f["count"] if count is None else count,
-        2.0 * np.pi * f["f_min_hz"],
-        2.0 * np.pi * f["f_max_hz"],
-        power=f.get("power", 1.0),
+        setting(cfg, "frequencies.count") if count is None else count,
+        2.0 * np.pi * setting(cfg, "frequencies.f_min_hz"),
+        2.0 * np.pi * setting(cfg, "frequencies.f_max_hz"),
+        power=setting(cfg, "frequencies.power"),
     )
 
 
 def _reference_medium(cfg: dict, grid: greens.Grid) -> medium.MediumParams:
     """Uniform medium at the configured reference values."""
-    ref = cfg["medium"].get("reference", {})
     return medium.uniform_medium(
-        grid, c=ref.get("c", 1.0), rho=ref.get("rho", 1.0), gamma=ref.get("gamma", 0.0)
+        grid, **{key: setting(cfg, f"medium.reference.{key}") for key in ("c", "rho", "gamma")}
     )
 
 
@@ -258,14 +269,14 @@ def _map(fn, items, workers: int) -> list:
 # Subcommands
 # ---------------------------------------------------------------------------
 def cmd_synth(cfg: dict, out: Path, workers: int = 1) -> List[str]:
-    if "boundary_source" in cfg["medium"]:
+    if setting(cfg, "medium.boundary_source") is not None:
         # the sampler draws interior sources only; invert models the key
         raise UsageError("synth does not model medium.boundary_source; remove it to synthesize")
     grid = build_grid(cfg)
-    truth = medium.medium_from_descriptor(grid, cfg["medium"])
+    truth = medium.medium_from_descriptor(grid, setting(cfg, "medium"))
     freqs = build_frequencies(cfg)
-    n = cfg["realizations"]
-    seed = cfg["seed"]
+    n = setting(cfg, "realizations")
+    seed = setting(cfg, "seed")
     out.mkdir(parents=True, exist_ok=True)
 
     def synth_one(item):
@@ -307,7 +318,7 @@ def cmd_hologram(cfg: dict, out: Path, archives: Path, workers: int = 1) -> List
     grid = build_grid(cfg)
     reference = _reference_medium(cfg, grid)
     freqs = build_frequencies(cfg)
-    pupils = cfg.get("hologram", {}).get("pupils")
+    pupils = setting(cfg, "hologram.pupils")
     out.mkdir(parents=True, exist_ok=True)
     outputs: List[str] = []
     total = np.zeros(grid.n_interior, dtype=complex)
@@ -340,7 +351,7 @@ def cmd_hologram(cfg: dict, out: Path, archives: Path, workers: int = 1) -> List
         "pupils": pupils,
         "peak_index": peak,
         "peak_position": [float(v) for v in grid.interior_nodes[peak]],
-        "seed": cfg["seed"],
+        "seed": setting(cfg, "seed"),
     }
     (out / "hologram_meta.json").write_text(json.dumps(meta, indent=2))
     outputs.append(str(out / "hologram_meta.json"))
@@ -351,17 +362,14 @@ def cmd_hologram(cfg: dict, out: Path, archives: Path, workers: int = 1) -> List
 def cmd_kernels(cfg: dict, out: Path, workers: int = 1) -> List[str]:
     grid = build_grid(cfg)
     reference = _reference_medium(cfg, grid)
-    kcfg = cfg.get("kernels", {})
-    pairs = [tuple(p) for p in kcfg.get("pairs", [["S", "S"]])]
-    band_count = kcfg.get("band_count", cfg["frequencies"]["count"])
-    freqs = build_frequencies(cfg, band_count)
-    targets_xy = kcfg.get("targets", [[0.0, 0.0]])
+    pairs = [tuple(p) for p in setting(cfg, "kernels.pairs")]
+    freqs = build_frequencies(cfg, setting(cfg, "kernels.band_count"))
     targets = [
         int(np.argmin(np.sum((grid.interior_nodes - np.asarray(t)) ** 2, axis=1)))
-        for t in targets_xy
+        for t in setting(cfg, "kernels.targets")
     ]
     # uniform source strength so the scalar ingressions are defined
-    reference.S = np.full(grid.n_interior, kcfg.get("source_strength", 1.0))
+    reference.S = np.full(grid.n_interior, setting(cfg, "kernels.source_strength"))
     out.mkdir(parents=True, exist_ok=True)
     outputs: List[str] = []
 
@@ -394,9 +402,9 @@ def cmd_kernels(cfg: dict, out: Path, workers: int = 1) -> List[str]:
         "command": "kernels",
         "pairs": [list(p) for p in pairs],
         "band": [freqs[0].omega, freqs[-1].omega],
-        "band_count": band_count,
+        "band_count": len(freqs),
         "targets": targets,
-        "seed": cfg["seed"],
+        "seed": setting(cfg, "seed"),
     }
     (out / "kernels_meta.json").write_text(json.dumps(meta, indent=2))
     outputs.append(str(out / "kernels_meta.json"))
@@ -408,10 +416,9 @@ def cmd_invert(
     cfg: dict, out: Path, archives: Path, quantities: Optional[Sequence[str]] = None
 ) -> List[str]:
     grid = build_grid(cfg)
-    truth = medium.medium_from_descriptor(grid, cfg["medium"])
+    truth = medium.medium_from_descriptor(grid, setting(cfg, "medium"))
     q0 = _reference_medium(cfg, grid)
-    icfg = dict(cfg.get("inversion", {}))
-    quantities = tuple(quantities or icfg.get("quantities", ["S"]))
+    quantities = tuple(quantities or setting(cfg, "inversion.quantities"))
     # the initial source strength matters for the scalar ingressions: start
     # from the truth background unless S itself is inverted
     if "S" not in quantities:
@@ -421,31 +428,25 @@ def cmd_invert(
         _frequency_data(archives, idx, grid, freq)
         for idx, freq in enumerate(build_frequencies(cfg))
     ]
-    boundary_src = None
-    bnd = cfg["medium"].get("boundary_source")
-    if bnd is not None:
-        value = bnd["value"] if isinstance(bnd, dict) else bnd
-        boundary_src = (
-            np.full(grid.n_receivers, float(value))
-            if np.isscalar(value)
-            else np.asarray(value, dtype=float)
-        )
-    beta = icfg.get("beta")
-    if beta is None and icfg.get("beta_scale") is not None:
+    # one boundary source strength, or one per receiver
+    bnd = setting(cfg, "medium.boundary_source.value")
+    if np.isscalar(bnd):
+        bnd = np.full(grid.n_receivers, float(bnd))
+    elif bnd is not None:
+        bnd = np.asarray(bnd, dtype=float)
+    beta, beta_scale = setting(cfg, "inversion.beta"), setting(cfg, "inversion.beta_scale")
+    if beta_scale is not None:
         # fixed Lavrentiev level set from the data traces, so the weighting
         # metric stays constant across outer iterations
-        beta = icfg["beta_scale"] * float(
-            np.mean([d.corr.trace() / d.corr.n for d in data])
-        )
-    # keys the config leaves out keep InversionConfig's defaults
-    keys = "alpha0 alpha0_scale tau max_outer max_cg weighted smoothing_width".split()
+        beta = beta_scale * float(np.mean([d.corr.trace() / d.corr.n for d in data]))
+    keys = "alpha0 alpha0_scale tau max_outer max_cg weighted smoothing_width"
     config = inversion.InversionConfig(
         grid=grid,
         q0=q0,
         quantities=quantities,
         beta=beta,
-        boundary_src=boundary_src,
-        **{key: icfg[key] for key in keys if key in icfg},
+        boundary_src=bnd,
+        **{key: setting(cfg, f"inversion.{key}") for key in keys.split()},
     )
     out.mkdir(parents=True, exist_ok=True)
     q_fin, diag = inversion.run_irgnm(config, data, truth=truth)
@@ -456,27 +457,15 @@ def cmd_invert(
         path = out / f"reconstruction_{q}.hsm"
         hio.write_matrix(path, np.asarray(field, dtype=complex))
         outputs.append(str(path))
+    columns = (
+        "iteration alpha misfit noise_level param_error cg_iterations cg_converged cg_residual"
+    ).split()
     rows = []
     for entry in diag["iterations"]:
-        err = entry.get("param_error", {})
-        rows.append(
-            (
-                entry["iteration"],
-                entry["alpha"],
-                entry["misfit"],
-                entry["noise_level"],
-                ";".join(f"{k}={v:.6g}" for k, v in err.items()),
-                entry["cg_iterations"],
-                int(entry["cg_converged"]),
-                entry["cg_residual"],
-            )
-        )
-    hio.write_csv(
-        out / "diagnostics.csv",
-        "iteration alpha misfit noise_level param_error cg_iterations cg_converged "
-        "cg_residual".split(),
-        rows,
-    )
+        err = ";".join(f"{k}={v:.6g}" for k, v in entry.get("param_error", {}).items())
+        entry = {**entry, "param_error": err, "cg_converged": int(entry["cg_converged"])}
+        rows.append([entry[column] for column in columns])
+    hio.write_csv(out / "diagnostics.csv", columns, rows)
     outputs.append(str(out / "diagnostics.csv"))
     summary = {
         "command": "invert",
@@ -486,7 +475,7 @@ def cmd_invert(
         "alpha0": diag["alpha0"],
         "final_misfit": diag["final_misfit"],
         "final_noise_level": diag["final_noise_level"],
-        "seed": cfg["seed"],
+        "seed": setting(cfg, "seed"),
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     outputs.append(str(out / "summary.json"))
@@ -551,10 +540,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_selftest(only=[int(tok) for tok in tokens] or None, fast=args.fast)
         if getattr(args, "workers", 1) < 1:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")
-        cfg = load_config(args.config)
-        if args.seed is not None:
+        try:
+            cfg = json.loads(Path(args.config).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
+        if args.seed is not None and isinstance(cfg, dict):
             cfg["seed"] = args.seed
-            validate_config(cfg)
+        validate_config(cfg)
         out = Path(args.out)
         if args.command == "synth":
             cmd_synth(cfg, out, workers=args.workers)

@@ -228,6 +228,16 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert cli.main(["synth", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("text", ["[1]", "null", "3"])
+    def test_config_not_an_object_is_2(self, tmp_path, text):
+        # would end in an AttributeError, or a TypeError with --seed
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        argv = ["synth", "--config", str(bad), "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert cli.main(argv + ["--seed", "3"]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "run").exists()
+
     def test_schema_violation_is_2(self, tmp_path):
         cfg = json.loads((CONFIGS / "lindsey_braun.json").read_text())
         cfg["geometry"]["n_receivers"] = 1
@@ -310,6 +320,27 @@ class TestExitCodes:
             ("inversion.max_cg", 0),  # every step would be zero
             ("inversion.max_outer", -2),  # no iteration would run
             ("inversion.tau", -1),  # the stop rule could never fire
+            ("medium.flow", {"model": "stream-gaussian"}),  # would end in a KeyError
+            ("medium.boundary_source", {}),
+            ("medium.reference", "x"),  # would end in an AttributeError
+            ("kernels", "x"),
+            ("hologram", "x"),
+            ("medium.perturbations", {"field": "S"}),  # would end in a TypeError
+            ("medium.fields", {"S": 3}),  # would read file descriptor 3
+            ("geometry.receiver_radius", "x"),  # would end in a UFuncTypeError
+            ("geometry.receiver_phase", "x"),
+            ("medium.reference.c", 0),  # would divide by zero in build_grid
+            ("inversion.alpha0", -1),  # would exit 3 after the first forward stack
+            ("inversion.alpha0_scale", 0),
+            ("inversion.smoothing_width", -1),  # would run as width 0
+            ("medium.perturbations.0.half_width", -0.1),  # would run as an empty block
+            ("kernels.pairs", ["SS"]),  # would run as ("S", "S")
+            ("kernels.pairs", ["cS"]),  # would run as ("c", "S")
+            ("kernels.pairs", []),  # would write no kernel
+            ("kernels.targets", []),  # would write kernels without target rows
+            ("inversion.quantities", ["S", "S"]),  # would end in a broadcast ValueError
+            ("hologram.pupils", "x"),
+            ("description", 3),
         ],
     )
     def test_non_numeric_config_value_is_2(self, tiny_config, key, value):
@@ -332,7 +363,17 @@ class TestExitCodes:
         assert cli.main(["synth", "--config", str(p2), "--out", str(out)]) == cli.EXIT_CONFIG
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["realizations", "seed", "geometry.half_width"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "realizations",
+            "seed",
+            "geometry.half_width",
+            "medium.perturbations.0.field",
+            "medium.perturbations.0.half_width",
+            "medium.perturbations.0.amplitude",
+        ],
+    )
     def test_missing_required_key_is_2(self, tiny_config, key):
         # these keys have no default: a config without one would end in a KeyError
         path, cfg, tmp = tiny_config
@@ -340,7 +381,7 @@ class TestExitCodes:
         *blocks, leaf = key.split(".")
         target = cfg2
         for part in blocks:
-            target = target[part]
+            target = target[int(part)] if part.isdigit() else target[part]
         del target[leaf]
         with pytest.raises(UsageError, match=leaf):
             cli.validate_config(cfg2)
@@ -393,8 +434,9 @@ class TestExitCodes:
             {"weighted": False, "beta": -1.0},  # a level with no weight to set
             {"weighted": False, "beta": 0.5},
             {"weighted": False, "beta_scale": 5.0},
+            {"beta": 0.5, "beta_scale": 5.0},  # beta_scale would be ignored
         ],
-        ids=["string", "int", "null", "beta-neg", "beta-pos", "beta_scale"],
+        ids=["string", "int", "null", "beta-neg", "beta-pos", "beta_scale", "beta-and-scale"],
     )
     def test_weighted_takes_effect_or_is_2(self, tiny_config, update):
         # 'weighted' is a JSON bool, and an unweighted run takes no
@@ -511,6 +553,95 @@ class TestExitCodes:
         monkeypatch.setattr("holoseis.cli.inversion.run_irgnm", boom)
         rc = cli.main(["invert", "--config", str(path), "--out", str(out)])
         assert rc == 3
+
+
+class _Recorder(dict):
+    """A config block that notes the dotted key of each read made of it."""
+
+    def __init__(self, block, path, seen):
+        super().__init__({key: _recorded(v, f"{path}.{key}", seen) for key, v in block.items()})
+        self.path, self.seen = path, seen
+
+    def __getitem__(self, key):
+        self.seen.add(f"{self.path}.{key}")
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(f"{self.path}.{key}")
+        return super().get(key, default)
+
+    def items(self):
+        self.seen.update(f"{self.path}.{key}" for key in self)
+        return super().items()
+
+
+def _recorded(value, path, seen):
+    # the entries of a list of blocks share their rows, so they share a path
+    if isinstance(value, dict):
+        return _Recorder(value, path, seen)
+    if isinstance(value, list):
+        return [_recorded(entry, path, seen) for entry in value]
+    return value
+
+
+class TestConfigTable:
+    def test_every_row_is_read(self, tiny_config, monkeypatch):
+        # each row of cli.CONFIG takes effect: the commands read it through
+        # cli.setting, or medium_from_descriptor reads it from the medium
+        path, cfg, tmp = tiny_config
+        cfg["description"] = "every optional key set"
+        cfg["geometry"]["receiver_phase"] = 0.1
+        cfg["inversion"].update(
+            weighted=True, beta=None, beta_scale=1.0, alpha0=None, alpha0_scale=0.5,
+            smoothing_width=0.0,
+        )
+        cfg["kernels"]["source_strength"] = 1.0
+        cfg["hologram"] = {"pupils": None}
+        invert_cfg = json.loads(json.dumps(cfg))
+        invert_cfg["medium"]["boundary_source"] = {"value": 0.05}
+        for document in (cfg, invert_cfg):
+            cli.validate_config(document)
+        read = set()
+        setting = cli.setting
+
+        def spy(document, key):
+            read.add(key)
+            return setting(document, key)
+
+        monkeypatch.setattr(cli, "setting", spy)
+        out = tmp / "run"
+        cli.cmd_synth(cfg, out)
+        cli.cmd_hologram(cfg, out, out)
+        cli.cmd_kernels(cfg, tmp / "kernels")
+        cli.cmd_invert(invert_cfg, out, out)
+
+        grid = cli.build_grid(cfg)
+        n = grid.n_interior
+        fields = {"c": np.ones(n), "rho": np.ones(n), "gamma": np.zeros(n), "S": np.zeros(n)}
+        fields["u"] = np.zeros((n, grid.dim))
+        for name, values in fields.items():
+            hio.write_matrix(tmp / f"{name}.hsm", values.astype(complex))
+        flow = {"model": "stream-gaussian", "center": [0.0, 0.0], "half_width": 0.15,
+                "amplitude": 1e-3}
+        for source in ({"model": "damping", "power": 2.0}, {"model": "uniform", "value": 0.5}):
+            desc = {**cfg["medium"], "source": source, "flow": flow}
+            desc["fields"] = {name: str(tmp / f"{name}.hsm") for name in fields}
+            cli.validate_config({**cfg, "medium": desc})
+            cli.medium.medium_from_descriptor(grid, _recorded(desc, "medium", read))
+
+        # a block is read when any of its keys is, every key read has a row,
+        # and the description only documents
+        read |= {key.rsplit(".", up)[0] for key in read for up in range(key.count(".") + 1)}
+        assert set(cli.CONFIG) ^ read == {"description"}
+
+    def test_main_validates_once(self, tiny_config, monkeypatch):
+        path, cfg, tmp = tiny_config
+        calls = []
+        validate = cli.validate_config
+        monkeypatch.setattr(cli, "validate_config", lambda c: calls.append(c) or validate(c))
+        argv = ["synth", "--config", str(path), "--out", str(tmp / "run"), "--seed", "5"]
+        assert cli.main(argv) == 0
+        assert [c["seed"] for c in calls] == [5]
 
 
 class TestShippedConfigs:
