@@ -76,7 +76,8 @@ KINDS = {
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
     "names": lambda v: _fits("[str]", v) and 0 < len(v) == len(set(v)),  # distinct
-    "pair": lambda v: _fits("[str]", v) and len(v) == 2,
+    "quantity": lambda v: v in holography.ALL_QUANTITIES,
+    "pair": lambda v: _fits("[quantity]", v) and len(v) == 2,  # two names build_model knows
     "point": lambda v: _fits("[number]", v) and len(v) == 2,  # build_grid's grids are planar
 }
 
@@ -107,7 +108,7 @@ CONFIG = {
     "medium.reference.rho": Key("number", 1.0, above=0),
     "medium.reference.gamma": Key("number", 0.0, least=0),
     "medium.source": Key("block"),
-    "medium.source.model": Key("str"),
+    "medium.source.model": Key("str", "zero"),
     "medium.source.power": Key("number", least=0),
     "medium.source.value": Key("number", least=0),
     "medium.perturbations": Key("[block]"),
@@ -124,7 +125,7 @@ CONFIG = {
     "medium.fields": Key("block"),  # a binary grid file per overridden field
     **{f"medium.fields.{name}": Key("str") for name in ("c", "rho", "gamma", "S", "u")},
     "medium.boundary_source": Key("block"),
-    "medium.boundary_source.value": Key("numbers", required=True),
+    "medium.boundary_source.value": Key("numbers", required=True),  # a list: per receiver
     "inversion": Key("block"),
     "inversion.quantities": Key("names", ("S",)),
     "inversion.tau": Key("number", _INVERSION.tau, least=0),
@@ -191,6 +192,27 @@ def validate_config(cfg: dict) -> None:
     if len(levels) > setting(cfg, "inversion.weighted"):
         raise UsageError(
             f"inversion sets {levels}: a weighted run takes one at most, an unweighted run none"
+        )
+    # keys that another key's value leaves unread
+    scaled = "alpha0_scale" in cfg.get("inversion", {})
+    if scaled and setting(cfg, "inversion.alpha0") is not None:
+        raise UsageError("inversion.alpha0_scale scales an estimated alpha0: drop it or alpha0")
+    model = setting(cfg, "medium.source.model")
+    unread = [
+        key
+        for key, reader in (("power", "damping"), ("value", "uniform"))
+        if model != reader and setting(cfg, f"medium.source.{key}") is not None
+    ]
+    if unread:
+        raise UsageError(
+            f"medium.source {unread} unread by the {model!r} model: "
+            "'damping' reads power, 'uniform' reads value"
+        )
+    bnd = setting(cfg, "medium.boundary_source.value")
+    if isinstance(bnd, list) and len(bnd) != setting(cfg, "geometry.n_receivers"):
+        raise UsageError(
+            f"medium.boundary_source.value lists {len(bnd)} strengths for "
+            f"{setting(cfg, 'geometry.n_receivers')} receivers"
         )
 
 
@@ -459,6 +481,7 @@ def cmd_invert(
         outputs.append(str(path))
     columns = (
         "iteration alpha misfit noise_level param_error cg_iterations cg_converged cg_residual"
+        " cg_start_residual"
     ).split()
     rows = []
     for entry in diag["iterations"]:

@@ -220,6 +220,9 @@ class TestInvert:
         # the recorded inner residual is the one the CG stop rule read
         converged = [float(r["cg_residual"]) for r in rows if r["cg_converged"] == "1"]
         assert converged and all(0.0 <= res <= inversion.CG_TOL for res in converged)
+        # the first step starts from zero, later ones from a recycled start
+        starts = [float(r["cg_start_residual"]) for r in rows]
+        assert starts[0] == 1.0 and all(0.0 <= res < 1.0 for res in starts[1:])
 
 
 class TestExitCodes:
@@ -389,6 +392,57 @@ class TestExitCodes:
         p2.write_text(json.dumps(cfg2))
         out = tmp / "run"
         assert cli.main(["synth", "--config", str(p2), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "block, update",
+        [
+            ("inversion", {"alpha0": 2.0, "alpha0_scale": 0.5}),  # the scale would go unread
+            ("medium.source", {"model": "zero", "value": 3.0}),  # would run as a zero source
+            ("medium.source", {"model": "uniform", "power": 2.0}),  # power is damping's
+        ],
+        ids=["alpha0_scale", "value", "power"],
+    )
+    def test_unread_key_is_2(self, tiny_config, block, update):
+        # a key that another key's value leaves unread is rejected, not ignored
+        path, cfg, tmp = tiny_config
+        cfg2 = json.loads(path.read_text())
+        target = cfg2
+        for part in block.split("."):
+            target = target.setdefault(part, {})
+        target.update(update)
+        with pytest.raises(UsageError, match=list(update)[-1]):
+            cli.validate_config(cfg2)
+        p2 = tmp / "unread.json"
+        p2.write_text(json.dumps(cfg2))
+        out = tmp / "run"
+        assert cli.main(["synth", "--config", str(p2), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, block, value",
+        [
+            ("kernels", "kernels", {"pairs": [["x", "S"]]}),  # holography knows no "x"
+            ("invert", "medium", {"boundary_source": {"value": [0.05] * 11}}),  # 12 receivers
+        ],
+        ids=["pair-name", "boundary-length"],
+    )
+    def test_checked_before_out_exists(self, tiny_config, command, block, value):
+        # faults that the command would find only after creating --out
+        path, cfg, tmp = tiny_config
+        archives = tmp / "archives"
+        assert cli.main(["synth", "--config", str(path), "--out", str(archives)]) == 0
+        cfg2 = json.loads(path.read_text())
+        cfg2[block].update(value)
+        with pytest.raises(UsageError):
+            cli.validate_config(cfg2)
+        p2 = tmp / "late.json"
+        p2.write_text(json.dumps(cfg2))
+        out = tmp / "run"
+        argv = [command, "--config", str(p2), "--out", str(out)]
+        if command == "invert":
+            argv += ["--archives", str(archives)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-3", str(2**64)])

@@ -174,6 +174,181 @@ class TestCgTolerance:
         assert np.linalg.norm(s - s_exact) <= 1e-4 * np.linalg.norm(s_exact)
 
 
+def _plain_cg(apply_normal, rhs, alpha, weights, max_iter=50, tol=1e-6):
+    """CG from x = 0 as cg_normal_solve ran before it recycled: the oracle
+    that an empty history reproduces bit for bit."""
+
+    def inner(a, b):
+        return float(np.sum(a * b * weights))
+
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    d = r.copy()
+    rs = inner(r, r)
+    norms = [np.sqrt(max(rs, 0.0))]
+    if rs == 0.0:
+        return x, True, 0, norms
+    converged = False
+    iterations = 0
+    for it in range(1, max_iter + 1):
+        q = apply_normal(d) + alpha * d
+        dq = inner(d, q)
+        if dq <= 0:
+            break
+        a = rs / dq
+        x = x + a * d
+        r = r - a * q
+        rs_new = inner(r, r)
+        norms.append(np.sqrt(max(rs_new, 0.0)))
+        iterations = it
+        if norms[-1] / norms[0] <= tol:
+            converged = True
+            break
+        d = r + (rs_new / rs) * d
+        rs = rs_new
+    return x, converged, iterations, norms
+
+
+def _weighted_system(n, seed):
+    """A W-self-adjoint PSD operator N = W^-1 M, its weights and a right-hand side."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, n))
+    weights = rng.uniform(0.5, 2.0, n)
+    m = b @ np.diag(np.geomspace(1.0, 1e3, n)) @ b.T
+    return (lambda x: (m @ x) / weights), m, weights, rng.standard_normal(n)
+
+
+def _source_run(setting, beta_scale, **options):
+    """The data of TestCgTolerance's source inversion and a config for them."""
+    g, truth, freq, hp, g_op, cov, blk = setting
+    r = stochastic.sample_wavefields(hp, g_op, 400, seed=3)
+    corr = stochastic.empirical_corr(r, g.receiver_weights)
+    data = [inversion.FrequencyData(freq=freq, corr=corr, n_realizations=400)]
+    q0 = truth.copy()
+    q0.S = np.zeros(g.n_interior)
+    config = inversion.InversionConfig(
+        grid=g, q0=q0, quantities=("S",), beta=beta_scale * corr.trace() / corr.n, tau=0.0,
+        **options,
+    )
+    return config, data
+
+
+class TestRecycledCG:
+    """cg_normal_solve started from the projection of earlier solutions."""
+
+    def _cases(self, setting):
+        # the systems of TestCG: identity, a diagonal, and the source normal operator
+        g, params, freq, hp, g_op, cov, blk = setting
+        model = holography.build_model(params, freq, quantities=("S",), g_ref=g_op)
+        space = inversion.ParameterSpace(g, ("S",))
+
+        def normal(flat):
+            dc = holography.apply_derivative(model, space.unpack(flat))
+            return space.pack(holography.apply_adjoint(model, dc, ("S",)))
+
+        diag = np.repeat([1.0, 2.0, 3.0, 4.0, 5.0], 6)
+        rng = np.random.default_rng(2)
+        return [
+            (lambda x: x, np.arange(1.0, 9.0), 0.0, np.ones(8), 10, 1e-6),
+            (lambda x: diag * x, rng.standard_normal(30), 0.0, np.ones(30), 20, 1e-12),
+            (normal, rng.standard_normal(space.size), 5.0, space.weights, 500, 1e-12),
+        ]
+
+    def test_empty_history_is_plain_cg(self, setting):
+        for apply_normal, rhs, alpha, weights, max_iter, tol in self._cases(setting):
+            res = inversion.cg_normal_solve(
+                apply_normal, rhs, alpha, weights, max_iter=max_iter, tol=tol, history=()
+            )
+            x, converged, iterations, norms = _plain_cg(
+                apply_normal, rhs, alpha, weights, max_iter=max_iter, tol=tol
+            )
+            assert np.array_equal(res.x, x) and res.residual_norms == norms
+            assert (res.converged, res.iterations) == (converged, iterations)
+            assert res.start_residual == 1.0
+
+    def test_exact_solution_in_history_needs_no_cg_iteration(self):
+        apply_normal, m, weights, rhs = _weighted_system(40, seed=5)
+        alpha = 0.5
+        exact = np.linalg.solve(m / weights[:, None] + alpha * np.eye(40), rhs)
+        rng = np.random.default_rng(6)
+        for history in ([exact], [rng.standard_normal(40), exact, 3.0 * exact]):
+            res = inversion.cg_normal_solve(
+                apply_normal, rhs, alpha, weights, tol=1e-8, history=history
+            )
+            # the projection's applies are counted; no CG iteration follows
+            # (3 * exact lies in the span of the others and is dropped)
+            assert res.converged and len(res.residual_norms) == 1
+            assert res.iterations == min(len(history), 2)
+            assert res.start_residual <= 1e-8
+            assert np.linalg.norm(res.x - exact) <= 1e-8 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unrelated_history_keeps_the_stop_rule(self, seed):
+        apply_normal, m, weights, rhs = _weighted_system(40, seed=seed)
+        rng = np.random.default_rng(100 + seed)
+        history = list(rng.standard_normal((1 + seed % 3, 40)))
+        history += [history[0], np.zeros(40)]  # dependent vectors are dropped
+        alpha = 10.0 ** -(seed % 3)
+        res = inversion.cg_normal_solve(
+            apply_normal, rhs, alpha, weights, max_iter=200, tol=1e-6, history=history
+        )
+        assert res.start_residual <= 1.0
+        assert res.converged and res.relative_residual <= 1e-6
+        exact = np.linalg.solve(m / weights[:, None] + alpha * np.eye(40), rhs)
+        assert np.linalg.norm(res.x - exact) <= 1e-4 * np.linalg.norm(exact)
+
+    def test_start_above_rhs_falls_back_to_zero(self):
+        # the Galerkin start of (1, 1) on diag(1, 100) leaves |r_0| > |b|
+        rhs, weights = np.array([1.0, 0.0]), np.ones(2)
+
+        def apply_normal(x):
+            return np.array([1.0, 100.0]) * x
+
+        res = inversion.cg_normal_solve(
+            apply_normal, rhs, 0.0, weights, history=[np.array([1.0, 1.0])]
+        )
+        x, converged, iterations, norms = _plain_cg(apply_normal, rhs, 0.0, weights)
+        assert res.start_residual == 1.0 and res.iterations == iterations + 1
+        assert np.array_equal(res.x, x) and res.residual_norms == norms
+
+    def test_run_matches_unrecycled_run(self, setting, monkeypatch):
+        config, data = _source_run(setting, 10, max_outer=6, max_cg=500)
+        recycled = inversion.run_irgnm(config, data)
+        monkeypatch.setattr(inversion, "CG_RECYCLE", 0)
+        plain = inversion.run_irgnm(config, data)
+        assert recycled[1]["stopped_by"] == plain[1]["stopped_by"]
+        assert len(recycled[1]["iterations"]) == len(plain[1]["iterations"])
+        starts = [e["cg_start_residual"] for e in recycled[1]["iterations"]]
+        assert starts[0] == 1.0 and all(s < 1.0 for s in starts[1:])
+        assert all(e["cg_start_residual"] == 1.0 for e in plain[1]["iterations"])
+        s, s_plain = recycled[0].S, plain[0].S
+        assert np.linalg.norm(s - s_plain) <= 1e-4 * np.linalg.norm(s_plain)
+
+    def test_recycling_saves_normal_applies(self, setting, monkeypatch):
+        # counted work, not time: every apply of the normal operator, the
+        # projections' and the power iteration's included, over 20 outer steps
+        config, data = _source_run(setting, 50, max_outer=20, alpha0_scale=0.1)
+        applies = []
+        make_normal = inversion._make_normal_operator
+
+        def counted(*args):
+            normal = make_normal(*args)
+
+            def apply(flat):
+                applies.append(1)
+                return normal(flat)
+
+            return apply
+
+        monkeypatch.setattr(inversion, "_make_normal_operator", counted)
+        inversion.run_irgnm(config, data)
+        recycled = len(applies)
+        applies.clear()
+        monkeypatch.setattr(inversion, "CG_RECYCLE", 0)
+        inversion.run_irgnm(config, data)
+        assert recycled <= 0.8 * len(applies)
+
+
 class TestIrgnmStep:
     def test_zero_residual_zero_update(self, setting):
         g, params, freq, hp, g_op, cov, blk = setting
