@@ -9,7 +9,7 @@ source model reproduces the imaginary part of the Green's function.
 
 import numpy as np
 
-from holoseis import greens, medium, stochastic
+from holoseis import greens, holography, medium, stochastic
 from holoseis.stochastic import hs_norm
 
 wavelength = 0.5
@@ -20,22 +20,21 @@ pts = grid.interior_nodes
 params.S = np.where(
     (np.abs(pts[:, 0] - 0.1) < 0.15) & (np.abs(pts[:, 1] + 0.1) < 0.15), 1.0, 0.0
 )
-hp = medium.recast(params, freq)
-g_op = greens.assemble_green(grid, hp.k_ref)
-cov = stochastic.forward_covariance(hp, g_op)
+model = holography.build_model(params, freq)  # Tr G and S of one medium
+cov = stochastic.forward_covariance(model)
 cov.validate()
 print(f"model covariance: {cov.n} x {cov.n}, trace {cov.trace():.3e}")
 
 # --- Monte Carlo convergence at the 1/sqrt(N) rate --------------------------
 norm_c = hs_norm(cov.matrix, cov.weights)
 for n in (256, 1024, 4096):
-    r = stochastic.sample_wavefields(hp, g_op, n, seed=42)
+    r = stochastic.sample_wavefields(model, n, seed=42)
     corr = stochastic.empirical_corr(r, grid.receiver_weights)
     err = hs_norm(corr.matrix - cov.matrix, cov.weights) / norm_c
     print(f"  N = {n:5d}: relative HS error {err:.4f}  (1/sqrt(N) = {1/np.sqrt(n):.4f})")
 
 # --- circularity: the pseudo-covariance E[psi psi] vanishes -----------------
-r = stochastic.sample_wavefields(hp, g_op, 4096, seed=7)
+r = stochastic.sample_wavefields(model, 4096, seed=7)
 pseudo = (r.fields.T @ r.fields) / r.n_realizations
 print(f"pseudo-covariance / covariance scale: "
       f"{np.max(np.abs(pseudo)) / np.max(np.abs(cov.matrix)):.4f}")
@@ -49,14 +48,13 @@ omega = 2 * np.pi / 0.4
 p2 = medium.uniform_medium(disk, c=1.0, rho=1.0, gamma=0.25 * omega)
 f2 = medium.FrequencyContext(omega=omega, power=2.0)
 p2.S = stochastic.source_cov_from_damping(p2, f2)
-hp2 = medium.recast(p2, f2)
-g2 = greens.assemble_green(disk, hp2.k_ref)
-c2 = stochastic.forward_covariance(hp2, g2)
+m2 = holography.build_model(p2, f2)
+c2 = stochastic.forward_covariance(m2)
 rec = disk.receiver_nodes
 dist = np.sqrt(np.sum((rec[:, None, :] - rec[None, :, :]) ** 2, axis=-1))
 np.fill_diagonal(dist, 1.0)
-g_rec = 0.25j * hankel1(0, hp2.k_ref * dist)
-np.fill_diagonal(g_rec, [greens.green_diagonal_2d(hp2.k_ref, np.sqrt(w / np.pi))
+g_rec = 0.25j * hankel1(0, m2.hp.k_ref * dist)
+np.fill_diagonal(g_rec, [greens.green_diagonal_2d(m2.hp.k_ref, np.sqrt(w / np.pi))
                          for w in disk.receiver_weights])
 ref = f2.power / (4j * omega) * (g_rec - g_rec.conj())
 err = hs_norm(c2.matrix - ref, disk.receiver_weights) / hs_norm(ref, disk.receiver_weights)

@@ -30,10 +30,9 @@ for gamma_rel in (0.0, 0.1, 0.5):
         grid, c=SOLAR_C, rho=1.0, gamma=0.5 * gamma_rel * OMEGA
     )
     params.S = s_true.copy()
-    hp = medium.recast(params, freq)
-    g_op = greens.assemble_green(grid, hp.k_ref)
-    r = stochastic.sample_wavefields(hp, g_op, 400, seed=21)
-    pair = holography.lindsey_braun_pair(g_op)
+    model = holography.build_model(params, freq)
+    r = stochastic.sample_wavefields(model, 400, seed=21)
+    pair = holography.lindsey_braun_pair(model)
     holo = holography.backprop_realizations(pair, r, grid.receiver_weights)
     vals = np.abs(holo.values)
     peak = pts[int(np.argmax(vals))]

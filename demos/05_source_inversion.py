@@ -9,7 +9,7 @@ magnitude.
 
 import numpy as np
 
-from holoseis import greens, medium, stochastic, inversion
+from holoseis import greens, holography, medium, stochastic, inversion
 
 SOLAR_C = 350.0 / 696000.0
 OMEGA = 2 * np.pi * 3e-3
@@ -21,9 +21,9 @@ truth = medium.uniform_medium(grid, c=SOLAR_C, rho=1.0, gamma=0.1 * OMEGA)
 truth.S = np.where(block, 1.0, 0.0)
 freq = medium.FrequencyContext(omega=OMEGA)
 
-hp = medium.recast(truth, freq)
-g_op = greens.assemble_green(grid, hp.k_ref)
-realizations = stochastic.sample_wavefields(hp, g_op, 2000, seed=31)
+realizations = stochastic.sample_wavefields(
+    holography.build_model(truth, freq), 2000, seed=31
+)
 corr = stochastic.empirical_corr(realizations, grid.receiver_weights)
 print(f"{grid.n_interior} unknowns, {grid.n_receivers} receivers, "
       f"N = {realizations.n_realizations} realizations at 3 mHz")

@@ -39,7 +39,7 @@ print(f"{grid.n_interior} unknowns; 12 frequencies x 200 realizations")
 data = []
 for i, fr in enumerate(freqs):
     m_true = holography.build_model(truth, fr, quantities=("c",))
-    r = stochastic.sample_wavefields(m_true.hp, m_true, 200, seed=500 + i)
+    r = stochastic.sample_wavefields(m_true, 200, seed=500 + i)
     corr = stochastic.empirical_corr(r, grid.receiver_weights)
     data.append(inversion.FrequencyData(freq=fr, corr=corr, n_realizations=200))
 
@@ -48,7 +48,7 @@ config = inversion.InversionConfig(
     grid=grid,
     q0=q0,
     quantities=("c",),
-    beta=m0.covariance().trace() / grid.n_receivers,
+    beta=stochastic.forward_covariance(m0).trace() / grid.n_receivers,
     max_outer=45,
     max_cg=50,
     tau=1.05,

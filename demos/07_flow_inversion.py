@@ -36,7 +36,7 @@ q0.S = s_src.copy()
 data = []
 for i, fr in enumerate(freqs):
     m_true = holography.build_model(truth, fr, quantities=("u",))
-    r = stochastic.sample_wavefields(m_true.hp, m_true, 1000, seed=800 + i)
+    r = stochastic.sample_wavefields(m_true, 1000, seed=800 + i)
     corr = stochastic.empirical_corr(r, grid.receiver_weights)
     data.append(inversion.FrequencyData(freq=fr, corr=corr, n_realizations=1000))
 print(f"{len(freqs)} frequencies x 1000 realizations synthesized")
@@ -46,7 +46,7 @@ config = inversion.InversionConfig(
     grid=grid,
     q0=q0,
     quantities=("u",),
-    beta=m0.covariance().trace() / grid.n_receivers,
+    beta=stochastic.forward_covariance(m0).trace() / grid.n_receivers,
     alpha0_scale=0.1,
     max_outer=1,  # small flows: a single projected step, as in practice
     tau=0.0,

@@ -100,7 +100,7 @@ def criterion_2_derivative_order() -> Tuple[bool, str]:
     model = holography.build_model(
         base, freq, quantities=("S", "c", "gamma", "rho", "u"), g_ref=g0
     )
-    c_base = model.covariance().matrix
+    c_base = stochastic.forward_covariance(model).matrix
     pts = grid.interior_nodes
     bump = np.exp(-np.sum((pts - [0.12, -0.05]) ** 2, axis=1) / (2 * 0.12**2))
     bump2 = np.exp(-np.sum((pts + [0.2, 0.0]) ** 2, axis=1) / (2 * 0.1**2))
@@ -125,7 +125,8 @@ def criterion_2_derivative_order() -> Tuple[bool, str]:
             else:
                 setattr(p, q, getattr(p, q) + h * dq)
             m_h = holography.build_model(p, freq, quantities=("S",), g_ref=g0)
-            rems.append(hs_norm(m_h.covariance().matrix - c_base - h * dc, w_rec))
+            c_h = stochastic.forward_covariance(m_h).matrix
+            rems.append(hs_norm(c_h - c_base - h * dc, w_rec))
         floor = 1e-12 * hs_norm(c_base, w_rec)
         if max(rems) <= floor:
             details.append(f"{q}: exactly linear (remainder <= {floor:.1e})")
@@ -189,15 +190,14 @@ def criterion_5_monte_carlo_convergence() -> Tuple[bool, str]:
     pts = grid.interior_nodes
     blk = (np.abs(pts[:, 0] - 0.1) < 0.15) & (np.abs(pts[:, 1] + 0.1) < 0.15)
     params.S = np.where(blk, 1.0, 0.0)
-    hp = medium.recast(params, freq)
-    g_op = greens.assemble_green(grid, hp.k_ref)
-    cov = stochastic.forward_covariance(hp, g_op)
+    model = holography.build_model(params, freq)
+    cov = stochastic.forward_covariance(model)
     n_c = hs_norm(cov.matrix, cov.weights)
 
     def rms_err(n, reps=4):
         acc = 0.0
         for s in range(reps):
-            r = stochastic.sample_wavefields(hp, g_op, n, seed=1000 + s)
+            r = stochastic.sample_wavefields(model, n, seed=1000 + s)
             corr = stochastic.empirical_corr(r, grid.receiver_weights)
             acc += hs_norm(corr.matrix - cov.matrix, cov.weights) ** 2
         return np.sqrt(acc / reps) / n_c
@@ -220,11 +220,10 @@ def criterion_6_isserlis() -> Tuple[bool, str]:
     params = medium.uniform_medium(grid, c=1.0, rho=1.0, gamma=0.1)
     pts = grid.interior_nodes
     params.S = np.exp(-np.sum((pts - [0.15, -0.1]) ** 2, axis=1) / (2 * 0.25**2))
-    hp = medium.recast(params, freq)
-    g_op = greens.assemble_green(grid, hp.k_ref)
-    cov = stochastic.forward_covariance(hp, g_op)
+    model = holography.build_model(params, freq)
+    cov = stochastic.forward_covariance(model)
     n = 100_000
-    r = stochastic.sample_wavefields(hp, g_op, n, seed=77)
+    r = stochastic.sample_wavefields(model, n, seed=77)
     f = r.fields
     t = f[:, :, None] * f.conj()[:, None, :]
     tm = t.mean(axis=0)
@@ -250,18 +249,18 @@ def criterion_7_imaginary_identity() -> Tuple[bool, str]:
         params = medium.uniform_medium(grid, c=1.0, rho=1.0, gamma=gamma)
         freq = medium.FrequencyContext(omega=omega, power=2.0)
         params.S = stochastic.source_cov_from_damping(params, freq)
-        hp = medium.recast(params, freq)
-        g_op = greens.assemble_green(grid, hp.k_ref)
-        cov = stochastic.forward_covariance(hp, g_op)
+        model = holography.build_model(params, freq)
+        k_ref = model.hp.k_ref
+        cov = stochastic.forward_covariance(model)
         rec = grid.receiver_nodes
         diff = rec[:, None, :] - rec[None, :, :]
         r = np.sqrt(np.sum(diff**2, axis=-1))
         np.fill_diagonal(r, 1.0)
-        g_rec = 0.25j * hankel1(0, hp.k_ref * r)
+        g_rec = 0.25j * hankel1(0, k_ref * r)
         np.fill_diagonal(
             g_rec,
             [
-                greens.green_diagonal_2d(hp.k_ref, np.sqrt(w / np.pi))
+                greens.green_diagonal_2d(k_ref, np.sqrt(w / np.pi))
                 for w in grid.receiver_weights
             ],
         )
@@ -347,9 +346,7 @@ def criterion_9_source_inversion() -> Tuple[bool, str]:
     blk = (np.abs(pts[:, 0] - 0.15) <= 0.1) & (np.abs(pts[:, 1] + 0.1) <= 0.1)
     truth = medium.uniform_medium(grid, c=SOLAR_C, rho=1.0, gamma=0.1 * OMEGA_3MHZ)
     truth.S = np.where(blk, 1.0, 0.0)
-    hp = medium.recast(truth, freq)
-    g_op = greens.assemble_green(grid, hp.k_ref)
-    r = stochastic.sample_wavefields(hp, g_op, 2000, seed=31)
+    r = stochastic.sample_wavefields(holography.build_model(truth, freq), 2000, seed=31)
     corr = stochastic.empirical_corr(r, grid.receiver_weights)
     q0 = truth.copy()
     q0.S = np.zeros(grid.n_interior)
@@ -415,11 +412,11 @@ def criterion_10_sound_speed_irgnm() -> Tuple[bool, str]:
     data = []
     for i, fr in enumerate(freqs):
         m_true = holography.build_model(truth, fr, quantities=("c",))
-        r = stochastic.sample_wavefields(m_true.hp, m_true, 200, seed=500 + i)
+        r = stochastic.sample_wavefields(m_true, 200, seed=500 + i)
         corr = stochastic.empirical_corr(r, grid.receiver_weights)
         data.append(inversion.FrequencyData(freq=fr, corr=corr, n_realizations=200))
     m0 = holography.build_model(q0, freqs[0], quantities=("c",))
-    beta = m0.covariance().trace() / grid.n_receivers
+    beta = stochastic.forward_covariance(m0).trace() / grid.n_receivers
     config = inversion.InversionConfig(
         grid=grid,
         q0=q0,
@@ -475,7 +472,7 @@ def criterion_11_constrained_flow() -> Tuple[bool, str]:
     data = []
     for i, fr in enumerate(freqs):
         m_true = holography.build_model(truth, fr, quantities=("u",))
-        r = stochastic.sample_wavefields(m_true.hp, m_true, 1000, seed=800 + i)
+        r = stochastic.sample_wavefields(m_true, 1000, seed=800 + i)
         corr = stochastic.empirical_corr(r, grid.receiver_weights)
         data.append(inversion.FrequencyData(freq=fr, corr=corr, n_realizations=1000))
     m0 = holography.build_model(q0, freqs[0], quantities=("u",))
@@ -483,7 +480,7 @@ def criterion_11_constrained_flow() -> Tuple[bool, str]:
         grid=grid,
         q0=q0,
         quantities=("u",),
-        beta=m0.covariance().trace() / grid.n_receivers,
+        beta=stochastic.forward_covariance(m0).trace() / grid.n_receivers,
         alpha0_scale=0.1,
         max_outer=1,  # small flows: stop after one iteration
         tau=0.0,
@@ -519,10 +516,9 @@ def criterion_12_lindsey_braun() -> Tuple[bool, str]:
             grid, c=SOLAR_C, rho=1.0, gamma=0.5 * grel * OMEGA_3MHZ
         )
         params.S = s_true.copy()
-        hp = medium.recast(params, freq)
-        g_op = greens.assemble_green(grid, hp.k_ref)
-        r = stochastic.sample_wavefields(hp, g_op, 400, seed=21)
-        pair = holography.lindsey_braun_pair(g_op)
+        model = holography.build_model(params, freq)
+        r = stochastic.sample_wavefields(model, 400, seed=21)
+        pair = holography.lindsey_braun_pair(model)
         holo = holography.backprop_realizations(pair, r, grid.receiver_weights)
         vals = np.abs(holo.values)
         peak = pts[int(np.argmax(vals))]

@@ -109,7 +109,6 @@ CONFIG = {
     "medium.reference.gamma": Key("number", 0.0, least=0),
     "medium.source": Key("block"),
     "medium.source.model": Key("str", "zero"),
-    "medium.source.power": Key("number", least=0),
     "medium.source.value": Key("number", least=0),
     "medium.perturbations": Key("[block]"),
     "medium.perturbations.field": Key("str", required=True),
@@ -198,16 +197,10 @@ def validate_config(cfg: dict) -> None:
     if scaled and setting(cfg, "inversion.alpha0") is not None:
         raise UsageError("inversion.alpha0_scale scales an estimated alpha0: drop it or alpha0")
     model = setting(cfg, "medium.source.model")
-    unread = [
-        key
-        for key, reader in (("power", "damping"), ("value", "uniform"))
-        if model != reader and setting(cfg, f"medium.source.{key}") is not None
-    ]
-    if unread:
-        raise UsageError(
-            f"medium.source {unread} unread by the {model!r} model: "
-            "'damping' reads power, 'uniform' reads value"
-        )
+    if model != "uniform" and setting(cfg, "medium.source.value") is not None:
+        raise UsageError(f"medium.source.value is read by the 'uniform' model, not {model!r}")
+    if model != "damping" and setting(cfg, "frequencies.power") != 1:  # Pi of S = Pi gamma/c^2
+        raise UsageError(f"frequencies.power != 1 is read by the 'damping' model, not {model!r}")
     bnd = setting(cfg, "medium.boundary_source.value")
     if isinstance(bnd, list) and len(bnd) != setting(cfg, "geometry.n_receivers"):
         raise UsageError(
@@ -232,6 +225,12 @@ def build_frequencies(cfg: dict, count: Optional[int] = None) -> List[medium.Fre
         2.0 * np.pi * setting(cfg, "frequencies.f_max_hz"),
         power=setting(cfg, "frequencies.power"),
     )
+
+
+def _configured_medium(cfg: dict, grid: greens.Grid) -> medium.MediumParams:
+    """The medium of the config; frequencies.power scales a damping source."""
+    power = setting(cfg, "frequencies.power")
+    return medium.medium_from_descriptor(grid, setting(cfg, "medium"), power=power)
 
 
 def _reference_medium(cfg: dict, grid: greens.Grid) -> medium.MediumParams:
@@ -295,7 +294,7 @@ def cmd_synth(cfg: dict, out: Path, workers: int = 1) -> List[str]:
         # the sampler draws interior sources only; invert models the key
         raise UsageError("synth does not model medium.boundary_source; remove it to synthesize")
     grid = build_grid(cfg)
-    truth = medium.medium_from_descriptor(grid, setting(cfg, "medium"))
+    truth = _configured_medium(cfg, grid)
     freqs = build_frequencies(cfg)
     n = setting(cfg, "realizations")
     seed = setting(cfg, "seed")
@@ -304,7 +303,7 @@ def cmd_synth(cfg: dict, out: Path, workers: int = 1) -> List[str]:
     def synth_one(item):
         idx, freq = item
         model = holography.build_model(truth, freq, quantities=("S",))
-        r = stochastic.sample_wavefields(model.hp, model, n, seed=_frequency_seed(seed, idx))
+        r = stochastic.sample_wavefields(model, n, seed=_frequency_seed(seed, idx))
         path = _archive_path(out, idx)
         hio.write_realizations(path, r.fields, grid.content_hash(), freq.omega, r.seed)
         return str(path)
@@ -348,8 +347,8 @@ def cmd_hologram(cfg: dict, out: Path, archives: Path, workers: int = 1) -> List
     def holo_one(item):
         idx, freq = item
         r = _read_archive(archives, idx, grid, freq)
-        g_op = greens.assemble_green(grid, reference.reference_wavenumber(freq))
-        pair = holography.lindsey_braun_pair(g_op, pupils=pupils)
+        model = holography.build_model(reference, freq)
+        pair = holography.lindsey_braun_pair(model, pupils=pupils)
         return holography.backprop_realizations(pair, r, grid.receiver_weights)
 
     for idx, holo in enumerate(_map(holo_one, enumerate(freqs), workers)):
@@ -438,7 +437,7 @@ def cmd_invert(
     cfg: dict, out: Path, archives: Path, quantities: Optional[Sequence[str]] = None
 ) -> List[str]:
     grid = build_grid(cfg)
-    truth = medium.medium_from_descriptor(grid, setting(cfg, "medium"))
+    truth = _configured_medium(cfg, grid)
     q0 = _reference_medium(cfg, grid)
     quantities = tuple(quantities or setting(cfg, "inversion.quantities"))
     # the initial source strength matters for the scalar ingressions: start

@@ -27,6 +27,10 @@ masks: the S block of C'* at the empirical Corr.  The sensitivity kernels
 are the normal operator C'* Gamma C' written out from the same terms, for
 every pair of quantities.
 
+build_model is the one way to reach Tr G: its LinearizedModel is one medium
+at one frequency, and the sampler, the model covariance and the hologram
+propagators all read a model.
+
 Matrix/quadrature conventions follow :mod:`holoseis.greens`: kernels are
 stored without weights and every contraction inserts them.
 """
@@ -34,7 +38,7 @@ stored without weights and every contraction inserts them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -50,13 +54,7 @@ from .medium import (
     recast_jacobian,
     uniform_medium,
 )
-from .stochastic import (
-    CovarianceOperator,
-    RealizationSet,
-    _boundary_block,
-    empirical_corr,
-    forward_covariance,
-)
+from .stochastic import CovarianceOperator, RealizationSet, _boundary_block, empirical_corr
 
 SCALAR_QUANTITIES = ("S", "c", "gamma", "rho")
 ALL_QUANTITIES = SCALAR_QUANTITIES + ("u",)
@@ -139,12 +137,12 @@ SlotJacobians = Tuple[Optional[sparse.csr_matrix], Optional[sparse.csr_matrix]]
 
 @dataclass
 class LinearizedModel:
-    """Forward stack at one iterate: receiver rows, propagators, Jacobians.
+    """One medium at one frequency: receiver rows, propagators, Jacobians.
 
-    receiver_rows is Tr G of the iterate's Green's operator, all that
-    sampling, the model covariance and the Lindsey-Braun pair read, so a
-    model stands in for the operator there; the operator itself (the LU of
-    a resolvent update) is not kept.  jacobians[q] holds (J_v, J_A) of
+    This is the one handle on Tr G: sampling, the model covariance and the
+    Lindsey-Braun pair read a model's hp (its S), receiver_rows or h_alpha
+    and boundary_src, never a Green's operator, which the model does not
+    keep (nor the LU of a resolvent update).  jacobians[q] holds (J_v, J_A) of
     recast_jacobian for each linearized quantity other than S;
     adjoint_jacobians[q] holds their weighted transposes W_q^{-1} J^T W,
     which carry slot duals back to q.
@@ -158,10 +156,7 @@ class LinearizedModel:
     beta_flow: Optional[Tuple[np.ndarray, ...]]  # plain-gradient ingressions
     jacobians: Dict[str, SlotJacobians]
     adjoint_jacobians: Dict[str, SlotJacobians]
-    boundary_src: Optional[np.ndarray] = None
-
-    def covariance(self) -> CovarianceOperator:
-        return forward_covariance(self.hp, self, self.boundary_src)
+    boundary_src: Optional[np.ndarray] = None  # (n_rec,) diagonal strength M_B
 
 
 def build_model(
@@ -251,20 +246,18 @@ def _is_index(i, n: int) -> bool:
 
 
 def lindsey_braun_pair(
-    g: Union[GreensOperator, LinearizedModel],
+    model: LinearizedModel,
     pupils: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
 ) -> PropagatorPair:
-    """Classical choice H_alpha = H_beta = Tr G used for feature maps.
-
-    g is a Green's operator or a model: only its grid and receiver rows are read.
+    """Classical choice H_alpha = H_beta = Tr G of the model, used for feature maps.
 
     Pupils are two receiver index lists; each propagator keeps only the rows
     of its pupil, held as a 0/1 mask over the one shared array of rows.
     """
-    rows = g.receiver_rows[:, _view(g.grid.interior_idx)]
+    rows = model.h_alpha
     if pupils is None:
         return PropagatorPair(rows=rows)
-    n_rec = g.grid.n_receivers
+    n_rec = model.grid.n_receivers
     if not (
         isinstance(pupils, (list, tuple))
         and len(pupils) == 2

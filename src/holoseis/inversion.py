@@ -56,6 +56,7 @@ import numpy as np
 from .errors import NumericalBreakdownError, UsageError
 from .greens import Grid, GreensOperator, assemble_green
 from .holography import (
+    ALL_QUANTITIES,
     LinearizedModel,
     NoiseWeight,
     apply_adjoint,
@@ -71,7 +72,7 @@ from .medium import (
     divergence_free_projector,
     flow_divergence_matrix,
 )
-from .stochastic import CovarianceOperator, hs_inner
+from .stochastic import CovarianceOperator, forward_covariance, hs_inner
 
 logger = logging.getLogger(__name__)
 
@@ -87,7 +88,6 @@ __all__ = [
     "run_irgnm",
 ]
 
-SCALAR_INVERTIBLE = ("S", "c", "gamma", "rho")
 ALPHA_DECAY = 0.9  # ratio of successive regularization parameters
 NONNEGATIVE_QUANTITIES = ("S", "c")
 CG_TOL = 1e-4  # relative residual at which the inner CG stops (see module docstring)
@@ -123,7 +123,7 @@ class InversionConfig:
 
     def __post_init__(self):
         for q in self.quantities:
-            if q not in SCALAR_INVERTIBLE + ("u",):
+            if q not in ALL_QUANTITIES:
                 raise UsageError(f"cannot invert for quantity {q!r}")
         if "u" in self.quantities and tuple(self.quantities) != ("u",):
             raise UsageError("flow inversion must be configured alone")
@@ -383,7 +383,7 @@ def _build_stack(
             g_ref=g_ref,
             boundary_src=config.boundary_src,
         )
-        cov = model.covariance()
+        cov = forward_covariance(model)
         if not config.weighted:
             weight = NoiseWeight.identity(cov.weights)
         elif config.beta is not None:

@@ -260,9 +260,9 @@ def _diag(x: np.ndarray) -> sparse.csr_matrix:
     return sparse.csr_matrix((x, np.arange(n), np.arange(n + 1)), shape=(n, n))
 
 
-def helmholtz_delta(ref: HelmholtzParams, hp: HelmholtzParams) -> DeltaOperator:
+def helmholtz_delta(ref: HelmholtzParams, iterate: HelmholtzParams) -> DeltaOperator:
     """Perturbation operator (L_q - L_0) between two recast parameter sets."""
-    return DeltaOperator(dv=hp.v - ref.v, dA=hp.A - ref.A)
+    return DeltaOperator(dv=iterate.v - ref.v, dA=iterate.A - ref.A)
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +361,17 @@ def _shape_profile(grid: Grid, spec: Dict) -> np.ndarray:
     raise UsageError(f"unknown perturbation shape {kind!r}")
 
 
-def medium_from_descriptor(grid: Grid, desc: Dict) -> MediumParams:
+def medium_from_descriptor(grid: Grid, desc: Dict, power: float = 1.0) -> MediumParams:
     """Build a medium from the JSON descriptor schema.
+
+    The "damping" source model is S = power gamma/c^2 on the unperturbed
+    background, power being the source power spectrum Pi of the band.
 
     Schema::
 
         {
           "reference": {"c": .., "rho": .., "gamma": ..},
-          "source": {"model": "damping" | "uniform" | "zero",
-                     "power": .., "value": ..},
+          "source": {"model": "damping" | "uniform" | "zero", "value": ..},
           "perturbations": [{"field": "c"|"rho"|"gamma"|"S",
                              "shape": "block"|"gaussian-blob",
                              "center": [..], "half_width": .., "amplitude": ..}],
@@ -390,7 +392,6 @@ def medium_from_descriptor(grid: Grid, desc: Dict) -> MediumParams:
     source = desc.get("source", {"model": "zero"})
     model = source.get("model", "zero")
     if model == "damping":
-        power = float(source.get("power", 1.0))
         params.S = power * params.gamma / params.c**2
     elif model == "uniform":
         params.S = np.full(grid.n_interior, float(source.get("value", 1.0)))

@@ -11,6 +11,11 @@ Circularity (independent real/imaginary parts of equal variance) is what
 makes the pseudo-covariance E[psi psi] vanish and gives the correlation data
 its separable Isserlis fourth-moment structure.
 
+Sampling and the model covariance read one medium at one frequency, a
+LinearizedModel of :func:`holoseis.holography.build_model`: its S, its
+receiver rows Tr G and its boundary source, so the sources and the Green's
+operator cannot come from two media.
+
 A node with S_i = 0 adds nothing to any wavefield, so draws and the
 synthesis product run over supp(S) only.  Sampling uses counter-based Philox
 streams split per realization index, so a fixed seed reproduces archives
@@ -21,14 +26,14 @@ moving one bit generator's counter, without a new generator per realization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg.blas import zherk
 
 from .errors import UsageError
-from .greens import Grid, GreensOperator, _view
-from .medium import FrequencyContext, HelmholtzParams, MediumParams
+from .greens import Grid
+from .medium import FrequencyContext, MediumParams
 
 if TYPE_CHECKING:
     from .holography import LinearizedModel
@@ -114,65 +119,44 @@ def hs_norm(a: np.ndarray, weights: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-def _boundary_block(
-    a_bnd: np.ndarray, boundary_src: Union[np.ndarray, float], grid: Grid
-) -> np.ndarray:
-    """Receiver-to-boundary rows times the weighted boundary source.
+def _boundary_block(a_bnd: np.ndarray, boundary_src: np.ndarray, grid: Grid) -> np.ndarray:
+    """Receiver-to-boundary rows times the weighted boundary source, a_bnd M_B W.
 
-    boundary_src is a 1D array (diagonal strength M_B on the receiver nodes)
-    or a dense PSD kernel on them; the result is a_bnd M_B W or a_bnd W B W.
+    boundary_src is the diagonal strength M_B on the receiver nodes.
     """
-    w_rec = grid.receiver_weights
     b = np.asarray(boundary_src)
-    if b.ndim == 1:
-        if b.shape != (grid.n_receivers,):
-            raise UsageError("diagonal boundary source must match receiver count")
-        return a_bnd * (b * w_rec)[None, :]
-    if b.ndim == 2:
-        if b.shape != (grid.n_receivers, grid.n_receivers):
-            raise UsageError("boundary source kernel must be receivers x receivers")
-        return a_bnd @ (w_rec[:, None] * b * w_rec[None, :])
-    raise UsageError("boundary source must be 1D (diagonal) or 2D (kernel)")
+    if b.shape != (grid.n_receivers,):
+        raise UsageError("boundary source must hold one strength per receiver")
+    return a_bnd * (b * grid.receiver_weights)[None, :]
 
 
-def forward_covariance(
-    hp: HelmholtzParams,
-    g: Union[GreensOperator, LinearizedModel],
-    boundary_src: Optional[Union[np.ndarray, float]] = None,
-) -> CovarianceOperator:
+def forward_covariance(model: LinearizedModel) -> CovarianceOperator:
     """Model covariance C = Tr G (M_S + Tr* Cov[s_bnd] Tr) G* Tr* on receivers.
 
-    g is a Green's operator or a model: only its grid and receiver rows are read.
-    boundary_src may be a 1D array (diagonal boundary source strength M_B on
-    the receiver/boundary nodes) or a dense PSD kernel matrix on them.
+    Reads the model's S, its receiver rows and its boundary source strength
+    M_B (diagonal on the receiver/boundary nodes), if it has one.
     """
-    grid = g.grid
-    s_field = hp.S
+    grid = model.grid
+    s_field = model.hp.S
     if np.min(s_field) < 0:
         raise UsageError("source strength must be non-negative")
-    rows = g.receiver_rows
-    a_int = rows[:, _view(grid.interior_idx)]
+    a_int = model.h_alpha
     sw = s_field * grid.interior_weights
     cov = (a_int * sw[None, :]) @ a_int.conj().T
 
-    if boundary_src is not None:
-        a_bnd = rows[:, grid.receiver_idx]
-        cov += _boundary_block(a_bnd, boundary_src, grid) @ a_bnd.conj().T
+    if model.boundary_src is not None:
+        a_bnd = model.receiver_rows[:, grid.receiver_idx]
+        cov += _boundary_block(a_bnd, model.boundary_src, grid) @ a_bnd.conj().T
 
     cov = 0.5 * (cov + cov.conj().T)  # exact Hermitian symmetry
     return CovarianceOperator(matrix=cov, weights=grid.receiver_weights.copy())
 
 
-def sample_wavefields(
-    hp: HelmholtzParams,
-    g: Union[GreensOperator, LinearizedModel],
-    n_realizations: int,
-    seed: int,
-) -> RealizationSet:
+def sample_wavefields(model: LinearizedModel, n_realizations: int, seed: int) -> RealizationSet:
     """Draw N independent surface wavefields Tr(G s) for circular Gaussian s.
 
-    g is a Green's operator or a model: only its grid and receiver rows are read.
-    Only the m nodes of supp(S) = {i : S_i != 0} are drawn and summed.
+    Only the m nodes of supp(S) = {i : S_i != 0} of the model's S are drawn
+    and summed through its receiver rows.
     Realization j takes 2m normals from the Philox stream
     ``Philox(key=seed).jumped(j)``, whose counter is [0, 0, j, 0]: the real
     parts on supp(S) in interior order, then the imaginary parts.  One bit
@@ -181,11 +165,12 @@ def sample_wavefields(
     """
     if n_realizations < 1:
         raise UsageError("need at least one realization")
-    grid = g.grid
-    supp = np.flatnonzero(hp.S)
-    a_sup = g.receiver_rows[:, grid.interior_idx[supp]]  # (n_rec, m)
+    grid = model.grid
+    s_field = model.hp.S
+    supp = np.flatnonzero(s_field)
+    a_sup = model.h_alpha[:, supp]  # (n_rec, m)
     w = grid.interior_weights[supp]
-    amp = np.sqrt(hp.S[supp] / (2.0 * w))  # per-node std of Re and Im parts
+    amp = np.sqrt(s_field[supp] / (2.0 * w))  # per-node std of Re and Im parts
 
     bitgen = np.random.Philox(key=int(seed))
     gen = np.random.Generator(bitgen)
@@ -205,7 +190,7 @@ def sample_wavefields(
             np.multiply(amp, draws[1], out=row.imag)
         blk *= w
         np.matmul(blk, a_sup.T, out=fields[start:stop])
-    return RealizationSet(fields=fields, seed=int(seed), omega=hp.omega)
+    return RealizationSet(fields=fields, seed=int(seed), omega=model.hp.omega)
 
 
 def empirical_corr(realizations: RealizationSet, weights: np.ndarray) -> CovarianceOperator:

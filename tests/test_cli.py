@@ -115,6 +115,25 @@ class TestSynth:
         arc = hio.read_realizations(sorted(out.glob("*.hsr"))[0])
         assert not np.any(arc.fields)
 
+    def test_power_scales_the_damping_source(self, tiny_config, tmp_path):
+        # S = Pi gamma/c^2 with Pi = frequencies.power: four times the power
+        # draws the same stream at twice the amplitude
+        path, cfg, tmp = tiny_config
+        fields = {}
+        for power in (1, 4.0):
+            cfg2 = json.loads(Path(path).read_text())
+            cfg2["medium"]["source"] = {"model": "damping"}
+            cfg2["medium"]["perturbations"] = []
+            cfg2["frequencies"]["power"] = power
+            p2 = tmp_path / f"power{power}.json"
+            p2.write_text(json.dumps(cfg2))
+            out = tmp_path / f"power{power}"
+            assert cli.main(["synth", "--config", str(p2), "--out", str(out)]) == 0
+            fields[power] = [hio.read_realizations(f).fields for f in sorted(out.glob("*.hsr"))]
+        for one, four in zip(fields[1], fields[4.0]):
+            assert np.any(one)
+            assert np.allclose(four, 2.0 * one, rtol=1e-12, atol=0)
+
 
 class TestHologram:
     def test_roundtrip_outputs(self, tiny_config):
@@ -308,8 +327,8 @@ class TestExitCodes:
             ("medium.reference.gamma", "x"),  # would end in a ValueError
             ("medium.reference.rho", True),
             ("frequencies.power", "x"),  # would end in a TypeError
-            ("medium.source.power", "2"),  # float() would accept these strings
-            ("medium.source.value", "1.5"),
+            ("medium.source.power", "2"),  # no such key: frequencies.power is the Pi
+            ("medium.source.value", "1.5"),  # float() would accept these strings
             ("medium.perturbations.0.half_width", "0.12"),
             ("medium.perturbations.0.amplitude", "1"),
             ("medium.flow.half_width", "0.15"),
@@ -399,7 +418,7 @@ class TestExitCodes:
         [
             ("inversion", {"alpha0": 2.0, "alpha0_scale": 0.5}),  # the scale would go unread
             ("medium.source", {"model": "zero", "value": 3.0}),  # would run as a zero source
-            ("medium.source", {"model": "uniform", "power": 2.0}),  # power is damping's
+            ("frequencies", {"power": 2.0}),  # only the damping source model reads it
         ],
         ids=["alpha0_scale", "value", "power"],
     )
@@ -677,7 +696,7 @@ class TestConfigTable:
             hio.write_matrix(tmp / f"{name}.hsm", values.astype(complex))
         flow = {"model": "stream-gaussian", "center": [0.0, 0.0], "half_width": 0.15,
                 "amplitude": 1e-3}
-        for source in ({"model": "damping", "power": 2.0}, {"model": "uniform", "value": 0.5}):
+        for source in ({"model": "damping"}, {"model": "uniform", "value": 0.5}):
             desc = {**cfg["medium"], "source": source, "flow": flow}
             desc["fields"] = {name: str(tmp / f"{name}.hsm") for name in fields}
             cli.validate_config({**cfg, "medium": desc})

@@ -306,7 +306,7 @@ class TestLazyReference:
         try:
             g_ref = greens.assemble_green(g, medium.recast(q, freq).k_ref)
             model = holography.build_model(q, freq, quantities=("S",), g_ref=g_ref)
-            stochastic.sample_wavefields(model.hp, model, 64, seed=3)
+            stochastic.sample_wavefields(model, 64, seed=3)
             holography.lindsey_braun_pair(model)
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -1,6 +1,7 @@
 """Holography tests: Diag operator, propagators, derivative/adjoint, kernels."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -282,8 +283,8 @@ class TestReceiverRows:
 
         monkeypatch.setattr(greens.GreensOperator, "rows", spy)
         model = holography.build_model(params, freq, quantities=("c",))
-        model.covariance()
-        stochastic.sample_wavefields(model.hp, model, 4, seed=1)
+        stochastic.forward_covariance(model)
+        stochastic.sample_wavefields(model, 4, seed=1)
         on_iterate = [(op, idx) for op, idx in calls if op._update is not None]
         assert len(on_iterate) == 1
         op, idx = on_iterate[0]
@@ -383,10 +384,7 @@ class TestDerivativeAdjoint:
         j = np.argmin(np.sum((g.interior_nodes - [0.2, -0.2]) ** 2, axis=1))
         s = np.zeros(g.n_interior)
         s[j] = 1.0
-        hp1 = medium.HelmholtzParams(
-            v=model.hp.v, A=model.hp.A, S=s, k_ref=model.hp.k_ref, omega=freq.omega
-        )
-        cov = stochastic.forward_covariance(hp1, model)
+        cov = stochastic.forward_covariance(replace(model, hp=replace(model.hp, S=s)))
         dual = holography.apply_adjoint(model, cov.matrix, ("S",))["S"]
         assert np.argmax(dual) == j
 
@@ -399,7 +397,7 @@ class TestBackpropagation:
         pair = holography.lindsey_braun_pair(model)
         w = g.receiver_weights
         for n in (300, 1, 5):  # N < n_rec = 16 gives a rank-deficient correlation
-            r = stochastic.sample_wavefields(model.hp, model, n, seed=5)
+            r = stochastic.sample_wavefields(model, n, seed=5)
             holo = holography.backprop_realizations(pair, r, w).values
             corr = stochastic.empirical_corr(r, w).matrix
             dual = holography.apply_adjoint(model, corr, ("S",))["S"]
@@ -417,7 +415,7 @@ class TestBackpropagation:
         data, holos = [], []
         for i, freq in enumerate(freqs):
             m = holography.build_model(truth, freq, quantities=("S",))
-            r = stochastic.sample_wavefields(m.hp, m, 40, seed=30 + i)
+            r = stochastic.sample_wavefields(m, 40, seed=30 + i)
             corr = stochastic.empirical_corr(r, g.receiver_weights)
             data.append(inversion.FrequencyData(freq=freq, corr=corr, n_realizations=40))
             pair = holography.lindsey_braun_pair(m)
@@ -438,7 +436,7 @@ class TestBackpropagation:
         pair = holography.lindsey_braun_pair(model, pupils=pupils)
         w = g.receiver_weights
         for n in (300, 1, 5):  # N < n_rec = 16 gives a rank-deficient correlation
-            r = stochastic.sample_wavefields(model.hp, model, n, seed=5)
+            r = stochastic.sample_wavefields(model, n, seed=5)
             holo = holography.backprop_realizations(pair, r, w).values
             corr = stochastic.empirical_corr(r, w).matrix
             masks = np.ones((2, g.n_receivers)) if pair.masks is None else pair.masks
@@ -455,7 +453,7 @@ class TestBackpropagation:
 
     def test_single_realization_gram_nonnegative(self, setting):
         g, params, freq, model = setting
-        r = stochastic.sample_wavefields(model.hp, model, 1, seed=6)
+        r = stochastic.sample_wavefields(model, 1, seed=6)
         pair = holography.lindsey_braun_pair(model)
         holo = holography.backprop_realizations(pair, r, g.receiver_weights)
         assert np.max(np.abs(holo.values.imag)) <= 1e-14 * np.max(np.abs(holo.values))
@@ -467,7 +465,7 @@ class TestBackpropagation:
         pair = holography.lindsey_braun_pair(model, pupils=([0, 2, 4, 6], [1, 2, 3, 9]))
         peaks = []
         for n in (64, 4000):
-            r = stochastic.sample_wavefields(model.hp, model, n, seed=5)
+            r = stochastic.sample_wavefields(model, n, seed=5)
             tracemalloc.start()
             holography.backprop_realizations(pair, r, g.receiver_weights)
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -477,13 +475,13 @@ class TestBackpropagation:
 
     def test_expectation_over_batches(self, setting):
         g, params, freq, model = setting
-        cov = model.covariance()
+        cov = stochastic.forward_covariance(model)
         pair = holography.lindsey_braun_pair(model)
         expect = holography.apply_adjoint(model, cov.matrix, ("S",))["S"]
         acc = np.zeros(g.n_interior, dtype=complex)
         batches, n = 50, 32
         for s in range(batches):
-            r = stochastic.sample_wavefields(model.hp, model, n, seed=7000 + s)
+            r = stochastic.sample_wavefields(model, n, seed=7000 + s)
             acc += holography.backprop_realizations(pair, r, g.receiver_weights).values
         acc /= batches
         rel = np.linalg.norm(acc - expect) / np.linalg.norm(expect)
@@ -524,7 +522,7 @@ class TestSensitivityKernels:
         # every quantity pair, on a flat background and on one with non-flat
         # c, gamma, S and a background flow
         g, params, freq, model = request.getfixturevalue(fixture)
-        cov = model.covariance()
+        cov = stochastic.forward_covariance(model)
         weight = inversion.lavrentiev_weight(cov, beta=0.1 * cov.trace() / cov.n)
         rng = np.random.default_rng(11)
         kern = holography.sensitivity_kernel(model, pair, weight=weight)
@@ -610,7 +608,7 @@ class TestSmoothing:
 class TestHologramIntensity:
     def test_empty_pupil_gives_zero_hologram(self, setting):
         g, params, freq, model = setting
-        r = stochastic.sample_wavefields(model.hp, model, 16, seed=9)
+        r = stochastic.sample_wavefields(model, 16, seed=9)
         pair = holography.lindsey_braun_pair(model, pupils=([], []))
         holo = holography.backprop_realizations(pair, r, g.receiver_weights)
         assert not np.any(holo.values)

@@ -20,10 +20,11 @@ def setting():
     pts = g.interior_nodes
     blk = (np.abs(pts[:, 0] - 0.15) <= 0.12) & (np.abs(pts[:, 1] + 0.1) <= 0.12)
     params.S = np.where(blk, 1.0, 0.0)
-    hp = medium.recast(params, freq)
-    g_op = greens.assemble_green(g, hp.k_ref)
-    cov = stochastic.forward_covariance(hp, g_op)
-    return g, params, freq, hp, g_op, cov, blk
+    # a flat medium: the model's rows are those of the reference operator
+    g_op = greens.assemble_green(g, params.reference_wavenumber(freq))
+    model = holography.build_model(params, freq, g_ref=g_op)
+    cov = stochastic.forward_covariance(model)
+    return g, params, freq, model, g_op, cov, blk
 
 
 def _step(state, data, config, stack=None):
@@ -52,7 +53,7 @@ class TestLavrentievWeight:
 
     def test_spectral_mapping(self, setting):
         *_, cov, blk = setting[:-1], setting[-1]
-        g, params, freq, hp, g_op, cov, blk = setting
+        g, params, freq, model, g_op, cov, blk = setting
         beta = 0.2 * cov.trace() / cov.n
         wgt = inversion.lavrentiev_weight(cov, beta)
         # eigenvector of the weighted covariance with eigenvalue lam maps to
@@ -65,7 +66,7 @@ class TestLavrentievWeight:
         assert np.allclose(out, v / (beta + vals[-1]), atol=1e-9 * np.abs(v).max())
 
     def test_resolvent_residual(self, setting):
-        g, params, freq, hp, g_op, cov, blk = setting
+        g, params, freq, model, g_op, cov, blk = setting
         beta = 0.1 * cov.trace() / cov.n
         wgt = inversion.lavrentiev_weight(cov, beta)
         w = cov.weights
@@ -75,7 +76,7 @@ class TestLavrentievWeight:
 
     def test_eigenvalues_in_range(self, setting):
         *_, cov, blk = setting[-2:], setting[-1]
-        g, params, freq, hp, g_op, cov, blk = setting
+        g, params, freq, model, g_op, cov, blk = setting
         beta = 0.3
         wgt = inversion.lavrentiev_weight(cov, beta)
         sw = np.sqrt(cov.weights)
@@ -86,7 +87,7 @@ class TestLavrentievWeight:
 
     def test_beta_must_be_positive(self, setting):
         *_, cov, blk = setting[-2:], setting[-1]
-        g, params, freq, hp, g_op, cov, blk = setting
+        g, params, freq, model, g_op, cov, blk = setting
         with pytest.raises(UsageError):
             inversion.lavrentiev_weight(cov, beta=0.0)
 
@@ -117,7 +118,7 @@ class TestCG:
         assert np.allclose(res.x, rhs / diag, atol=1e-9)
 
     def test_matches_dense_solve(self, setting):
-        g, params, freq, hp, g_op, cov, blk = setting
+        g, params, freq, model, g_op, cov, blk = setting
         model = holography.build_model(params, freq, quantities=("S",), g_ref=g_op)
         space = inversion.ParameterSpace(g, ("S",))
 
@@ -154,8 +155,8 @@ class TestCgTolerance:
         # stop and iteration count on a short source inversion whose first
         # step, as in a one-step flow inversion, carries its solve error
         # into the reconstruction; at 1e-3 this reconstruction moves 3e-4
-        g, truth, freq, hp, g_op, cov, blk = setting
-        r = stochastic.sample_wavefields(hp, g_op, 400, seed=3)
+        g, truth, freq, model, g_op, cov, blk = setting
+        r = stochastic.sample_wavefields(model, 400, seed=3)
         corr = stochastic.empirical_corr(r, g.receiver_weights)
         data = [inversion.FrequencyData(freq=freq, corr=corr, n_realizations=400)]
         q0 = truth.copy()
@@ -220,8 +221,8 @@ def _weighted_system(n, seed):
 
 def _source_run(setting, beta_scale, **options):
     """The data of TestCgTolerance's source inversion and a config for them."""
-    g, truth, freq, hp, g_op, cov, blk = setting
-    r = stochastic.sample_wavefields(hp, g_op, 400, seed=3)
+    g, truth, freq, model, g_op, cov, blk = setting
+    r = stochastic.sample_wavefields(model, 400, seed=3)
     corr = stochastic.empirical_corr(r, g.receiver_weights)
     data = [inversion.FrequencyData(freq=freq, corr=corr, n_realizations=400)]
     q0 = truth.copy()
@@ -238,7 +239,7 @@ class TestRecycledCG:
 
     def _cases(self, setting):
         # the systems of TestCG: identity, a diagonal, and the source normal operator
-        g, params, freq, hp, g_op, cov, blk = setting
+        g, params, freq, model, g_op, cov, blk = setting
         model = holography.build_model(params, freq, quantities=("S",), g_ref=g_op)
         space = inversion.ParameterSpace(g, ("S",))
 
@@ -351,7 +352,7 @@ class TestRecycledCG:
 
 class TestIrgnmStep:
     def test_zero_residual_zero_update(self, setting):
-        g, params, freq, hp, g_op, cov, blk = setting
+        g, params, freq, model, g_op, cov, blk = setting
         config = inversion.InversionConfig(
             grid=g, q0=params, quantities=("S",), weighted=False
         )
@@ -372,9 +373,8 @@ class TestIrgnmStep:
         pts = g.interior_nodes
         blk = (np.abs(pts[:, 0] - 0.15) <= 0.16) & (np.abs(pts[:, 1] + 0.1) <= 0.16)
         params.S = np.where(blk, 1.0, 0.0)
-        hp = medium.recast(params, freq)
-        g_op = greens.assemble_green(g, hp.k_ref)
-        cov = stochastic.forward_covariance(hp, g_op)
+        g_op = greens.assemble_green(g, params.reference_wavenumber(freq))
+        cov = stochastic.forward_covariance(holography.build_model(params, freq, g_ref=g_op))
         q0 = params.copy()
         q0.S = np.zeros(g.n_interior)
         model = holography.build_model(q0, freq, quantities=("S",), g_ref=g_op)
@@ -417,8 +417,8 @@ class TestIrgnmStep:
         assert err <= 0.1
 
     def test_weighted_and_unweighted_both_reduce_misfit(self, setting):
-        g, params, freq, hp, g_op, cov, blk = setting
-        r = stochastic.sample_wavefields(hp, g_op, 500, seed=4)
+        g, params, freq, model, g_op, cov, blk = setting
+        r = stochastic.sample_wavefields(model, 500, seed=4)
         corr = stochastic.empirical_corr(r, g.receiver_weights)
         data = [inversion.FrequencyData(freq=freq, corr=corr, n_realizations=500)]
         q0 = params.copy()
@@ -443,8 +443,8 @@ class TestIrgnmStep:
                 assert mis == sorted(mis, reverse=True)
 
     def test_nonnegativity_clamp(self, setting):
-        g, params, freq, hp, g_op, cov, blk = setting
-        r = stochastic.sample_wavefields(hp, g_op, 200, seed=9)
+        g, params, freq, model, g_op, cov, blk = setting
+        r = stochastic.sample_wavefields(model, 200, seed=9)
         corr = stochastic.empirical_corr(r, g.receiver_weights)
         data = [inversion.FrequencyData(freq=freq, corr=corr, n_realizations=200)]
         q0 = params.copy()
@@ -459,12 +459,14 @@ class TestIrgnmStep:
     def test_param_error_for_each_quantity(self, setting):
         # a joint (c, S) run against a known truth reports one relative
         # error per inverted quantity
-        g, params, freq, hp, g_op, cov, blk = setting
+        g, params, freq, model, g_op, cov, blk = setting
         truth = params.copy()
         truth.c = truth.c + 0.05 * np.exp(-np.sum(g.interior_nodes**2, axis=1) / 0.02)
         model = holography.build_model(truth, freq, quantities=("c", "S"), g_ref=g_op)
         data = [
-            inversion.FrequencyData(freq=freq, corr=model.covariance(), n_realizations=100)
+            inversion.FrequencyData(
+                freq=freq, corr=stochastic.forward_covariance(model), n_realizations=100
+            )
         ]
         q0 = params.copy()
         q0.S = np.full(g.n_interior, 0.5)
@@ -491,7 +493,7 @@ class TestIrgnmStep:
         assert all(r == pytest.approx(0.9, rel=1e-14) for r in ratios)
 
     def test_alpha0_is_power_iteration_eigenvalue(self, setting):
-        g, params, freq, hp, g_op, cov, blk = setting
+        g, params, freq, model, g_op, cov, blk = setting
         q0 = params.copy()
         q0.S = np.zeros(g.n_interior)
         data = [inversion.FrequencyData(freq=freq, corr=cov, n_realizations=100)]
@@ -565,7 +567,7 @@ class TestConstrainedFlow:
         # iterate: both the data term and alpha (q_0 - q_n) drive the step,
         # and projected CG run to a tight tolerance reproduces the exact
         # minimiser over the divergence-free subspace
-        g, params, freq, hp, g_op, cov, blk = setting
+        g, params, freq, model, g_op, cov, blk = setting
         monkeypatch.setattr(inversion, "CG_TOL", 1e-13)
         q0, q_n = _flow_state(g, params, amplitude=0.02)
         data = [inversion.FrequencyData(freq=freq, corr=cov, n_realizations=100)]
@@ -589,14 +591,14 @@ class TestConstrainedFlow:
         assert np.allclose(new_state.q_n.u, q_n.u + du["u"])
 
     def test_constrained_step_divergence_residual(self, setting, monkeypatch):
-        g, params, freq, hp, g_op, cov, blk = setting
+        g, params, freq, model, g_op, cov, blk = setting
         monkeypatch.setattr(inversion, "CG_TOL", 1e-13)
         truth = params.copy()
         pts = g.interior_nodes
         psi = np.exp(-np.sum(pts**2, axis=1) / (2 * 0.18**2))
         truth.u = medium.stream_function_flow(g, psi, truth.rho, amplitude=0.01)
         m_true = holography.build_model(truth, freq, quantities=("u",), g_ref=g_op)
-        r = stochastic.sample_wavefields(m_true.hp, m_true, 400, seed=5)
+        r = stochastic.sample_wavefields(m_true, 400, seed=5)
         corr = stochastic.empirical_corr(r, g.receiver_weights)
         data = [inversion.FrequencyData(freq=freq, corr=corr, n_realizations=400)]
         q0 = params.copy()
@@ -622,9 +624,8 @@ class TestConstrainedFlow:
         data = []
         for fr in freqs:
             model = holography.build_model(q0, fr, quantities=("u",))
-            data.append(
-                inversion.FrequencyData(freq=fr, corr=model.covariance(), n_realizations=10)
-            )
+            cov = stochastic.forward_covariance(model)
+            data.append(inversion.FrequencyData(freq=fr, corr=cov, n_realizations=10))
         _, q_n = _flow_state(g, q0, amplitude=0.01)
         config = inversion.InversionConfig(grid=g, q0=q0, quantities=("u",), max_cg=5)
         stack = inversion._build_stack(q_n, data, config, {})
@@ -669,8 +670,8 @@ class TestOuterLoopMemory:
         # each outer iterate rebuilds the forward stack; the previous stack
         # (and the q0 stack behind the alpha_0 power iteration) must be
         # released before the next build starts
-        g, params, freq, hp, g_op, cov, blk = setting
-        r = stochastic.sample_wavefields(hp, g_op, 100, seed=12)
+        g, params, freq, model, g_op, cov, blk = setting
+        r = stochastic.sample_wavefields(model, 100, seed=12)
         corr = stochastic.empirical_corr(r, g.receiver_weights)
         data = [inversion.FrequencyData(freq=freq, corr=corr, n_realizations=100)]
         q0 = params.copy()
@@ -706,7 +707,7 @@ class TestOuterLoopMemory:
         q0.c = 1.0 + 0.1 * np.exp(-np.sum(g.interior_nodes**2, axis=1) / 0.045)
         data = []
         for freq in freqs:
-            cov = holography.build_model(q0, freq, quantities=("S",)).covariance()
+            cov = stochastic.forward_covariance(holography.build_model(q0, freq))
             data.append(inversion.FrequencyData(freq=freq, corr=cov, n_realizations=100))
         config = inversion.InversionConfig(
             grid=g, q0=q0, quantities=("c",), beta=0.1 * data[0].corr.trace() / g.n_receivers
@@ -763,8 +764,8 @@ class TestOneDataPath:
     def test_one_misfit_per_forward_stack(self, setting, monkeypatch):
         # the stop test, the iteration record and final_misfit all read the
         # one misfit evaluated per forward stack
-        g, params, freq, hp, g_op, cov, blk = setting
-        r = stochastic.sample_wavefields(hp, g_op, 100, seed=12)
+        g, params, freq, model, g_op, cov, blk = setting
+        r = stochastic.sample_wavefields(model, 100, seed=12)
         corr = stochastic.empirical_corr(r, g.receiver_weights)
         data = [inversion.FrequencyData(freq=freq, corr=corr, n_realizations=100)]
         q0 = params.copy()
@@ -800,8 +801,8 @@ class TestOneDataPath:
     def test_unweighted_is_identity_weight(self, setting):
         # weighted=False carries Gamma = W^{-1}: the misfit is the plain
         # quadrature norm of the residual and the noise level uses tr(C)
-        g, params, freq, hp, g_op, cov, blk = setting
-        r = stochastic.sample_wavefields(hp, g_op, 50, seed=13)
+        g, params, freq, model, g_op, cov, blk = setting
+        r = stochastic.sample_wavefields(model, 50, seed=13)
         corr = stochastic.empirical_corr(r, g.receiver_weights)
         data = [inversion.FrequencyData(freq=freq, corr=corr, n_realizations=50)]
         config = inversion.InversionConfig(grid=g, q0=params, quantities=("S",), weighted=False)

@@ -229,7 +229,7 @@ class TestDescriptors:
     def test_gaussian_blob_and_damping_source(self, grid):
         desc = {
             "reference": {"c": 1.0, "gamma": 0.2},
-            "source": {"model": "damping", "power": 3.0},
+            "source": {"model": "damping"},
             "perturbations": [
                 {
                     "field": "S",
@@ -240,7 +240,7 @@ class TestDescriptors:
                 }
             ],
         }
-        params = medium.medium_from_descriptor(grid, desc)
+        params = medium.medium_from_descriptor(grid, desc, power=3.0)
         base = 3.0 * 0.2 / 1.0
         # blob peak value at the node closest to the center (cell centers are
         # offset from the origin by half a spacing)

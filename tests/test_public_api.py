@@ -61,3 +61,41 @@ def test_benchmark_tracer_names_resolve():
         else:
             target = getattr(module, attr, None)
         assert callable(target), f"{module_name}.{attr} is not a callable the tracer can wrap"
+
+
+# exported for tests as deliberate oracles: closed forms the package itself
+# never evaluates (the Bessel pair of the Hankel function, the free-space Green)
+ORACLES = {"bessel_j", "bessel_y", "green_uniform"}
+
+
+def _loaded_names(tree, own=frozenset()):
+    """Names and attributes read in tree, outside the definitions named in own."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name in own:
+                continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_public_names_are_used_by_the_package():
+    # a public name that only tests call is an alias or dead API: drop it or
+    # list it as a deliberate oracle
+    trees = {name: ast.parse(inspect.getsource(importlib.import_module(name))) for name in MODULES}
+    unused = set()
+    for name in MODULES:
+        for attr in getattr(importlib.import_module(name), "__all__", []):
+            if not any(
+                attr in _loaded_names(tree, {attr} if other == name else frozenset())
+                for other, tree in trees.items()
+            ):
+                unused.add(attr)
+    assert unused <= ORACLES, f"public names no module uses: {sorted(unused - ORACLES)}"
+    assert ORACLES <= unused, f"oracles now used by the package: {sorted(ORACLES - unused)}"

@@ -1,11 +1,12 @@
 """Stochastic model tests: sampling, correlation estimates, Isserlis structure."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from holoseis import greens, medium, stochastic
+from holoseis import greens, holography, medium, stochastic
 from holoseis.errors import UsageError
 from holoseis.stochastic import hs_norm
 
@@ -18,10 +19,16 @@ def setting():
     pts = g.interior_nodes
     blk = (np.abs(pts[:, 0] - 0.1) < 0.15) & (np.abs(pts[:, 1] + 0.1) < 0.15)
     params.S = np.where(blk, 1.0, 0.0)
-    hp = medium.recast(params, freq)
-    g_op = greens.assemble_green(g, hp.k_ref)
-    cov = stochastic.forward_covariance(hp, g_op)
-    return g, params, freq, hp, g_op, cov
+    # a flat medium: the model's rows are those of the reference operator
+    g_op = greens.assemble_green(g, params.reference_wavenumber(freq))
+    model = holography.build_model(params, freq, g_ref=g_op)
+    cov = stochastic.forward_covariance(model)
+    return g, params, freq, model, g_op, cov
+
+
+def _with_source(model, s):
+    """The model with another S: S does not enter G, so the rows carry over."""
+    return replace(model, hp=replace(model.hp, S=s))
 
 
 class TestForwardCovariance:
@@ -30,53 +37,51 @@ class TestForwardCovariance:
         cov.validate()
 
     def test_point_source_rank_one(self, setting):
-        g, params, freq, hp, g_op, _ = setting
+        g, params, freq, model, g_op, _ = setting
         j = g.n_interior // 2
         s = np.zeros(g.n_interior)
         s[j] = 2.0
-        hp1 = medium.HelmholtzParams(
-            v=hp.v, A=hp.A, S=s, k_ref=hp.k_ref, omega=hp.omega
-        )
-        cov = stochastic.forward_covariance(hp1, g_op)
+        cov = stochastic.forward_covariance(_with_source(model, s))
         col = g_op.kernel[g.receiver_idx, g.interior_idx[j]]
         w_j = g.interior_weights[j]
         expect = 2.0 * w_j * np.outer(col, col.conj())
         assert np.allclose(cov.matrix, expect, atol=1e-14 * np.abs(expect).max())
 
     def test_zero_source_zero_matrix(self, setting):
-        g, params, freq, hp, g_op, _ = setting
-        hp0 = medium.HelmholtzParams(
-            v=hp.v, A=hp.A, S=np.zeros(g.n_interior), k_ref=hp.k_ref, omega=hp.omega
-        )
-        cov = stochastic.forward_covariance(hp0, g_op)
+        g, params, freq, model, g_op, _ = setting
+        cov = stochastic.forward_covariance(_with_source(model, np.zeros(g.n_interior)))
         assert not np.any(cov.matrix)
 
     def test_boundary_source_diagonal(self, setting):
-        g, params, freq, hp, g_op, _ = setting
+        g, params, freq, model, g_op, _ = setting
         b = np.full(g.n_receivers, 0.3)
-        cov = stochastic.forward_covariance(hp, g_op, boundary_src=b)
+        cov = stochastic.forward_covariance(replace(model, boundary_src=b))
         cov.validate()
-        base = stochastic.forward_covariance(hp, g_op)
+        base = stochastic.forward_covariance(model)
         extra = cov.matrix - base.matrix
         a_bnd = g_op.kernel[np.ix_(g.receiver_idx, g.receiver_idx)]
         w = g.receiver_weights
         expect = (a_bnd * (0.3 * w)[None, :]) @ a_bnd.conj().T
         assert np.allclose(extra, expect, atol=1e-12 * np.abs(expect).max())
 
+    def test_boundary_source_is_one_strength_per_receiver(self, setting):
+        # M_B is diagonal on the receivers: a receivers-by-receivers kernel is refused
+        g, params, freq, model, g_op, _ = setting
+        for b in (np.full((g.n_receivers,) * 2, 0.3), np.full(g.n_receivers + 1, 0.3)):
+            with pytest.raises(UsageError, match="one strength per receiver"):
+                stochastic.forward_covariance(replace(model, boundary_src=b))
+
 
 class TestSampling:
     def test_zero_source_zero_fields(self, setting):
-        g, params, freq, hp, g_op, _ = setting
-        hp0 = medium.HelmholtzParams(
-            v=hp.v, A=hp.A, S=np.zeros(g.n_interior), k_ref=hp.k_ref, omega=hp.omega
-        )
-        r = stochastic.sample_wavefields(hp0, g_op, 8, seed=1)
+        g, params, freq, model, g_op, _ = setting
+        r = stochastic.sample_wavefields(_with_source(model, np.zeros(g.n_interior)), 8, seed=1)
         assert not np.any(r.fields)
 
     def test_fixed_seed_reproducible(self, setting):
-        g, params, freq, hp, g_op, _ = setting
-        r1 = stochastic.sample_wavefields(hp, g_op, 32, seed=7)
-        r2 = stochastic.sample_wavefields(hp, g_op, 32, seed=7)
+        g, params, freq, model, g_op, _ = setting
+        r1 = stochastic.sample_wavefields(model, 32, seed=7)
+        r2 = stochastic.sample_wavefields(model, 32, seed=7)
         assert np.array_equal(r1.fields, r2.fields)
 
     @staticmethod
@@ -101,42 +106,40 @@ class TestSampling:
     def test_realization_stream_pinned(self, setting):
         # the archive format: draws and the sum run over supp(S) only; the
         # source is zero on most nodes here
-        g, params, freq, hp, g_op, _ = setting
+        g, params, freq, model, g_op, _ = setting
         n, seed = 1100, 23
-        r = stochastic.sample_wavefields(hp, g_op, n, seed=seed)
-        expect = self._stream_oracle(g, g_op, hp.S, n, seed, np.flatnonzero(hp.S))
-        assert np.any(hp.S == 0.0)
+        s = model.hp.S
+        r = stochastic.sample_wavefields(model, n, seed=seed)
+        expect = self._stream_oracle(g, g_op, s, n, seed, np.flatnonzero(s))
+        assert np.any(s == 0.0)
         assert np.array_equal(r.fields, expect)
 
     def test_full_support_stream_unchanged(self, setting):
         # with no zero in S the stream is the full 2 n_int draw per realization
-        g, params, freq, hp, g_op, _ = setting
+        g, params, freq, model, g_op, _ = setting
         n, seed = 1100, 5
-        s_full = 0.25 + hp.S
-        hp_full = medium.HelmholtzParams(
-            v=hp.v, A=hp.A, S=s_full, k_ref=hp.k_ref, omega=hp.omega
-        )
-        r = stochastic.sample_wavefields(hp_full, g_op, n, seed=seed)
+        s_full = 0.25 + model.hp.S
+        r = stochastic.sample_wavefields(_with_source(model, s_full), n, seed=seed)
         expect = self._stream_oracle(g, g_op, s_full, n, seed, np.arange(g.n_interior))
         assert np.all(s_full > 0.0)
         assert np.array_equal(r.fields, expect)
 
     def test_seed_changes_fields(self, setting):
-        g, params, freq, hp, g_op, _ = setting
-        r1 = stochastic.sample_wavefields(hp, g_op, 8, seed=7)
-        r2 = stochastic.sample_wavefields(hp, g_op, 8, seed=8)
+        g, params, freq, model, g_op, _ = setting
+        r1 = stochastic.sample_wavefields(model, 8, seed=7)
+        r2 = stochastic.sample_wavefields(model, 8, seed=8)
         assert not np.array_equal(r1.fields, r2.fields)
 
     def test_monte_carlo_error_halves(self, setting):
         # relative HS error ~ 1/sqrt(N): quadrupling N halves it (+-30%),
         # measured on the root-mean-square over independent sample sets
-        g, params, freq, hp, g_op, cov = setting
+        g, params, freq, model, g_op, cov = setting
         n_c = hs_norm(cov.matrix, cov.weights)
 
         def rms_err(n, reps=4):
             acc = 0.0
             for s in range(reps):
-                r = stochastic.sample_wavefields(hp, g_op, n, seed=900 + s)
+                r = stochastic.sample_wavefields(model, n, seed=900 + s)
                 corr = stochastic.empirical_corr(r, g.receiver_weights)
                 acc += hs_norm(corr.matrix - cov.matrix, cov.weights) ** 2
             return np.sqrt(acc / reps) / n_c
@@ -145,9 +148,9 @@ class TestSampling:
         assert 1.4 <= e256 / e1024 <= 2.6
 
     def test_pseudo_covariance_vanishes(self, setting):
-        g, params, freq, hp, g_op, cov = setting
+        g, params, freq, model, g_op, cov = setting
         n = 4096
-        r = stochastic.sample_wavefields(hp, g_op, n, seed=17)
+        r = stochastic.sample_wavefields(model, n, seed=17)
         pseudo = (r.fields.T @ r.fields) / n  # E[psi psi] without conjugate
         scale = np.max(np.abs(cov.matrix))
         assert np.max(np.abs(pseudo)) < 3.0 / np.sqrt(n) * scale * 3
@@ -155,15 +158,15 @@ class TestSampling:
 
 class TestEmpiricalCorr:
     def test_single_realization_outer_product(self, setting):
-        g, params, freq, hp, g_op, _ = setting
-        r = stochastic.sample_wavefields(hp, g_op, 1, seed=3)
+        g, params, freq, model, g_op, _ = setting
+        r = stochastic.sample_wavefields(model, 1, seed=3)
         corr = stochastic.empirical_corr(r, g.receiver_weights)
         psi = r.fields[0]
         assert np.allclose(corr.matrix, np.outer(psi, psi.conj()), atol=1e-15)
 
     def test_exactly_hermitian_without_copying_fields(self, setting):
-        g, params, freq, hp, g_op, _ = setting
-        r = stochastic.sample_wavefields(hp, g_op, 4000, seed=3)
+        g, params, freq, model, g_op, _ = setting
+        r = stochastic.sample_wavefields(model, 4000, seed=3)
         tracemalloc.start()
         corr = stochastic.empirical_corr(r, g.receiver_weights).matrix
         peak = tracemalloc.get_traced_memory()[1]
@@ -174,8 +177,8 @@ class TestEmpiricalCorr:
         assert np.max(np.abs(corr - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_global_phase_invariance(self, setting):
-        g, params, freq, hp, g_op, _ = setting
-        r = stochastic.sample_wavefields(hp, g_op, 16, seed=3)
+        g, params, freq, model, g_op, _ = setting
+        r = stochastic.sample_wavefields(model, 16, seed=3)
         corr1 = stochastic.empirical_corr(r, g.receiver_weights)
         rotated = stochastic.RealizationSet(
             fields=r.fields * np.exp(0.7j), seed=r.seed, omega=r.omega
@@ -184,11 +187,11 @@ class TestEmpiricalCorr:
         assert np.allclose(corr1.matrix, corr2.matrix, atol=1e-14)
 
     def test_unbiasedness_over_batches(self, setting):
-        g, params, freq, hp, g_op, cov = setting
+        g, params, freq, model, g_op, cov = setting
         acc = np.zeros_like(cov.matrix)
         batches, n = 50, 64
         for s in range(batches):
-            r = stochastic.sample_wavefields(hp, g_op, n, seed=4000 + s)
+            r = stochastic.sample_wavefields(model, n, seed=4000 + s)
             acc += stochastic.empirical_corr(r, g.receiver_weights).matrix
         acc /= batches
         err = hs_norm(acc - cov.matrix, cov.weights) / hs_norm(cov.matrix, cov.weights)
@@ -233,11 +236,10 @@ class TestIsserlis:
         params.S = np.exp(
             -np.sum((pts - [0.15, -0.1]) ** 2, axis=1) / (2 * 0.25**2)
         )
-        hp = medium.recast(params, freq)
-        g_op = greens.assemble_green(g, hp.k_ref)
-        cov = stochastic.forward_covariance(hp, g_op)
+        model = holography.build_model(params, freq)
+        cov = stochastic.forward_covariance(model)
         n = 100_000
-        r = stochastic.sample_wavefields(hp, g_op, n, seed=77)
+        r = stochastic.sample_wavefields(model, n, seed=77)
         f = r.fields
         t = f[:, :, None] * f.conj()[:, None, :]  # (N, 4, 4) rank-1 terms
         tm = t.mean(axis=0)
