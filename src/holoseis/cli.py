@@ -201,6 +201,11 @@ def validate_config(cfg: dict) -> None:
         raise UsageError(f"medium.source.value is read by the 'uniform' model, not {model!r}")
     if model != "damping" and setting(cfg, "frequencies.power") != 1:  # Pi of S = Pi gamma/c^2
         raise UsageError(f"frequencies.power != 1 is read by the 'damping' model, not {model!r}")
+    side = 2 * setting(cfg, "geometry.half_width")
+    if setting(cfg, "inversion.smoothing_width") > side:  # ndimage would ask for a huge kernel
+        raise UsageError(
+            f"inversion.smoothing_width must not exceed the interior's side {side:g}"
+        )
     bnd = setting(cfg, "medium.boundary_source.value")
     if isinstance(bnd, list) and len(bnd) != setting(cfg, "geometry.n_receivers"):
         raise UsageError(
@@ -495,6 +500,7 @@ def cmd_invert(
         "stopped_by": diag["stopped_by"],
         "iterations": len(diag["iterations"]),
         "alpha0": diag["alpha0"],
+        "alpha0_applies": diag["alpha0_applies"],
         "final_misfit": diag["final_misfit"],
         "final_noise_level": diag["final_noise_level"],
         "seed": setting(cfg, "seed"),

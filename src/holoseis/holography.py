@@ -181,10 +181,14 @@ def build_model(
     hp = recast(params, freq)
     jacobians = {q: recast_jacobian(q, params, freq) for q in quantities if q != "S"}
 
-    ref = uniform_medium(
-        grid, c=params.c_ref, rho=params.rho_ref, gamma=params.gamma_ref
+    at_reference = not np.any(params.u) and all(
+        np.all(getattr(params, f) == getattr(params, f"{f}_ref")) for f in ("c", "rho", "gamma")
     )
-    hp_ref = recast(ref, freq)
+    if at_reference:  # only S differs, and S has no Helmholtz slot: hp is the reference's
+        hp_ref = hp
+    else:
+        ref = uniform_medium(grid, c=params.c_ref, rho=params.rho_ref, gamma=params.gamma_ref)
+        hp_ref = recast(ref, freq)
     if g_ref is None:
         g_ref = assemble_green(grid, hp.k_ref)
     delta = helmholtz_delta(hp_ref, hp)

@@ -239,9 +239,32 @@ class TestInvert:
         # the recorded inner residual is the one the CG stop rule read
         converged = [float(r["cg_residual"]) for r in rows if r["cg_converged"] == "1"]
         assert converged and all(0.0 <= res <= inversion.CG_TOL for res in converged)
-        # the first step starts from zero, later ones from a recycled start
+        # the first step starts from the power pairs of the alpha0 estimate,
+        # later ones from a recycled start
         starts = [float(r["cg_start_residual"]) for r in rows]
-        assert starts[0] == 1.0 and all(0.0 <= res < 1.0 for res in starts[1:])
+        assert all(0.0 <= res < 1.0 for res in starts)
+
+    def test_summary_reports_alpha0_applies(self, tiny_config):
+        # an estimated alpha0 explains a first step of few CG iterations; a
+        # given one costs no apply, and the first step starts from zero
+        path, cfg, tmp = tiny_config
+        archives = tmp / "archives"
+        assert cli.main(["synth", "--config", str(path), "--out", str(archives)]) == 0
+        for alpha0, estimated in ((None, True), (3.0, False)):
+            cfg2 = json.loads(path.read_text())
+            cfg2["inversion"]["alpha0"] = alpha0
+            p2 = tmp / "alpha0.json"
+            p2.write_text(json.dumps(cfg2))
+            out = tmp / f"run-{alpha0}"
+            argv = ["invert", "--config", str(p2), "--out", str(out), "--archives", str(archives)]
+            assert cli.main(argv) == 0
+            applies = json.loads((out / "summary.json").read_text())["alpha0_applies"]
+            with open(out / "diagnostics.csv", newline="") as f:
+                first = next(csv.DictReader(f))
+            if estimated:
+                assert applies >= 2 and float(first["cg_start_residual"]) < 1.0
+            else:
+                assert applies == 0 and float(first["cg_start_residual"]) == 1.0
 
 
 class TestExitCodes:
@@ -443,8 +466,10 @@ class TestExitCodes:
         [
             ("kernels", "kernels", {"pairs": [["x", "S"]]}),  # holography knows no "x"
             ("invert", "medium", {"boundary_source": {"value": [0.05] * 11}}),  # 12 receivers
+            # wider than the interior's side 1.0: a ValueError from ndimage
+            ("invert", "inversion", {"smoothing_width": 1e300}),
         ],
-        ids=["pair-name", "boundary-length"],
+        ids=["pair-name", "boundary-length", "smoothing-width"],
     )
     def test_checked_before_out_exists(self, tiny_config, command, block, value):
         # faults that the command would find only after creating --out

@@ -291,6 +291,33 @@ class TestReceiverRows:
         assert np.array_equal(idx, g.receiver_idx)
         assert np.array_equal(model.receiver_rows, rows(op, g.receiver_idx))
 
+    def test_reference_medium_is_recast_once(self, monkeypatch):
+        # a medium that differs from its reference only in S has the
+        # reference's Helmholtz slots: build_model recasts it alone and reads
+        # the reference operator's rows; any other field needs the reference
+        g = greens.square_grid(0.3, 0.5, 7.5, 1.0, n_receivers=8)
+        freq = medium.FrequencyContext(omega=2 * np.pi / 0.5)
+        params = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=0.3)
+        params.S = np.linspace(0.0, 1.0, g.n_interior)
+        g_ref = greens.assemble_green(g, params.reference_wavenumber(freq))
+        calls = []
+        recast = holography.recast
+
+        def spy(p, f):
+            calls.append(p)
+            return recast(p, f)
+
+        monkeypatch.setattr(holography, "recast", spy)
+        model = holography.build_model(params, freq, g_ref=g_ref)
+        assert calls == [params]
+        assert np.array_equal(model.receiver_rows, g_ref.receiver_rows)
+        for name, value in (("c", 1.01), ("rho", 1.01), ("gamma", 0.31)):
+            perturbed = params.copy()
+            getattr(perturbed, name)[0] = value
+            calls.clear()
+            holography.build_model(perturbed, freq, g_ref=g_ref)
+            assert len(calls) == 2
+
     def test_h_alpha_is_a_view_of_the_receiver_rows(self, nonuniform_model):
         # a model holds its interior Tr G once
         g, params, freq, model = nonuniform_model

@@ -234,6 +234,24 @@ def _source_run(setting, beta_scale, **options):
     return config, data
 
 
+def _counted_applies(monkeypatch):
+    """The list that gets one entry per normal-operator apply of run_irgnm."""
+    applies = []
+    make_normal = inversion._make_normal_operator
+
+    def counted(*args):
+        normal = make_normal(*args)
+
+        def apply(flat):
+            applies.append(1)
+            return normal(flat)
+
+        return apply
+
+    monkeypatch.setattr(inversion, "_make_normal_operator", counted)
+    return applies
+
+
 class TestRecycledCG:
     """cg_normal_solve started from the projection of earlier solutions."""
 
@@ -319,8 +337,10 @@ class TestRecycledCG:
         plain = inversion.run_irgnm(config, data)
         assert recycled[1]["stopped_by"] == plain[1]["stopped_by"]
         assert len(recycled[1]["iterations"]) == len(plain[1]["iterations"])
+        # the estimated alpha0's power pairs start the first step too, unless
+        # nothing is recycled
         starts = [e["cg_start_residual"] for e in recycled[1]["iterations"]]
-        assert starts[0] == 1.0 and all(s < 1.0 for s in starts[1:])
+        assert all(s < 1.0 for s in starts)
         assert all(e["cg_start_residual"] == 1.0 for e in plain[1]["iterations"])
         s, s_plain = recycled[0].S, plain[0].S
         assert np.linalg.norm(s - s_plain) <= 1e-4 * np.linalg.norm(s_plain)
@@ -329,25 +349,92 @@ class TestRecycledCG:
         # counted work, not time: every apply of the normal operator, the
         # projections' and the power iteration's included, over 20 outer steps
         config, data = _source_run(setting, 50, max_outer=20, alpha0_scale=0.1)
-        applies = []
-        make_normal = inversion._make_normal_operator
-
-        def counted(*args):
-            normal = make_normal(*args)
-
-            def apply(flat):
-                applies.append(1)
-                return normal(flat)
-
-            return apply
-
-        monkeypatch.setattr(inversion, "_make_normal_operator", counted)
+        applies = _counted_applies(monkeypatch)
         inversion.run_irgnm(config, data)
         recycled = len(applies)
         applies.clear()
         monkeypatch.setattr(inversion, "CG_RECYCLE", 0)
         inversion.run_irgnm(config, data)
         assert recycled <= 0.8 * len(applies)
+
+
+class TestSeededFirstStep:
+    """The alpha0 power iteration starts from the first right-hand side and
+    its (v, N v) pairs start the first CG solve."""
+
+    def test_seeded_solve_meets_tol_in_true_residual(self):
+        # 14 power steps: a basis of nearly parallel vectors whose products
+        # are transformed, never applied; the residual CG stops on is the
+        # true one to the stop rule's precision
+        apply_normal, m, weights, rhs = _weighted_system(40, seed=3)
+        lam, pairs = inversion.power_iteration(apply_normal, 40, weights, start=rhs)
+        assert len(pairs) >= 8
+
+        def norm(v):
+            return np.sqrt(np.sum(v * v * weights))
+
+        for alpha in (lam, 0.1 * lam, 1e-3 * lam):
+            res = inversion.cg_normal_solve(
+                apply_normal, rhs, alpha, weights, max_iter=200, tol=inversion.CG_TOL,
+                history=pairs,
+            )
+            true = rhs - apply_normal(res.x) - alpha * res.x
+            assert res.converged and res.start_residual < 1.0
+            assert norm(true) <= inversion.CG_TOL * norm(rhs)
+            # a pair charges no apply: every counted apply is a CG iteration
+            assert res.iterations == len(res.residual_norms) - 1
+
+    def test_plain_entry_beside_pairs_is_applied_once(self):
+        apply_normal, m, weights, rhs = _weighted_system(40, seed=3)
+        lam, pairs = inversion.power_iteration(apply_normal, 40, weights, start=rhs)
+        extra = np.random.default_rng(8).standard_normal(40)
+        res = inversion.cg_normal_solve(
+            apply_normal, rhs, 1e-3 * lam, weights, max_iter=200, tol=1e-6,
+            history=pairs + [extra],
+        )
+        # one apply for the plain vector, one per CG iteration
+        assert res.converged
+        assert res.iterations == 1 + (len(res.residual_norms) - 1)
+
+    def test_zero_start_falls_back_to_the_random_start(self, setting):
+        apply_normal, m, weights, rhs = _weighted_system(40, seed=5)
+        lam, pairs = inversion.power_iteration(apply_normal, 40, weights, start=np.zeros(40))
+        assert lam > 0 and lam == inversion.power_iteration(apply_normal, 40, weights)[0]
+        # a run on its own forward covariance has a zero first right-hand side
+        g, params, freq, model, g_op, cov, blk = setting
+        data = [inversion.FrequencyData(freq=freq, corr=cov, n_realizations=100)]
+        config = inversion.InversionConfig(
+            grid=g, q0=params, quantities=("S",), weighted=False, max_outer=1, tau=0.0
+        )
+        stack = inversion._build_stack(params, data, config, {})
+        space = inversion.ParameterSpace(g, ("S",))
+        assert not np.any(inversion._stack_rhs(stack, space))
+        q_fin, diag = inversion.run_irgnm(config, data)
+        normal = inversion._make_normal_operator(stack, space, lambda x: x)
+        assert diag["alpha0"] > 0
+        assert diag["alpha0"] == inversion.power_iteration(normal, space.size, space.weights)[0]
+        assert np.array_equal(q_fin.S, params.S)
+
+    @pytest.mark.parametrize("scale, counts", [(1.0, (4, 0)), (0.1, (4, 5))])
+    def test_first_step_applies(self, setting, monkeypatch, scale, counts):
+        # counted work of the alpha0 estimate and the first step: at scale 1
+        # the power space already meets CG_TOL, at 0.1 it starts CG at a
+        # residual below |b|; from a random start they took 5 + 4 and 5 + 8
+        config, data = _source_run(setting, 10, max_outer=1, alpha0_scale=scale)
+        applies = _counted_applies(monkeypatch)
+        _, diag = inversion.run_irgnm(config, data)
+        first = diag["iterations"][0]
+        assert (diag["alpha0_applies"], first["cg_iterations"]) == counts
+        assert len(applies) == sum(counts)
+        assert first["cg_converged"] and first["cg_start_residual"] < 1.0
+
+    def test_given_alpha0_starts_from_zero(self, setting, monkeypatch):
+        config, data = _source_run(setting, 10, max_outer=1, alpha0=50.0)
+        applies = _counted_applies(monkeypatch)
+        _, diag = inversion.run_irgnm(config, data)
+        first = diag["iterations"][0]
+        assert diag["alpha0_applies"] == 0 and first["cg_start_residual"] == 1.0
+        assert len(applies) == first["cg_iterations"]
 
 
 class TestIrgnmStep:
@@ -384,7 +471,7 @@ class TestIrgnmStep:
             dc = holography.apply_derivative(model, space.unpack(flat))
             return space.pack(holography.apply_adjoint(model, dc, ("S",)))
 
-        lam_max = inversion.power_iteration(normal, space.size, weights=space.weights)
+        lam_max, _ = inversion.power_iteration(normal, space.size, weights=space.weights)
         alpha = 1e-8 * lam_max
         config = inversion.InversionConfig(
             grid=g,
@@ -576,7 +663,7 @@ class TestConstrainedFlow:
         )
         stack = inversion._build_stack(q_n, data, config, {})
         space = inversion.ParameterSpace(g, ("u",))
-        lam = inversion.power_iteration(
+        lam, _ = inversion.power_iteration(
             inversion._make_normal_operator(stack, space, lambda x: x),
             space.size,
             weights=space.weights,
