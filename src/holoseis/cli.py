@@ -70,7 +70,9 @@ class Key(NamedTuple):
 # the values of each kind; a kind in brackets is a list of values of that kind
 KINDS = {
     "block": lambda v: isinstance(v, dict),
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "int": lambda v: (  # one a float holds, so the grid's arithmetic cannot overflow
+        isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    ),
     "number": lambda v: _fits("int", v) or isinstance(v, float) and math.isfinite(v),
     "numbers": lambda v: _fits("number", v) or _fits("[number]", v),  # one for all, or each
     "bool": lambda v: isinstance(v, bool),
@@ -94,7 +96,7 @@ CONFIG = {
     "geometry.receiver_radius": Key("number", 1.0, above=0),
     "geometry.n_receivers": Key("int", required=True, least=2),
     "geometry.points_per_wavelength": Key("number", 7.5, least=7),
-    "geometry.receiver_phase": Key("number", 0.0),
+    "geometry.receiver_phase": Key("number", 0.0, least=-2 * math.pi, most=2 * math.pi),
     "frequencies": Key("block", required=True),
     "frequencies.count": Key("int", required=True, least=1),
     "frequencies.f_min_hz": Key("number", required=True, above=0),
@@ -206,11 +208,27 @@ def validate_config(cfg: dict) -> None:
         raise UsageError(
             f"inversion.smoothing_width must not exceed the interior's side {side:g}"
         )
+    n_rec = setting(cfg, "geometry.n_receivers")
     bnd = setting(cfg, "medium.boundary_source.value")
-    if isinstance(bnd, list) and len(bnd) != setting(cfg, "geometry.n_receivers"):
+    if isinstance(bnd, list) and len(bnd) != n_rec:
         raise UsageError(
-            f"medium.boundary_source.value lists {len(bnd)} strengths for "
-            f"{setting(cfg, 'geometry.n_receivers')} receivers"
+            f"medium.boundary_source.value lists {len(bnd)} strengths for {n_rec} receivers"
+        )
+    pupils = setting(cfg, "hologram.pupils")
+    if pupils is not None and not all(0 <= i < n_rec for pupil in pupils for i in pupil):
+        raise UsageError(f"hologram.pupils indices must lie in [0, {n_rec})")
+    # the dense kernel of build_grid's grid, sized before anything is built
+    side = greens.square_grid_side(
+        setting(cfg, "geometry.half_width"),
+        setting(cfg, "medium.reference.c") / setting(cfg, "frequencies.f_max_hz"),
+        setting(cfg, "geometry.points_per_wavelength"),
+    )
+    nodes = side * side + n_rec
+    need = 16 * nodes * nodes
+    if need > greens.DEFAULT_BUDGET_BYTES:
+        raise UsageError(
+            f"the grid's {nodes:.4g} nodes need a {need / 1e9:.4g} GB dense kernel, over "
+            f"the {greens.DEFAULT_BUDGET_BYTES / 1e9:.4g} GB budget"
         )
 
 

@@ -28,11 +28,23 @@ A perturbed medium enters through the second-kind identity
 solved by a pivoted LU factorization restricted to the support of the
 perturbation.  Every operator has the one form K = K0 - U core^{-1} V K0:
 the reference kernel K0 plus, for a perturbed medium, the resolvent update
-(the support, the sparse supported rows V of L_q - L_0 and the LU of the
-support-sized core).  The update gathers K0 once and holds it with the LU,
-so both are freed together.  Receiver rows and the propagators' Hermitian
-products are read off blocks of K0; the full perturbed kernel is evaluated
-only when requested.
+(the support, the supported rows V of L_q - L_0 and the LU of the
+support-sized core = I + V U[interior], U = (K0 W)[:, supp]).  The update
+gathers K0 once and holds it with the LU, so both are freed together.  Two
+identities let the LU stand in for dense products of K0:
+
+- push-through: c = U[idx] core^{-1} satisfies c core = U[idx], so any
+  rows have supported columns K[idx, supp] = c W_s^{-1}, and only the
+  columns off the support need the product (c V) K0;
+- Woodbury with reciprocity: without flow, V = diag(dv) on the support and
+  K0's interior block is symmetric, so the supported rows of
+  K[interior, :] = (I + K0[interior, supp] W_s V)^{-1} K0[interior, :] are
+  W_s^{-1} core^{-T} W_s K0[supp, :], a plain solve with the same LU, and
+  the core itself is one elementwise pass over K0.
+
+A flow (dA != 0) is neither diagonal nor reciprocal, so it keeps the general
+products for the core and the ingression.  The full perturbed kernel is
+evaluated only when requested.
 """
 
 from __future__ import annotations
@@ -65,6 +77,7 @@ __all__ = [
     "GreensOperator",
     "DeltaOperator",
     "square_grid",
+    "square_grid_side",
     "disk_grid",
     "green_uniform",
     "green_diagonal_2d",
@@ -274,8 +287,7 @@ def square_grid(
         )
     if n_receivers < 2:
         raise UsageError("need at least 2 receivers")
-    h_target = wavelength / points_per_wavelength
-    nx = max(int(np.ceil(2.0 * half_width / h_target)), 3)
+    nx = int(square_grid_side(half_width, wavelength, points_per_wavelength))
     h = 2.0 * half_width / nx
     centers = -half_width + (np.arange(nx) + 0.5) * h  # (nx,)
     xx, yy = np.meshgrid(centers, centers, indexing="ij")
@@ -297,6 +309,17 @@ def square_grid(
     )
     grid.validate()
     return grid
+
+
+def square_grid_side(
+    half_width: float, wavelength: float, points_per_wavelength: float = 7.5
+) -> float:
+    """Interior nodes per side of square_grid's lattice, as a float: a tiny
+    wavelength gives inf rather than an overflow, so a size can be checked
+    before anything is built."""
+    with np.errstate(divide="ignore", over="ignore"):
+        h_target = np.float64(wavelength) / points_per_wavelength
+        return max(float(np.ceil(2.0 * half_width / h_target)), 3.0)
 
 
 def disk_grid(
@@ -509,7 +532,6 @@ def assemble_green(
         table = offset_table()
         kernel = np.empty((n, n), dtype=np.complex128)
         int_idx = grid.interior_idx
-        cols = _view(int_idx)
         # node j seen from node i sits at c + lattice[j] - lattice[i] of the
         # table: flat table positions, a 1-D take per row block
         strides = np.array(table.strides) // table.itemsize
@@ -518,9 +540,9 @@ def assemble_green(
         flat_table = table.ravel()
         for start in range(0, len(int_idx), _GATHER_ROWS):
             part = slice(start, start + _GATHER_ROWS)
-            sub = int_idx[part]
-            key = (_view(sub), cols) if isinstance(cols, slice) else np.ix_(sub, int_idx)
-            kernel[key] = flat_table.take(np.add.outer(from_node[part], to_node))
+            kernel[_block(int_idx[part], int_idx)] = flat_table.take(
+                np.add.outer(from_node[part], to_node)
+            )
         rec = _view(grid.receiver_idx)
         kernel[rec, :] = rows
         kernel[:, rec] = rows.T
@@ -589,18 +611,21 @@ class DeltaOperator:
 
     def operator_matrix(self, grid: Grid) -> sparse.csr_matrix:
         """Sparse (n, n) matrix of (L_q - L_0) acting on full-grid fields."""
-        n = grid.n_nodes
-        n_int = grid.n_interior
-        if self.dv.shape != (n_int,):
-            raise UsageError("dv must live on the interior block")
+        n, n_int = grid.n_nodes, grid.n_interior
         emb = sparse.csr_matrix(
             (np.ones(n_int), (grid.interior_idx, np.arange(n_int))), shape=(n, n_int)
         )
+        return (emb @ self._interior_matrix(grid) @ emb.T).tocsr()
+
+    def _interior_matrix(self, grid: Grid) -> sparse.csr_matrix:
+        """Sparse (n_int, n_int) block of (L_q - L_0) on the interior nodes."""
+        if self.dv.shape != (grid.n_interior,):
+            raise UsageError("dv must live on the interior block")
         block = sparse.diags(self.dv.astype(np.complex128), format="csr")
         if np.any(self.dA):
             for i, d_i in enumerate(grid.gradient_matrices()):
                 block = block - 2j * sparse.diags(self.dA[:, i]) @ d_i
-        return (emb @ block @ emb.T).tocsr()
+        return block.tocsr()
 
 
 class GreensOperator:
@@ -610,11 +635,16 @@ class GreensOperator:
     _base, the gather that builds the reference kernel K0 from them; it never
     holds K0, so every read of a kernel block gathers afresh.  An updated
     operator holds the K0 that update_green gathered and update_green's
-    (supp, V, LU of core^T), with V the supported rows of (L_q - L_0), whose
-    columns lie in the interior, and core = I + V K0[interior, supp] W; the
-    kernel and the LU are freed together with the operator.  Rows and
-    Hermitian products read blocks of K0 and never form V K0 or the perturbed
-    kernel.
+    (supp, v, LU of core^T): supp the interior positions of the support, v
+    the supported rows V of (L_q - L_0), whose columns lie in the interior
+    (without flow only their diagonal dv[supp]), and
+    core = I + V K0[interior, supp] W_s; the kernel and the LU are freed
+    together with the operator.
+
+    Rows take their supported columns from the LU (push-through); without
+    flow, so does the Hermitian product its supported rows (Woodbury, K0's
+    interior block being symmetric).  A flow keeps the general products.
+    None of them forms V K0 or the perturbed kernel.
     """
 
     def __init__(self, grid: Grid, k_ref: complex, _base, _update=None):
@@ -648,38 +678,64 @@ class GreensOperator:
     def rows(self, idx) -> np.ndarray:
         """Dense kernel rows K[idx, :] = K0[idx, :] - (c V) K0, c = U[idx] core^-1.
 
+        Since c core = U[idx], the supported columns are K[idx, supp] =
+        c W_s^-1 for any V, so (c V) K0 is formed only on the columns off the
+        support: the receivers alone when the whole interior is perturbed.
         A reference operator's receiver rows are evaluated directly, as the
         gather does.
         """
         idx = np.asarray(idx)
+        grid = self.grid
         if self._update is None:
-            if np.array_equal(idx, self.grid.receiver_idx):
-                return assemble_receiver_rows(self.grid, self.k_ref)
+            if np.array_equal(idx, grid.receiver_idx):
+                return assemble_receiver_rows(grid, self.k_ref)
             return self.base[idx, :]
         supp, v, lu = self._update
-        base = self._base[idx, :]
-        u = base[:, supp] * self.grid.weights[supp]  # (k, m)
-        c = lu_solve(lu, u.T, check_finite=False).T  # c^T = core^-T u^T
-        base -= (c @ v) @ self._base[_view(self.grid.interior_idx)]
-        return base
+        nodes = grid.interior_idx[supp]
+        w = grid.weights[nodes]
+        rows = self._base[idx, :]
+        k0_int = self._base[_view(grid.interior_idx)]  # (n_int, n)
+        u = rows[:, _view(nodes)] * w  # U[idx], (k, m)
+        c = lu_solve(lu, u.T, check_finite=False).T  # c^T = core^-T U[idx]^T
+        off = np.setdiff1d(np.arange(grid.n_nodes), nodes)
+        if v.ndim == 1:  # V = diag(v) on the support
+            rows[:, _view(off)] -= (c * v) @ k0_int[_block(supp, off)]
+        else:
+            rows[:, _view(off)] -= (c @ v) @ k0_int[:, _view(off)]
+        rows[:, _view(nodes)] = c / w
+        return rows
 
     def mul_kernel_hermitian(self, m_block: np.ndarray, in_idx) -> np.ndarray:
         """Product M @ (K[interior, in_idx])^H without forming the kernel block.
 
         M has shape (p, len(in_idx)); the result has shape (p, n_int).  This
-        is the workhorse of the ingression-propagator assembly.  The columns
-        of V lie in the interior, so M (V K0[:, in])^H is read off
-        term0 = M K0[interior, in]^H; only p-row factors are conjugated.
+        is the workhorse of the ingression-propagator assembly.  With
+        term0 = M K0[interior, in]^H = T^H: without flow the supported rows
+        of K[interior, in] M^H are W_s^-1 core^-T W_s T_s, a plain solve with
+        the LU, and the others T_o - K0[o, supp] W_s diag(v) times those; a
+        flow subtracts (U[interior] core^-1 V T)^H.  Only p-row factors are
+        conjugated.
         """
-        k0_int = self.base[_view(self.grid.interior_idx)]  # (n_int, n)
+        grid = self.grid
+        k0_int = self.base[_view(grid.interior_idx)]  # (n_int, n)
         term0 = (m_block.conj() @ k0_int[:, _view(in_idx)].T).conj()
         if self._update is None:
             return term0
         supp, v, lu = self._update
+        nodes = grid.interior_idx[supp]
+        w = grid.weights[nodes][:, None]
+        if v.ndim == 1:
+            x = lu_solve(lu, term0[:, _view(supp)].T.conj() * w, check_finite=False)
+            x /= w  # (m, p), the supported rows of K[interior, in] M^H
+            off = np.setdiff1d(np.arange(grid.n_interior), supp)
+            if off.size:
+                term0[:, off] -= (k0_int[_block(off, nodes)] @ (x * (w * v[:, None]))).conj().T
+            term0[:, _view(supp)] = x.conj().T
+            return term0
         xh = v @ term0.conj().T  # (m, p) = V K0[:, in] M^H
         y = lu_solve(lu, xh, trans=1, check_finite=False)  # core^-1 xh
-        y *= self.grid.weights[supp][:, None]
-        term0 -= (k0_int[:, _view(supp)] @ y).conj().T
+        y *= w
+        term0 -= (k0_int[:, _view(nodes)] @ y).conj().T
         return term0
 
 
@@ -688,6 +744,13 @@ def _view(idx):
     view; the interior of the factory grids is such a range."""
     idx = np.asarray(idx)
     return slice(idx[0], idx[-1] + 1) if idx.size and np.all(np.diff(idx) == 1) else idx
+
+
+def _block(rows, cols):
+    """Index key of the block a[rows][:, cols]: a view where both are
+    contiguous ranges, an open mesh where neither is."""
+    keys = _view(rows), _view(cols)
+    return keys if any(isinstance(key, slice) for key in keys) else np.ix_(*keys)
 
 
 def update_green(
@@ -702,8 +765,13 @@ def update_green(
 
         K_q = K0 - U (I_m + V U)^{-1} V K0,
 
-    factorized by pivoted LU of the m x m core.  A reciprocal-condition
-    estimate guards against interior resonances and non-finite perturbations.
+    factorized by pivoted LU of the m x m core.  Without flow (dA = 0),
+    V = diag(dv) on the support, so the core I + dv K0[supp, supp] W_s is
+    one elementwise pass over row blocks of K0 and no sparse operator is
+    built; a flow forms V K0 by sparse products, column block by column
+    block.  Either way the column sums for the norm are taken block by
+    block, so no m x m temporary appears.  A reciprocal-condition estimate
+    guards against interior resonances and non-finite perturbations.
 
     K0 is gathered here once and held only by the returned operator, so it
     is freed together with the LU.  A vanishing perturbation returns g0
@@ -712,21 +780,35 @@ def update_green(
     if delta.is_zero():
         return g0
     grid = g0.grid
+    if delta.dv.shape != (grid.n_interior,):
+        raise UsageError("dv must live on the interior block")
     k0 = g0.kernel
-    m_full = delta.operator_matrix(grid)  # sparse (n, n)
-    supp = np.flatnonzero(np.diff(m_full.indptr))
-    v = m_full[supp][:, grid.interior_idx]
+    if np.any(delta.dA):
+        v_int = delta._interior_matrix(grid)  # sparse (n_int, n_int)
+        supp = np.flatnonzero(np.diff(v_int.indptr))
+        v = v_int[supp]
+    else:
+        supp = np.flatnonzero(delta.dv)  # a NaN counts as support
+        v = delta.dv[supp].astype(np.complex128)
+    nodes = grid.interior_idx[supp]
+    w = grid.weights[nodes]
     m = len(supp)
     core = np.empty((m, m), dtype=np.complex128)
-    col_sums = np.empty(m)  # of |core|; their maximum is ||core||_1
-    k0_int = k0[_view(grid.interior_idx)]
+    col_sums = np.zeros(m)  # of |core|; their maximum is ||core||_1
     diag = np.arange(m)
-    for start in range(0, m, _GATHER_ROWS):  # scipy copies a strided dense operand
+    for start in range(0, m, _GATHER_ROWS):
         sl = slice(start, start + _GATHER_ROWS)
-        block = core[:, sl]
-        block[...] = (v @ k0_int[:, _view(supp[sl])]) * grid.weights[supp[sl]]
-        block[diag[sl], diag[: block.shape[1]]] += 1.0  # the I_m of the core
-        col_sums[sl] = np.abs(block).sum(axis=0)
+        if v.ndim == 1:  # a row block of diag(v) K0[supp, supp] W_s
+            block = core[sl]
+            np.multiply(k0[_block(nodes[sl], nodes)], v[sl, None], out=block)
+            block *= w
+            block[diag[: block.shape[0]], diag[sl]] += 1.0  # the I_m of the core
+            col_sums += np.abs(block).sum(axis=0)
+        else:  # a column block of V K0[interior, supp] W_s; scipy copies a strided operand
+            block = core[:, sl]
+            block[...] = (v @ k0[_block(grid.interior_idx, nodes[sl])]) * w[sl]
+            block[diag[sl], diag[: block.shape[1]]] += 1.0
+            col_sums[sl] = np.abs(block).sum(axis=0)
     # LAPACK factors the Fortran-ordered view core^T in place; ||core^T||_inf = ||core||_1
     anorm = col_sums.max()  # NaN if any entry is
     lu = lu_factor(core.T, overwrite_a=True, check_finite=False)

@@ -386,6 +386,8 @@ class TestExitCodes:
             ("inversion.quantities", ["S", "S"]),  # would end in a broadcast ValueError
             ("hologram.pupils", "x"),
             ("description", 3),
+            ("medium.reference.c", 10**400),  # no float holds it: an OverflowError
+            ("geometry.n_receivers", 10**400),
         ],
     )
     def test_non_numeric_config_value_is_2(self, tiny_config, key, value):
@@ -468,8 +470,32 @@ class TestExitCodes:
             ("invert", "medium", {"boundary_source": {"value": [0.05] * 11}}),  # 12 receivers
             # wider than the interior's side 1.0: a ValueError from ndimage
             ("invert", "inversion", {"smoothing_width": 1e300}),
+            ("hologram", "hologram", {"pupils": [[0, 999], [1, 2]]}),  # 12 receivers
+            ("hologram", "hologram", {"pupils": [[-1, 0], [1, 2]]}),
+            # a phase this large collapses the receiver ring
+            ("synth", "geometry", {"receiver_phase": 1e300}),
+            ("kernels", "geometry", {"receiver_phase": 1e300}),
+            ("hologram", "geometry", {"receiver_phase": -1e300}),
+            # a 129.6 GB dense kernel, and a lattice too large to build at all
+            *(
+                (command, "medium", {"reference": {"c": c, "rho": 1.0, "gamma": 0.25}})
+                for c in (0.05, 1e-300)
+                for command in ("synth", "hologram", "kernels", "invert")
+            ),
         ],
-        ids=["pair-name", "boundary-length", "smoothing-width"],
+        ids=[
+            "pair-name",
+            "boundary-length",
+            "smoothing-width",
+            "pupil-999",
+            "pupil-minus-1",
+            *(f"phase-{command}" for command in ("synth", "kernels", "hologram")),
+            *(
+                f"budget-c{c}-{command}"
+                for c in ("0.05", "1e-300")
+                for command in ("synth", "hologram", "kernels", "invert")
+            ),
+        ],
     )
     def test_checked_before_out_exists(self, tiny_config, command, block, value):
         # faults that the command would find only after creating --out
@@ -477,14 +503,14 @@ class TestExitCodes:
         archives = tmp / "archives"
         assert cli.main(["synth", "--config", str(path), "--out", str(archives)]) == 0
         cfg2 = json.loads(path.read_text())
-        cfg2[block].update(value)
+        cfg2.setdefault(block, {}).update(value)
         with pytest.raises(UsageError):
             cli.validate_config(cfg2)
         p2 = tmp / "late.json"
         p2.write_text(json.dumps(cfg2))
         out = tmp / "run"
         argv = [command, "--config", str(p2), "--out", str(out)]
-        if command == "invert":
+        if command in ("hologram", "invert"):
             argv += ["--archives", str(archives)]
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert not out.exists()

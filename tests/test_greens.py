@@ -434,6 +434,49 @@ class TestUpdateGreen:
                 ref = mb @ direct[np.ix_(g.interior_idx, in_idx)].conj().T
                 assert rel(gq.mul_kernel_hermitian(mb, in_idx), ref) <= 1e-12
 
+    @pytest.mark.parametrize("support", ["interior", "part", "receivers-first"])
+    def test_scalar_update_matches_dense(self, setup, support):
+        # the flow-free path reads the supported columns of the rows and the
+        # supported rows of the Hermitian product off the core's LU; oracle:
+        # K_q = (I + K0 W M)^{-1} K0 by a dense solve.  "interior" perturbs
+        # every interior node (the sound-speed inversions' case), "part" a
+        # block of them, and "receivers-first" every interior node of a grid
+        # whose node order puts the receivers first
+        g, g0, delta = setup
+        dv = np.where(delta.dv != 0, delta.dv, 0.5 - 0.2j)
+        if support == "part":
+            dv = delta.dv
+        elif support == "receivers-first":
+            order = np.concatenate([g.receiver_idx, g.interior_idx])
+            g = greens.Grid(
+                nodes=g.nodes[order],
+                weights=g.weights[order],
+                receiver_idx=np.arange(g.n_receivers),
+                interior_idx=np.arange(g.n_receivers, g.n_nodes),
+                wavelength_resolution=g.wavelength_resolution,
+                interior_shape=g.interior_shape,
+                spacing=g.spacing,
+                domain_measure=g.domain_measure,
+            )
+            g0 = greens.assemble_green(g, g0.k_ref)
+        d = greens.DeltaOperator(dv=dv, dA=np.zeros((g.n_interior, 2)))
+        k0 = g0.kernel
+        m = d.operator_matrix(g).toarray()
+        direct = np.linalg.solve(np.eye(g.n_nodes) + (k0 * g.weights[None, :]) @ m, k0)
+        gq = greens.update_green(g0, d)
+        assert len(gq._update[0]) == np.count_nonzero(dv)
+
+        def rel(got, ref):
+            return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+        assert rel(gq.rows(g.receiver_idx), direct[g.receiver_idx, :]) <= 1e-12
+        assert rel(gq.kernel, direct) <= 1e-12
+        rng = np.random.default_rng(1)
+        for in_idx in (g.interior_idx, g.receiver_idx):
+            mb = rng.standard_normal((5, len(in_idx))) * (1 - 0.3j)
+            ref = mb @ direct[np.ix_(g.interior_idx, in_idx)].conj().T
+            assert rel(gq.mul_kernel_hermitian(mb, in_idx), ref) <= 1e-12
+
     def test_base_rows_fetched_once(self, setup):
         # each factored product reads every block of K0 it needs exactly once:
         # rows reads K0[idx, :] (and slices U = (K0 W)[idx, supp] from it) and
