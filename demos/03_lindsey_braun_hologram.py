@@ -34,7 +34,7 @@ for gamma_rel in (0.0, 0.1, 0.5):
     r = stochastic.sample_wavefields(model, 400, seed=21)
     pair = holography.lindsey_braun_pair(model)
     holo = holography.backprop_realizations(pair, r, grid.receiver_weights)
-    vals = np.abs(holo.values)
+    vals = np.abs(holo)
     peak = pts[int(np.argmax(vals))]
     dist = np.min(np.linalg.norm(pts[block] - peak[None, :], axis=1))
     print(f"{gamma_rel:>12.2f} {str(np.round(peak, 3)):>24} {dist:>14.3f} "

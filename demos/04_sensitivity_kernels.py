@@ -54,7 +54,7 @@ for fr in freqs:
     model = holography.build_model(params, fr, quantities=("S", "c"))
     for pair in acc:
         kern = holography.sensitivity_kernel(model, pair, weight, targets=targets)
-        acc[pair] = acc[pair] + kern.entries
+        acc[pair] = acc[pair] + kern
 
 for pair, total in acc.items():
     total = total / len(freqs)
@@ -71,6 +71,6 @@ k_gg = holography.sensitivity_kernel(model, ("gamma", "gamma"), weight, targets=
 k_cg = holography.sensitivity_kernel(model, ("c", "gamma"), weight, targets=tgt)
 print("joint-block kernel magnitudes at the second target "
       "(normalized to the sound-speed kernel):")
-ref = np.max(np.abs(k_cc.entries))
+ref = np.max(np.abs(k_cc))
 for tag, k in (("c-c", k_cc), ("gamma-gamma", k_gg), ("c-gamma cross", k_cg)):
-    print(f"  {tag:>14}: {np.max(np.abs(k.entries)) / ref:.3e}")
+    print(f"  {tag:>14}: {np.max(np.abs(k)) / ref:.3e}")

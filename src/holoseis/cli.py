@@ -376,9 +376,9 @@ def cmd_hologram(cfg: dict, out: Path, archives: Path, workers: int = 1) -> List
 
     for idx, holo in enumerate(_map(holo_one, enumerate(freqs), workers)):
         path = out / f"hologram_f{idx:03d}.hsm"
-        hio.write_matrix(path, holo.values)
+        hio.write_matrix(path, holo)
         outputs.append(str(path))
-        total += holo.values
+        total += holo
 
     total /= len(freqs)
     peak = int(np.argmax(np.abs(total)))
@@ -418,13 +418,13 @@ def cmd_kernels(cfg: dict, out: Path, workers: int = 1) -> List[str]:
     outputs: List[str] = []
 
     # one model per frequency, linearized for every quantity of every pair
-    quantities = tuple(sorted({q for pair in pairs for q in pair} | {"S"}))
+    quantities = tuple(sorted({q for pair in pairs for q in pair}))
     weight = holography.NoiseWeight.identity(grid.receiver_weights)
 
     def kernels_one(freq):
         model = holography.build_model(reference, freq, quantities=quantities)
         return [
-            holography.sensitivity_kernel(model, pair, weight, targets=targets).entries
+            holography.sensitivity_kernel(model, pair, weight, targets=targets)
             for pair in pairs
         ]
 
@@ -472,6 +472,9 @@ def cmd_invert(
         _frequency_data(archives, idx, grid, freq)
         for idx, freq in enumerate(build_frequencies(cfg))
     ]
+    for idx, d in enumerate(data):
+        if not d.corr.trace() > 0:
+            raise UsageError(f"frequency {idx}: the archived correlation has no signal (trace 0)")
     # one boundary source strength, or one per receiver
     bnd = setting(cfg, "medium.boundary_source.value")
     if np.isscalar(bnd):

@@ -3,29 +3,34 @@
 The covariance forward map C[q] is linearized with egression/ingression
 propagators built from receiver-restricted Green's kernels:
 
-    H_alpha = Tr G                      (all quantities)
-    H_beta_S = H_alpha
+    a = H_alpha = Tr G                  (all quantities)
     H_beta   = Tr G M_S G* Tr-like ingression for scalar quantities,
                kernel  B(x, y) = Int G(x, z) S(z) conj(G(y, z)) dz
     H_beta_i = gradient rows of B for flow components.
 
-With Re_H(M) := (M + M*)/2, the derivative and its exact discrete transpose
-are
+The derivative is written once, as the slot table _SLOTS:
 
-    C'(dv, dA, dS) = -2 Re_H(H_a M_dv H_b^*) + 2 Re_H(sum_i H_a M_{2i dA_i} H_{b,i}^*)
-                     + H_a M_dS H_a^*
-    C'* D = (-2 Diag(H_a^* Re_H(D) H_b),  -4i Diag(H_a^* Re_H(D) H_{b,i}),
-             Diag(H_a^* Re_H(D) H_a))
+    C'(dq) = sum_s c_s X_s + (c_s X_s)^H,   X_s = a diag(w d_s) b_s^H,
+    d_s = sum_q J_{s,q} dq_q
 
-The chain rule onto the physical quantities is written once, as the sparse
-Jacobians (J_v, J_A) of :func:`holoseis.medium.recast_jacobian`:
-dv = sum_q J_v dq and dA = sum_q J_A dq forward, and the weighted transposes
-W^{-1} J^T W (formed once per model) plus the real-part projection back.
-Every Diag(H^H M B) is one back-propagation P = M^H H read as column dot
-products with B.  A hologram is that Diag with M = W Corr W between pupil
-masks: the S block of C'* at the empirical Corr.  The sensitivity kernels
-are the normal operator C'* Gamma C' written out from the same terms, for
-every pair of quantities.
+    slot   b_s        c_s   J_{s,q}
+    S      H_alpha    1/2   I for q = S
+    v      H_beta     -1    J_v
+    A_x    H_beta_x   2i    the x rows of J_A
+    A_y    H_beta_y   2i    the y rows of J_A
+
+with (J_v, J_A) the sparse Jacobians of :func:`holoseis.medium.recast_jacobian`.
+Its exact discrete transpose is
+
+    C'* D = Re sum_s J_{s,q}^T 2 c_s conj(Diag(a^H M b_s)),   M = W Re_H(D) W,
+
+with Re_H(D) := (D + D^H)/2 and J^T the transpose in the interior
+quadrature, W^{-1} J^T W (formed once per model); the real part is the
+projection onto real parameter perturbations.  Every Diag(a^H M b) is one
+back-propagation P = M^H a read as column dot products with b.  A hologram
+is that Diag with M = W Corr W between pupil masks: the S slot of C'* at
+the empirical Corr.  The sensitivity kernels are the normal operator
+C'* Gamma C' written out from the same table, for every pair of quantities.
 
 build_model is the one way to reach Tr G: its LinearizedModel is one medium
 at one frequency, and the sampler, the model covariance and the hologram
@@ -56,14 +61,11 @@ from .medium import (
 )
 from .stochastic import CovarianceOperator, RealizationSet, _boundary_block, empirical_corr
 
-SCALAR_QUANTITIES = ("S", "c", "gamma", "rho")
-ALL_QUANTITIES = SCALAR_QUANTITIES + ("u",)
+ALL_QUANTITIES = ("S", "c", "gamma", "rho", "u")
 KERNEL_BUDGET_BYTES = 2 * 1024**3
 
 __all__ = [
     "PropagatorPair",
-    "Hologram",
-    "KernelMatrix",
     "NoiseWeight",
     "LinearizedModel",
     "build_model",
@@ -93,25 +95,6 @@ class PropagatorPair:
 
 
 @dataclass
-class Hologram:
-    """Pointwise egression-ingression correlation on the interior nodes."""
-
-    values: np.ndarray
-
-
-@dataclass
-class KernelMatrix:
-    """Sensitivity kernel rows of the Gauss-Newton normal operator.
-
-    entries: (n_rows, n_int) real for scalar quantity pairs, or
-    (d_x, d_y, n_rows, n_int) when a flow enters, with d_x = d for a flow
-    row quantity and 1 otherwise (d_y likewise).
-    """
-
-    entries: np.ndarray
-
-
-@dataclass
 class NoiseWeight:
     """Approximation Gamma of the inverse data covariance on the receiver quadrature.
 
@@ -132,7 +115,15 @@ class NoiseWeight:
 # ---------------------------------------------------------------------------
 # Model assembly at one parameter state
 # ---------------------------------------------------------------------------
-SlotJacobians = Tuple[Optional[sparse.csr_matrix], Optional[sparse.csr_matrix]]
+# The slot table of C' (see the module docstring): c_s and the propagator b_s
+# of a model, for the slots S, v, A_x and A_y.  Slot S's b is a itself.
+_SLOTS = (
+    (0.5, lambda model: model.h_alpha),
+    (-1.0, lambda model: model.beta_scalar),
+    (2j, lambda model: model.beta_flow[0]),
+    (2j, lambda model: model.beta_flow[1]),
+)
+SlotJacobians = Tuple[Optional[sparse.csr_matrix], ...]  # one entry per slot
 
 
 @dataclass
@@ -142,10 +133,10 @@ class LinearizedModel:
     This is the one handle on Tr G: sampling, the model covariance and the
     Lindsey-Braun pair read a model's hp (its S), receiver_rows or h_alpha
     and boundary_src, never a Green's operator, which the model does not
-    keep (nor the LU of a resolvent update).  jacobians[q] holds (J_v, J_A) of
-    recast_jacobian for each linearized quantity other than S;
-    adjoint_jacobians[q] holds their weighted transposes W_q^{-1} J^T W,
-    which carry slot duals back to q.
+    keep (nor the LU of a resolvent update).  jacobians[q] holds J_{s,q} for
+    the slots of _SLOTS (None where q does not enter), for S and each
+    linearized quantity; adjoint_jacobians[q] holds their weighted transposes
+    W_q^{-1} J^T W, which carry slot duals back to q.
     """
 
     grid: Grid
@@ -179,7 +170,9 @@ def build_model(
             raise UsageError(f"unknown quantity {q!r}")
     grid = params.grid
     hp = recast(params, freq)
-    jacobians = {q: recast_jacobian(q, params, freq) for q in quantities if q != "S"}
+    jacobians, adjoint_jacobians = {}, {}
+    for q in dict.fromkeys(("S", *quantities)):
+        jacobians[q], adjoint_jacobians[q] = _slot_jacobians(q, params, freq)
 
     at_reference = not np.any(params.u) and all(
         np.all(getattr(params, f) == getattr(params, f"{f}_ref")) for f in ("c", "rho", "gamma")
@@ -199,7 +192,7 @@ def build_model(
     h_alpha = rows[:, _view(grid.interior_idx)]
     beta_scalar = None
     beta_flow = None
-    if jacobians:
+    if any(jac[1] is not None for jac in jacobians.values()):  # the v slot
         m_block = h_alpha * (hp.S * grid.interior_weights)[None, :]
         in_idx = grid.interior_idx
         if boundary_src is not None:
@@ -208,15 +201,10 @@ def build_model(
             m_block = np.hstack([m_block, mb])
             in_idx = np.concatenate([in_idx, grid.receiver_idx])
         beta_scalar = g.mul_kernel_hermitian(m_block, in_idx)
-        if any(j_a is not None for _, j_a in jacobians.values()):
+        if any(jac[2] is not None for jac in jacobians.values()):  # the flow slots
             dmats = grid.gradient_matrices()
             beta_flow = tuple((beta_scalar @ d_i.T.tocsc()) for d_i in dmats)
 
-    w = grid.interior_weights
-    adjoint_jacobians = {
-        q: tuple(None if j is None else _weighted_transpose(j, w) for j in jac)
-        for q, jac in jacobians.items()
-    }
     return LinearizedModel(
         grid=grid,
         hp=hp,
@@ -228,6 +216,21 @@ def build_model(
         adjoint_jacobians=adjoint_jacobians,
         boundary_src=boundary_src,
     )
+
+
+def _slot_jacobians(
+    q: str, params: MediumParams, freq: FrequencyContext
+) -> Tuple[SlotJacobians, SlotJacobians]:
+    """J_{s,q} for the slots of _SLOTS, and their weighted transposes."""
+    grid = params.grid
+    n = grid.n_interior
+    if q == "S":  # J = I is its own weighted transpose
+        eye = (sparse.identity(n, format="csr"), None, None, None)
+        return eye, eye
+    j_v, j_a = recast_jacobian(q, params, freq)
+    jac = (None, j_v, *((None, None) if j_a is None else (j_a[:n], j_a[n:])))
+    w = grid.interior_weights
+    return jac, tuple(None if j is None else _weighted_transpose(j, w) for j in jac)
 
 
 def _weighted_transpose(j: sparse.csr_matrix, w: np.ndarray) -> sparse.csr_matrix:
@@ -280,10 +283,6 @@ def lindsey_braun_pair(
 # ---------------------------------------------------------------------------
 # Derivative and adjoint
 # ---------------------------------------------------------------------------
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
-
-
 def _scaled_conj(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """conj(a diag(d)) in one temporary: b @ _scaled_conj(a, d).T = (a D b^H)^H."""
     x = a * d[None, :]
@@ -307,42 +306,27 @@ def apply_derivative(model: LinearizedModel, dq: Dict[str, np.ndarray]) -> np.nd
     """Directional derivative of the covariance map, C'[q](dq), on receivers.
 
     dq maps quantity tags to perturbation fields supported on the interior.
-    The Jacobians chain them onto the slots, dv = sum_q J_v dq and
-    dA = sum_q J_A dq (stacked by component), of the generic formula.
+    The Jacobians chain them onto the slots, d_s = sum_q J_{s,q} dq_q, and
+    each nonzero slot adds c_s X_s + (c_s X_s)^H.
     """
-    grid = model.grid
-    n = grid.n_interior
-    w = grid.interior_weights
+    w = model.grid.interior_weights
     a = model.h_alpha
-    n_rec = a.shape[0]
-    out = np.zeros((n_rec, n_rec), dtype=np.complex128)
-
-    dv = da = None  # slot perturbations, stacked by component for dA
+    d = [None] * len(_SLOTS)  # slot perturbations, one per slot
     for q, pert in dq.items():
-        if q == "S":
-            continue
         if q not in model.jacobians:
             raise UsageError(f"model was not linearized for quantity {q!r}")
         flat = np.asarray(pert).ravel(order="F")
-        j_v, j_a = model.jacobians[q]
-        if j_v is not None:
-            dv = j_v @ flat if dv is None else dv + j_v @ flat
-        if j_a is not None:
-            da = j_a @ flat if da is None else da + j_a @ flat
-    # each term T = a D b^H enters as T + T^H and is formed as T^H = b conj(a D)^T,
-    # so no propagator is conjugated or copied
-    if dv is not None and np.any(dv):
-        th = model.beta_scalar @ _scaled_conj(a, dv * w).T
-        out -= th + th.conj().T
-    if da is not None and np.any(da):
-        for i, b_i in enumerate(model.beta_flow):
-            th = b_i @ _scaled_conj(a, 2j * da[i * n : (i + 1) * n] * w).T
+        for s, j in enumerate(model.jacobians[q]):
+            if j is not None:
+                d[s] = j @ flat if d[s] is None else d[s] + j @ flat
+    # c_s X_s is formed as T = (c_s X_s)^H = b_s conj(a c_s D_s)^T, so no
+    # propagator is conjugated or copied, and T + T^H is exactly Hermitian
+    out = np.zeros((a.shape[0],) * 2, dtype=np.complex128)
+    for (c, b), d_s in zip(_SLOTS, d):
+        if d_s is not None and np.any(d_s):
+            th = b(model) @ _scaled_conj(a, c * d_s * w).T
             out += th + th.conj().T
-
-    if "S" in dq:
-        ds = np.asarray(dq["S"])
-        out += a @ _scaled_conj(a, ds * w).T  # Hermitian for real dS
-    return _hermitian_part(out)
+    return out
 
 
 def apply_adjoint(
@@ -352,38 +336,31 @@ def apply_adjoint(
 ) -> Dict[str, np.ndarray]:
     """Adjoint C'[q]* D as physical dual fields, one per requested quantity.
 
-    Interior-by-interior operators are never formed: every slot dual is a Diag
-    of propagator sandwiches Diag(a^H M b) with M = W Re(D) W Hermitian, all
-    from one back-propagation P = M a.  The weighted Jacobian transposes carry
-    the slot duals back to the quantities; the real part is the projection
-    onto real parameter perturbations.
+    Interior-by-interior operators are never formed: each slot dual is
+    2 c_s conj(Diag(a^H M b_s)) with M = W Re_H(D) W, all from one
+    back-propagation P = M a, for the slots that the quantities enter.  The
+    weighted Jacobian transposes carry the slot duals back to the quantities;
+    the real part is the projection onto real parameter perturbations.
     """
     grid = model.grid
     if quantities is None:
-        quantities = ("S",) + tuple(model.jacobians)
-    w_rec = grid.receiver_weights
-    a = model.h_alpha
-    m = np.outer(w_rec, w_rec) * _hermitian_part(np.asarray(d_matrix, dtype=np.complex128))
-    diag_s, diag_v, *diag_a = _diag_sandwiches(
-        a, m, (a if "S" in quantities else None, model.beta_scalar, *(model.beta_flow or ()))
-    )
-    # slot duals: conj of -2 Diag(a^H M b) for v, 4 Im Diag(a^H M b_i) for A
-    dv_dual = None if diag_v is None else -2.0 * diag_v.conj()
-    da_dual = np.concatenate([4.0 * d.imag for d in diag_a]) if diag_a else None
-
-    out: Dict[str, np.ndarray] = {}
+        quantities = tuple(model.jacobians)
     for q in quantities:
-        if q == "S":
-            out["S"] = np.real(diag_s)
-            continue
         if q not in model.adjoint_jacobians:
             raise UsageError(f"model was not linearized for quantity {q!r}")
-        jt_v, jt_a = model.adjoint_jacobians[q]
-        dual = 0.0
-        if jt_v is not None:
-            dual = np.real(jt_v @ dv_dual)
-        if jt_a is not None:
-            dual = dual + jt_a @ da_dual
+    jts = [model.adjoint_jacobians[q] for q in quantities]
+    w_rec = grid.receiver_weights
+    dm = np.asarray(d_matrix, dtype=np.complex128)
+    m = np.outer(w_rec, w_rec) * (0.5 * (dm + dm.conj().T))  # W Re_H(D) W
+    used = [any(jt[s] is not None for jt in jts) for s in range(len(_SLOTS))]
+    diags = _diag_sandwiches(
+        model.h_alpha, m, [b(model) if u else None for (_, b), u in zip(_SLOTS, used)]
+    )
+    duals = [None if dg is None else 2 * c * dg.conj() for (c, _), dg in zip(_SLOTS, diags)]
+
+    out: Dict[str, np.ndarray] = {}
+    for q, jt_q in zip(quantities, jts):
+        dual = np.real(sum(jt @ z for jt, z in zip(jt_q, duals) if jt is not None))
         out[q] = dual.reshape((grid.n_interior, grid.dim), order="F") if q == "u" else dual
     return out
 
@@ -395,14 +372,15 @@ def backprop_realizations(
     pair: PropagatorPair,
     realizations: RealizationSet,
     receiver_weights: np.ndarray,
-) -> Hologram:
+) -> np.ndarray:
     """Hologram Diag(H_alpha* W Corr W H_beta) of N realizations, pointwise.
 
-    This is the S block of C'* applied to the empirical correlation Corr: the
+    This is the S slot of C'* applied to the empirical correlation Corr: the
     receiver sandwich M = diag(masks[0]) W Corr W diag(masks[1]) is
     back-propagated once through the shared rows (n_rec^2 n work, whatever N
     is).  Without pupils M is Hermitian PSD, so the hologram is the real part
-    of the Diag and its imaginary part is exactly zero.
+    of the Diag and its imaginary part is exactly zero.  Returns the
+    (n_int,) complex values.
     """
     w = receiver_weights
     corr = empirical_corr(realizations, w).matrix
@@ -412,7 +390,7 @@ def backprop_realizations(
     (values,) = _diag_sandwiches(pair.rows, m_adj, (pair.rows,))
     if pair.masks is None:
         values = values.real.astype(np.complex128)
-    return Hologram(values=values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -433,26 +411,22 @@ def weight_trace_product(weight: NoiseWeight, cov: CovarianceOperator) -> float:
 
 
 def _slot_terms(model: LinearizedModel, q: str) -> list:
-    """Terms (l, r, m) of C'_q dq = sum_t l diag(w Phi_t dq) r^H.
+    """Terms (l, r, m) of C'_q dq = sum_t b_l diag(w Phi_t dq) b_r^H.
 
-    l and r name propagators; m = W_q^{-1} Phi^H W is the weighted adjoint of
-    the term's slot map Phi, so that w Phi dq = m^H (w_q dq).  v and A terms
-    come in pairs T, T^H; the S slot has the single term a diag(w dS) a^H.
+    l and r index the propagators of _SLOTS (slot 0's is a); m = W_q^{-1}
+    Phi^H W is the weighted adjoint of the term's slot map Phi, so that
+    w Phi dq = m^H (w_q dq).  Slot s gives c_s X_s the term
+    (0, s, conj(c_s) conj(J^T)) and its adjoint the term (s, 0, c_s J^T).
+    Terms with equal propagators add, so S's two halves make one term.
     """
-    n = model.grid.n_interior
-    if q == "S":
-        return [("a", "a", sparse.identity(n, dtype=np.complex128, format="csr"))]
     if q not in model.adjoint_jacobians:
         raise UsageError(f"model was not linearized for quantity {q!r}")
-    jt_v, jt_a = model.adjoint_jacobians[q]
-    terms = []
-    if jt_v is not None:  # -a diag(w dv) b^H and its adjoint
-        terms += [("a", "b", -jt_v.conj()), ("b", "a", -jt_v)]
-    if jt_a is not None:  # 2i a diag(w dA_i) b_i^H and its adjoint
-        for i in range(model.grid.dim):
-            jt_i = jt_a[:, i * n : (i + 1) * n]
-            terms += [("a", f"b{i}", -2j * jt_i), (f"b{i}", "a", 2j * jt_i)]
-    return terms
+    terms: Dict[Tuple[int, int], sparse.csr_matrix] = {}
+    for s, ((c, _), jt) in enumerate(zip(_SLOTS, model.adjoint_jacobians[q])):
+        if jt is not None:
+            for key, m in (((0, s), c.conjugate() * jt.conj()), ((s, 0), c * jt)):
+                terms[key] = terms[key] + m if key in terms else m
+    return [(l, r, m) for (l, r), m in terms.items()]
 
 
 def sensitivity_kernel(
@@ -461,14 +435,13 @@ def sensitivity_kernel(
     weight: NoiseWeight,
     targets: Optional[Sequence[int]] = None,
     budget_bytes: int = KERNEL_BUDGET_BYTES,
-) -> KernelMatrix:
+) -> np.ndarray:
     """Sensitivity kernel K of the normal operator for a quantity pair.
 
     C' is a sum of terms l diag(w Phi dq) r^H over the propagator pairs
-    (l, r) in {(a, b), (b, a), (a, b_i), (b_i, a), (a, a)}, with the slot
-    maps Phi read from the model's Jacobians.  With N the kernel of the
-    noise weight (NoiseWeight.identity for unweighted kernels) and
-    F[l, r] = l^H WNW r,
+    (l, r) = (a, b_s) and (b_s, a) of the slot table, with the slot maps Phi
+    read from the model's Jacobians.  With N the kernel of the noise weight
+    (NoiseWeight.identity for unweighted kernels) and F[l, r] = l^H WNW r,
 
         K = Re sum_{s, t} Phi_s^* (F[l_s, l_t] o F[r_t, r_s]^T) Phi_t,
 
@@ -476,6 +449,10 @@ def sensitivity_kernel(
     the interior weights reproduces C'* Gamma (x) Gamma C' exactly, for every
     pair of {S, c, gamma, rho, u}.  In targets mode only the F rows at the
     targets' stencil neighbourhood are formed.
+
+    Returns the kernel rows: (n_rows, n_int) real for scalar quantity pairs,
+    or (d_x, d_y, n_rows, n_int) when a flow enters, with d_x = d for a flow
+    row quantity and 1 otherwise (d_y likewise).
     """
     qx, qy = quantities
     grid = model.grid
@@ -485,26 +462,23 @@ def sensitivity_kernel(
     tgt = None if targets is None else np.asarray(targets, dtype=int)
     terms_x = _slot_terms(model, qx)
     terms_y = _slot_terms(model, qy)
-    dx = grid.dim if qx == "u" else 1
-    dy = grid.dim if qy == "u" else 1
+    dx, dy = (terms[0][2].shape[0] // n for terms in (terms_x, terms_y))
     rows = np.arange(dx * n) if tgt is None else (n * np.arange(dx)[:, None] + tgt).ravel()
     lefts = [m[rows] for _, _, m in terms_x]
     nbhd = np.arange(n) if tgt is None else np.unique(np.concatenate([m.indices for m in lefts]))
     lefts = [left[:, nbhd] for left in lefts]
 
-    props = {"a": model.h_alpha, "b": model.beta_scalar}
-    props.update({f"b{i}": b_i for i, b_i in enumerate(model.beta_flow or ())})
     w_rec = grid.receiver_weights
     wnw = w_rec[:, None] * weight.gamma_n * w_rec[None, :]
-    back: Dict[str, np.ndarray] = {}
-    f_rows: Dict[Tuple[str, str], np.ndarray] = {}
+    back: Dict[int, np.ndarray] = {}
+    f_rows: Dict[Tuple[int, int], np.ndarray] = {}
 
-    def f(l: str, r: str) -> np.ndarray:
+    def f(l: int, r: int) -> np.ndarray:
         """Rows F[l, r][nbhd, :], each formed once."""
         if (l, r) not in f_rows:
             if l not in back:
-                back[l] = props[l][:, nbhd].conj().T @ wnw
-            f_rows[l, r] = back[l] @ props[r]
+                back[l] = _SLOTS[l][1](model)[:, nbhd].conj().T @ wnw
+            f_rows[l, r] = back[l] @ _SLOTS[r][1](model)
         return f_rows[l, r]
 
     # WNW is Hermitian, so the rows of F[r_t, r_s]^T are those of conj(F[r_s, r_t])
@@ -516,9 +490,7 @@ def sensitivity_kernel(
         )
         entries += np.real(mt.conj() @ acc.T).T
     entries = entries.reshape(dx, -1, dy, n).transpose(0, 2, 1, 3)
-    if dx == dy == 1:
-        entries = entries[0, 0]
-    return KernelMatrix(entries=entries)
+    return entries[0, 0] if dx == dy == 1 else entries
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,7 +66,13 @@ def _payload(arr: np.ndarray) -> np.ndarray:
 
 
 def _read_payload(f, shape: Tuple[int, ...], path) -> np.ndarray:
-    """Read a row-major complex128 payload of this shape straight into a new array."""
+    """Read a row-major complex128 payload of this shape straight into a new array.
+
+    A header that asks for more bytes than the file holds is rejected before
+    anything is allocated.
+    """
+    if 16 * math.prod(shape) > os.fstat(f.fileno()).st_size - f.tell():
+        raise UsageError(f"{path}: truncated payload")
     arr = np.empty(shape, dtype=np.complex128)
     if f.readinto(_payload(arr)) != arr.nbytes:
         raise UsageError(f"{path}: truncated payload")

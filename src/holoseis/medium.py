@@ -418,11 +418,16 @@ def medium_from_descriptor(grid: Grid, desc: Dict, power: float = 1.0) -> Medium
         )
 
     for fname, path in desc.get("fields", {}).items():
-        raw = _io.read_matrix(path)
-        if fname == "u":
-            params.u = np.real(raw).reshape(grid.n_interior, grid.dim)
-        else:
-            setattr(params, fname, np.real(raw).reshape(grid.n_interior))
+        try:
+            raw = _io.read_matrix(path)
+        except OSError as exc:
+            raise UsageError(f"{path}: cannot read medium field {fname!r}: {exc.strerror}")
+        shape = (grid.n_interior, grid.dim) if fname == "u" else (grid.n_interior,)
+        if raw.size != np.prod(shape):
+            raise UsageError(
+                f"{path}: medium field {fname!r} holds {raw.size} values, not {np.prod(shape)}"
+            )
+        setattr(params, fname, np.real(raw).reshape(shape))
 
     params.validate()
     return params

@@ -606,6 +606,52 @@ class TestExitCodes:
         assert cli.main(["synth", "--config", str(p2), "--out", str(out)]) == cli.EXIT_CONFIG
         assert not list(out.glob("*.hsr"))
 
+    @pytest.mark.parametrize("command", ["synth", "invert"])
+    @pytest.mark.parametrize("fault", ["missing", "length", "header"])
+    def test_medium_field_fault_checked_before_out_exists(
+        self, tiny_config, caplog, command, fault
+    ):
+        # a missing file ended in a FileNotFoundError traceback, a file of the
+        # wrong length in a ValueError from the reshape, and a header asking
+        # for 2**61 values in a ValueError from the allocation
+        path, cfg, tmp = tiny_config
+        archives = tmp / "archives"
+        assert cli.main(["synth", "--config", str(path), "--out", str(archives)]) == 0
+        field = tmp / "c.hsm"
+        if fault != "missing":
+            n = cli.build_grid(cfg).n_interior
+            hio.write_matrix(field, np.ones(n - 1 if fault == "length" else n))
+        if fault == "header":  # rank 1: the one extent follows magic, version, rank
+            raw = field.read_bytes()
+            field.write_bytes(raw[:24] + (2**61).to_bytes(8, "little") + raw[32:])
+        cfg2 = json.loads(path.read_text())
+        cfg2["medium"]["fields"] = {"c": str(field)}
+        p2 = tmp / "fields.json"
+        p2.write_text(json.dumps(cfg2))
+        out = tmp / "run"
+        argv = [command, "--config", str(p2), "--out", str(out)]
+        if command == "invert":
+            argv += ["--archives", str(archives)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert not out.exists()
+        assert str(field) in caplog.text
+
+    def test_data_without_signal_checked_before_out_exists(self, tiny_config, caplog):
+        # a zero source with no S perturbation: every archived field is zero,
+        # which ended in "Lavrentiev beta must be positive" after --out existed
+        path, cfg, tmp = tiny_config
+        cfg2 = json.loads(path.read_text())
+        cfg2["medium"]["perturbations"] = []
+        p2 = tmp / "silent.json"
+        p2.write_text(json.dumps(cfg2))
+        archives = tmp / "archives"
+        assert cli.main(["synth", "--config", str(p2), "--out", str(archives)]) == 0
+        out = tmp / "run"
+        argv = ["invert", "--config", str(p2), "--out", str(out), "--archives", str(archives)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert not out.exists()
+        assert "frequency 0" in caplog.text
+
     def test_invert_rejects_workers(self, tiny_config):
         path, cfg, tmp = tiny_config
         argv = ["invert", "--config", str(path), "--out", str(tmp), "--workers", "2"]

@@ -45,7 +45,7 @@ def _random_hologram(rows, fields, w_rec, masks=None):
     """Production hologram of random realizations through given rows."""
     r = stochastic.RealizationSet(fields=fields, seed=0, omega=1.0)
     pair = holography.PropagatorPair(rows=rows, masks=masks)
-    return holography.backprop_realizations(pair, r, w_rec).values
+    return holography.backprop_realizations(pair, r, w_rec)
 
 
 def _cnormal(rng, shape):
@@ -332,9 +332,16 @@ class TestReceiverRows:
 
 
 class TestDerivativeAdjoint:
-    @pytest.mark.parametrize("q", ["S", "c", "gamma", "rho", "u"])
-    def test_adjoint_identity(self, nonuniform_model, q):
+    @pytest.mark.parametrize(
+        "q, built",
+        [(q, None) for q in ("S", "c", "gamma", "rho", "u")] + [("S", ("c",))],
+        ids=["S", "c", "gamma", "rho", "u", "S-of-c-model"],
+    )
+    def test_adjoint_identity(self, nonuniform_model, q, built):
+        # built: the quantities of a model of its own, which serves S all the same
         g, params, freq, model = nonuniform_model
+        if built is not None:
+            model = holography.build_model(params, freq, quantities=built)
         rng = np.random.default_rng(hash(q) % 2**32)
         w_int = g.interior_weights
         w_rec = g.receiver_weights
@@ -425,7 +432,7 @@ class TestBackpropagation:
         w = g.receiver_weights
         for n in (300, 1, 5):  # N < n_rec = 16 gives a rank-deficient correlation
             r = stochastic.sample_wavefields(model, n, seed=5)
-            holo = holography.backprop_realizations(pair, r, w).values
+            holo = holography.backprop_realizations(pair, r, w)
             corr = stochastic.empirical_corr(r, w).matrix
             dual = holography.apply_adjoint(model, corr, ("S",))["S"]
             assert np.max(np.abs(holo - dual)) <= 1e-12 * np.max(np.abs(dual))
@@ -450,7 +457,7 @@ class TestBackpropagation:
         config = inversion.InversionConfig(grid=g, q0=q0, quantities=("S",), weighted=False)
         stack = inversion._build_stack(q0, data, config, {})
         rhs = inversion._stack_rhs(stack, inversion.ParameterSpace(g, ("S",)))
-        expect = sum(h.values.real for h in holos)
+        expect = sum(h.real for h in holos)
         assert np.max(np.abs(rhs - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize(
@@ -464,7 +471,7 @@ class TestBackpropagation:
         w = g.receiver_weights
         for n in (300, 1, 5):  # N < n_rec = 16 gives a rank-deficient correlation
             r = stochastic.sample_wavefields(model, n, seed=5)
-            holo = holography.backprop_realizations(pair, r, w).values
+            holo = holography.backprop_realizations(pair, r, w)
             corr = stochastic.empirical_corr(r, w).matrix
             masks = np.ones((2, g.n_receivers)) if pair.masks is None else pair.masks
             h_alpha, h_beta = masks[0][:, None] * pair.rows, masks[1][:, None] * pair.rows
@@ -483,8 +490,8 @@ class TestBackpropagation:
         r = stochastic.sample_wavefields(model, 1, seed=6)
         pair = holography.lindsey_braun_pair(model)
         holo = holography.backprop_realizations(pair, r, g.receiver_weights)
-        assert np.max(np.abs(holo.values.imag)) <= 1e-14 * np.max(np.abs(holo.values))
-        assert np.min(holo.values.real) >= 0.0
+        assert np.max(np.abs(holo.imag)) <= 1e-14 * np.max(np.abs(holo))
+        assert np.min(holo.real) >= 0.0
 
     def test_peak_memory_independent_of_realization_count(self, setting):
         # the back-propagated factor rows number at most n_rec, whatever N is
@@ -509,16 +516,15 @@ class TestBackpropagation:
         batches, n = 50, 32
         for s in range(batches):
             r = stochastic.sample_wavefields(model, n, seed=7000 + s)
-            acc += holography.backprop_realizations(pair, r, g.receiver_weights).values
+            acc += holography.backprop_realizations(pair, r, g.receiver_weights)
         acc /= batches
         rel = np.linalg.norm(acc - expect) / np.linalg.norm(expect)
         assert rel < 5.0 / np.sqrt(batches * n)
 
 
-def apply_kernel(kernel, dq, grid):
-    """Apply assembled kernel rows to dq with the interior quadrature."""
+def apply_kernel(e, dq, grid):
+    """Apply assembled kernel rows e to dq with the interior quadrature."""
     w = grid.interior_weights
-    e = kernel.entries
     if e.ndim == 2:
         return e @ (np.asarray(dq) * w)
     dq = np.asarray(dq).reshape((grid.n_interior, e.shape[1]), order="F")
@@ -582,7 +588,7 @@ class TestSensitivityKernels:
     def test_source_kernel_nonnegative(self, setting):
         g, params, freq, model = setting
         kern = holography.sensitivity_kernel(model, ("S", "S"), _unweighted(g))
-        assert kern.entries.min() >= 0.0
+        assert kern.min() >= 0.0
 
     def test_targets_mode_matches_rows(self, setting):
         g, params, freq, model = setting
@@ -590,25 +596,21 @@ class TestSensitivityKernels:
         tgt = np.array([4, 57, 200])
         rows = holography.sensitivity_kernel(model, ("c", "c"), _unweighted(g), targets=tgt)
         assert np.allclose(
-            rows.entries, full.entries[tgt, :], atol=1e-10 * np.abs(full.entries).max()
+            rows, full[tgt, :], atol=1e-10 * np.abs(full).max()
         )
 
     def test_scalar_kernel_symmetry(self, setting):
         g, params, freq, model = setting
         kern = holography.sensitivity_kernel(model, ("c", "c"), _unweighted(g))
-        assert np.max(np.abs(kern.entries - kern.entries.T)) <= 1e-10 * np.max(
-            np.abs(kern.entries)
-        )
+        assert np.max(np.abs(kern - kern.T)) <= 1e-10 * np.max(np.abs(kern))
 
     def test_flow_kernel_exchange_symmetry(self, setting):
         g, params, freq, model = setting
         kern = holography.sensitivity_kernel(model, ("u", "u"), _unweighted(g))
-        scale = np.max(np.abs(kern.entries))
+        scale = np.max(np.abs(kern))
         for p in range(2):
             for q in range(2):
-                assert np.max(
-                    np.abs(kern.entries[p, q] - kern.entries[q, p].T)
-                ) <= 1e-10 * scale
+                assert np.max(np.abs(kern[p, q] - kern[q, p].T)) <= 1e-10 * scale
 
     def test_memory_guard_suggests_targets(self, setting):
         g, params, freq, model = setting
@@ -638,4 +640,4 @@ class TestHologramIntensity:
         r = stochastic.sample_wavefields(model, 16, seed=9)
         pair = holography.lindsey_braun_pair(model, pupils=([], []))
         holo = holography.backprop_realizations(pair, r, g.receiver_weights)
-        assert not np.any(holo.values)
+        assert not np.any(holo)
