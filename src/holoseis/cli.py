@@ -28,7 +28,7 @@ from typing import Any, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import greens, holography, inversion, io as hio, medium, stochastic
+from . import greens, holography, inversion, io as hio, medium, specfun, stochastic
 from .errors import HoloseisError, UsageError
 
 logger = logging.getLogger(__name__)
@@ -218,17 +218,24 @@ def validate_config(cfg: dict) -> None:
     if pupils is not None and not all(0 <= i < n_rec for pupil in pupils for i in pupil):
         raise UsageError(f"hologram.pupils indices must lie in [0, {n_rec})")
     # the dense kernel of build_grid's grid, sized before anything is built
-    side = greens.square_grid_side(
-        setting(cfg, "geometry.half_width"),
-        setting(cfg, "medium.reference.c") / setting(cfg, "frequencies.f_max_hz"),
-        setting(cfg, "geometry.points_per_wavelength"),
-    )
+    c, f_max = setting(cfg, "medium.reference.c"), setting(cfg, "frequencies.f_max_hz")
+    ppw = setting(cfg, "geometry.points_per_wavelength")
+    side = greens.square_grid_side(setting(cfg, "geometry.half_width"), c / f_max, ppw)
     nodes = side * side + n_rec
     need = 16 * nodes * nodes
     if need > greens.DEFAULT_BUDGET_BYTES:
         raise UsageError(
             f"the grid's {nodes:.4g} nodes need a {need / 1e9:.4g} GB dense kernel, over "
             f"the {greens.DEFAULT_BUDGET_BYTES / 1e9:.4g} GB budget"
+        )
+    # |k r| over the receivers' longest chord, k = reference_wavenumber's at f_max
+    omega = 2.0 * np.pi * f_max
+    k = abs(np.sqrt(omega * omega + 2j * omega * setting(cfg, "medium.reference.gamma"))) / c
+    chord = 2 * setting(cfg, "geometry.receiver_radius") * np.sin(np.pi * (n_rec // 2) / n_rec)
+    if not k * chord <= specfun.OVERFLOW_GUARD:
+        raise UsageError(
+            f"|k| = {k:.4g} at f_max times the receivers' longest chord {chord:.4g} "
+            f"exceeds the Hankel overflow guard {specfun.OVERFLOW_GUARD:.0e}"
         )
 
 

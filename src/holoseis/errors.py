@@ -6,7 +6,7 @@ class HoloseisError(Exception):
 
 
 class DomainError(HoloseisError, ValueError):
-    """Argument outside the supported domain (order too high, overflow guard, ...)."""
+    """Argument outside the supported domain (the Hankel overflow guard)."""
 
 
 class SingularityError(DomainError):

@@ -1,7 +1,8 @@
 """Dense 2D Green's operators for uniform reference media and their resolvent updates.
 
 Every grid is planar: the uniform-medium kernel is the outgoing (i/4) H1_0(k r)
-of -(Laplace + k^2), and a grid whose nodes are not 2D points is rejected.
+of -(Laplace + k^2), H1_0 from :func:`holoseis.specfun.hankel_h1_array` and its
+guards, and a grid whose nodes are not 2D points is rejected.
 
 The discrete convention throughout the package: a kernel matrix ``K`` of shape
 (n, n) represents the integral operator
@@ -66,7 +67,7 @@ from .errors import (
     SingularityError,
     UsageError,
 )
-from .specfun import hankel_h1, hankel_h1_array
+from .specfun import hankel_h1_array
 
 EULER_GAMMA: float = 0.5772156649015328606
 DEFAULT_BUDGET_BYTES: int = 4 * 1024**3
@@ -390,7 +391,7 @@ def green_uniform(k: complex, x: np.ndarray, y: np.ndarray) -> complex:
     r = float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
     if r == 0.0:
         raise SingularityError("Green's function evaluated at coincident points")
-    return 0.25j * hankel_h1(0, complex(k) * r)
+    return complex(0.25j * hankel_h1_array(complex(k) * r))
 
 
 def green_diagonal_2d(k: complex, cell_radius: float) -> complex:
@@ -418,8 +419,8 @@ def _self_term(k: complex, log_avg):
 # Dense assembly
 # ---------------------------------------------------------------------------
 def _radial_kernel(k: complex, r: np.ndarray) -> np.ndarray:
-    """Uniform-medium kernel at distances r > 0, the array form of green_uniform."""
-    return 0.25j * hankel_h1_array(0, complex(k) * r)
+    """Uniform-medium kernel (i/4) H1_0(k r) at distances r > 0."""
+    return 0.25j * hankel_h1_array(complex(k) * r)
 
 
 def _require_2d(grid: Grid) -> None:

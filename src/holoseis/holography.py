@@ -123,7 +123,20 @@ _SLOTS = (
     (2j, lambda model: model.beta_flow[0]),
     (2j, lambda model: model.beta_flow[1]),
 )
-SlotJacobians = Tuple[Optional[sparse.csr_matrix], ...]  # one entry per slot
+SlotJacobians = Tuple[Optional[sparse.csr_matrix], ...]  # one entry per slot; S's is _Identity
+
+
+@dataclass(frozen=True)
+class _Identity:
+    """J = I on n interior nodes: a product returns its operand uncopied."""
+
+    n: int
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def tocsr(self) -> sparse.csr_matrix:
+        return sparse.identity(self.n, format="csr")
 
 
 @dataclass
@@ -225,7 +238,7 @@ def _slot_jacobians(
     grid = params.grid
     n = grid.n_interior
     if q == "S":  # J = I is its own weighted transpose
-        eye = (sparse.identity(n, format="csr"), None, None, None)
+        eye = (_Identity(n), None, None, None)
         return eye, eye
     j_v, j_a = recast_jacobian(q, params, freq)
     jac = (None, j_v, *((None, None) if j_a is None else (j_a[:n], j_a[n:])))
@@ -424,6 +437,7 @@ def _slot_terms(model: LinearizedModel, q: str) -> list:
     terms: Dict[Tuple[int, int], sparse.csr_matrix] = {}
     for s, ((c, _), jt) in enumerate(zip(_SLOTS, model.adjoint_jacobians[q])):
         if jt is not None:
+            jt = jt.tocsr()
             for key, m in (((0, s), c.conjugate() * jt.conj()), ((s, 0), c * jt)):
                 terms[key] = terms[key] + m if key in terms else m
     return [(l, r, m) for (l, r), m in terms.items()]

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holoseis import cli, inversion, io as hio
+from holoseis import cli, inversion, io as hio, specfun
 from holoseis.errors import UsageError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -482,6 +482,11 @@ class TestExitCodes:
                 for c in (0.05, 1e-300)
                 for command in ("synth", "hologram", "kernels", "invert")
             ),
+            # |k r| = 2.5e4 over the ring's diameter: past the Hankel overflow guard
+            *(
+                (command, "geometry", {"receiver_radius": 1000.0})
+                for command in ("synth", "hologram", "kernels", "invert")
+            ),
         ],
         ids=[
             "pair-name",
@@ -495,6 +500,7 @@ class TestExitCodes:
                 for c in ("0.05", "1e-300")
                 for command in ("synth", "hologram", "kernels", "invert")
             ),
+            *(f"overflow-{command}" for command in ("synth", "hologram", "kernels", "invert")),
         ],
     )
     def test_checked_before_out_exists(self, tiny_config, command, block, value):
@@ -514,6 +520,22 @@ class TestExitCodes:
             argv += ["--archives", str(archives)]
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("n_rec", [12, 13])
+    def test_overflow_bound_is_the_longest_chord(self, tiny_config, n_rec):
+        # the bound is |k_ref(f_max)| times the longest chord of the ring
+        path, cfg, tmp = tiny_config
+        cfg["geometry"]["n_receivers"] = n_rec
+        grid = cli.build_grid(cfg)
+        freq = cli.build_frequencies(cfg)[-1]
+        k = abs(cli._reference_medium(cfg, grid).reference_wavenumber(freq))
+        chord = 2 * np.sin(np.pi * (n_rec // 2) / n_rec)  # per unit radius
+        bound = specfun.OVERFLOW_GUARD / (k * chord)
+        cfg["geometry"]["receiver_radius"] = 0.999 * bound
+        cli.validate_config(cfg)
+        cfg["geometry"]["receiver_radius"] = 1.001 * bound
+        with pytest.raises(UsageError, match="overflow guard"):
+            cli.validate_config(cfg)
 
     @pytest.mark.parametrize("seed", ["-3", str(2**64)])
     def test_seed_override_out_of_range_is_2(self, tiny_config, seed):

@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 
-from holoseis import greens
+from holoseis import greens, specfun
 from holoseis.errors import (
+    DomainError,
     MemoryBudgetError,
     NumericalBreakdownError,
     ResonanceError,
@@ -14,8 +16,10 @@ from holoseis.errors import (
     UsageError,
 )
 
-# (i/4) H1_0(1.0) from the independent series oracle
-I4_H10_AT_1 = -0.022064241053919239496 + 0.19129942163949163786j
+# frozen oracle values (independent series summation, 40-digit arithmetic)
+H10_AT_1 = 0.76519768655796655145 + 0.088256964215676957983j
+J0_AT_2 = 0.22389077914123566805
+I4_H10_AT_1 = -0.022064241053919239496 + 0.19129942163949163786j  # (i/4) H1_0(1)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +51,52 @@ class TestPointEvaluations:
         x = np.array([0.1, 0.2])
         with pytest.raises(SingularityError):
             greens.green_uniform(1.0, x, x)
+
+
+class TestHankel:
+    def test_oracle_h10_at_1(self):
+        assert specfun.hankel_h1_array(1.0) == pytest.approx(H10_AT_1, rel=1e-12)
+
+    def test_real_part_is_j0_at_2(self):
+        assert specfun.hankel_h1_array(2.0).real == pytest.approx(J0_AT_2, rel=1e-12)
+
+    def test_singularity_at_zero(self):
+        with pytest.raises(SingularityError):
+            specfun.hankel_h1_array(np.array([1.0, 0.0]))
+
+    def test_overflow_guard(self):
+        with pytest.raises(DomainError):
+            specfun.hankel_h1_array(np.array([1.0, 2e4]))
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, complex(1.0, np.nan)], ids=["nan", "inf", "nan-imag"]
+    )
+    def test_nonfinite_argument(self, bad):
+        with pytest.raises(DomainError):
+            specfun.hankel_h1_array(np.array([1.0, bad]))
+
+    def test_large_argument_asymptotics(self):
+        # leading term agrees to the size of the first asymptotic correction
+        # 1/(8z) = 1.56e-3 at z = 80; with that correction term included the
+        # agreement tightens by two orders of magnitude
+        z = 80.0
+        lead = np.sqrt(2.0 / (np.pi * z)) * np.exp(1j * (z - np.pi / 4.0))
+        got = specfun.hankel_h1_array(z)
+        assert got == pytest.approx(lead, rel=2e-3)
+        corrected = lead * (1.0 - 1j / (8.0 * z))
+        assert got == pytest.approx(corrected, rel=2e-5)
+
+    def test_equals_j_plus_iy(self):
+        z = np.array([0.7, 3.0 + 0.3j, 40.0])
+        want = special.jv(0, z) + 1j * special.yv(0, z)
+        np.testing.assert_allclose(specfun.hankel_h1_array(z), want, rtol=1e-10)
+
+    def test_array_matches_point_evaluation(self):
+        k = 2.0 + 0.3j
+        r = np.array([0.5, 2.0, 17.0])
+        kernel = greens._radial_kernel(k, r)
+        for ri, vi in zip(r, kernel):
+            assert vi == pytest.approx(greens.green_uniform(k, [0.0, 0.0], [ri, 0.0]), rel=1e-13)
 
 
 class TestDiagonal2D:
@@ -226,9 +276,9 @@ class TestLatticeAssembly:
         points = []
         hankel = greens.hankel_h1_array
 
-        def counted(n, z):
+        def counted(z):
             points.append(np.size(z))
-            return hankel(n, z)
+            return hankel(z)
 
         monkeypatch.setattr(greens, "hankel_h1_array", counted)
         k = 7.0 + 0.5j

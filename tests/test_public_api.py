@@ -45,27 +45,50 @@ def test_no_environment_reads(name):
     assert not reads, f"{name} reads the environment at lines {reads}"
 
 
-def test_benchmark_tracer_names_resolve():
-    # perfbench/layertrace.py wraps each traced function at its module, and a
-    # "Class.method" through the class __dict__: a renamed function or a
-    # method turned into a property would break the benchmark's layer table
+def _layertrace():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
     spec = importlib.util.spec_from_file_location("layertrace", path)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
-    for module_name, attr in layertrace.TRACED:
-        module = importlib.import_module(f"holoseis.{module_name}")
-        if "." in attr:
-            cls_name, method = attr.split(".")
-            target = vars(getattr(module, cls_name)).get(method)
-        else:
-            target = getattr(module, attr, None)
+    return layertrace
+
+
+def _traced_target(module_name, attr):
+    """The function layertrace wraps: a "Class.method" through the class __dict__."""
+    module = importlib.import_module(f"holoseis.{module_name}")
+    if "." in attr:
+        cls_name, method = attr.split(".")
+        return vars(getattr(module, cls_name)).get(method)
+    return getattr(module, attr, None)
+
+
+def test_benchmark_tracer_names_resolve():
+    # perfbench/layertrace.py wraps each traced function at its module: a
+    # renamed function or a method turned into a property would break the
+    # benchmark's layer table
+    for module_name, attr in _layertrace().TRACED:
+        target = _traced_target(module_name, attr)
         assert callable(target), f"{module_name}.{attr} is not a callable the tracer can wrap"
 
 
-# exported for tests as deliberate oracles: closed forms the package itself
-# never evaluates (the Bessel pair of the Hankel function, the free-space Green)
-ORACLES = {"bessel_j", "bessel_y", "green_uniform"}
+def test_benchmark_counters_read_parameters():
+    # a counter reads the bound arguments of the call it counts, args["name"]:
+    # a renamed or dropped parameter would fail only traced benchmark runs
+    for name, counter in _layertrace().COUNTERS.items():
+        params = inspect.signature(_traced_target(*name.split(".", 1))).parameters
+        keys = {
+            node.slice.value
+            for node in ast.walk(ast.parse(inspect.getsource(counter)))
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+        }
+        assert keys <= set(params), f"{name}: counter reads {sorted(keys - set(params))}"
+
+
+# exported for tests as a deliberate oracle: the free-space Green's function at
+# a point pair, which the package itself never evaluates
+ORACLES = {"green_uniform"}
 
 
 def _loaded_names(tree, own=frozenset()):
