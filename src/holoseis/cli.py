@@ -217,10 +217,25 @@ def validate_config(cfg: dict) -> None:
     pupils = setting(cfg, "hologram.pupils")
     if pupils is not None and not all(0 <= i < n_rec for pupil in pupils for i in pupil):
         raise UsageError(f"hologram.pupils indices must lie in [0, {n_rec})")
-    # the dense kernel of build_grid's grid, sized before anything is built
+    # the reference wavenumber divides by c_ref**2, as a Python float, and a
+    # zero k^2 at the lowest frequency is the Hankel singularity
     c, f_max = setting(cfg, "medium.reference.c"), setting(cfg, "frequencies.f_max_hz")
+    if not sys.float_info.min <= float(c) * float(c) <= sys.float_info.max:
+        raise UsageError(
+            f"medium.reference.c = {c!r}: its square leaves the normal float range, "
+            "and the reference wavenumber divides by it"
+        )
+    omega_min = float(2.0 * np.pi * setting(cfg, "frequencies.f_min_hz"))
+    gamma = setting(cfg, "medium.reference.gamma")
+    if (omega_min**2 + 2j * omega_min * gamma) / float(c) ** 2 == 0:
+        raise UsageError(
+            "the reference wavenumber at f_min underflows to 0: raise f_min_hz or "
+            "medium.reference.gamma, or lower medium.reference.c"
+        )
+    # the dense kernel of build_grid's grid, sized before anything is built
     ppw = setting(cfg, "geometry.points_per_wavelength")
-    side = greens.square_grid_side(setting(cfg, "geometry.half_width"), c / f_max, ppw)
+    half_width = setting(cfg, "geometry.half_width")
+    side = greens.square_grid_side(half_width, c / f_max, ppw)
     nodes = side * side + n_rec
     need = 16 * nodes * nodes
     if need > greens.DEFAULT_BUDGET_BYTES:
@@ -228,13 +243,17 @@ def validate_config(cfg: dict) -> None:
             f"the grid's {nodes:.4g} nodes need a {need / 1e9:.4g} GB dense kernel, over "
             f"the {greens.DEFAULT_BUDGET_BYTES / 1e9:.4g} GB budget"
         )
-    # |k r| over the receivers' longest chord, k = reference_wavenumber's at f_max
+    # |k r| over the longest distance a kernel is evaluated at, k =
+    # reference_wavenumber's at f_max: the ring's longest chord, or a receiver
+    # to the far corner of the interior block
     omega = 2.0 * np.pi * f_max
-    k = abs(np.sqrt(omega * omega + 2j * omega * setting(cfg, "medium.reference.gamma"))) / c
-    chord = 2 * setting(cfg, "geometry.receiver_radius") * np.sin(np.pi * (n_rec // 2) / n_rec)
-    if not k * chord <= specfun.OVERFLOW_GUARD:
+    k = abs(np.sqrt(omega * omega + 2j * omega * gamma)) / c
+    radius = setting(cfg, "geometry.receiver_radius")
+    chord = 2 * radius * np.sin(np.pi * (n_rec // 2) / n_rec)
+    reach = max(chord, radius + np.sqrt(2.0) * half_width)
+    if not k * reach <= specfun.OVERFLOW_GUARD:
         raise UsageError(
-            f"|k| = {k:.4g} at f_max times the receivers' longest chord {chord:.4g} "
+            f"|k| = {k:.4g} at f_max times the longest receiver distance {reach:.4g} "
             f"exceeds the Hankel overflow guard {specfun.OVERFLOW_GUARD:.0e}"
         )
 
@@ -529,6 +548,7 @@ def cmd_invert(
         "iterations": len(diag["iterations"]),
         "alpha0": diag["alpha0"],
         "alpha0_applies": diag["alpha0_applies"],
+        "lattice_shapes": diag["lattice_shapes"],
         "final_misfit": diag["final_misfit"],
         "final_noise_level": diag["final_noise_level"],
         "seed": setting(cfg, "seed"),

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -79,6 +80,8 @@ __all__ = [
     "DeltaOperator",
     "square_grid",
     "square_grid_side",
+    "frequency_lattice",
+    "lattice_interpolation",
     "disk_grid",
     "green_uniform",
     "green_diagonal_2d",
@@ -289,13 +292,19 @@ def square_grid(
     if n_receivers < 2:
         raise UsageError("need at least 2 receivers")
     nx = int(square_grid_side(half_width, wavelength, points_per_wavelength))
+    rec, w_rec = _circle_receivers(receiver_radius, n_receivers, receiver_phase)
+    return _square_block(half_width, nx, rec, w_rec, wavelength / (2.0 * half_width / nx))
+
+
+def _square_block(
+    half_width: float, nx: int, rec: np.ndarray, w_rec: np.ndarray, resolution: float
+) -> Grid:
+    """The validated grid of the block [-a, a]^2 at nx cells a side and a receiver set."""
     h = 2.0 * half_width / nx
     centers = -half_width + (np.arange(nx) + 0.5) * h  # (nx,)
     xx, yy = np.meshgrid(centers, centers, indexing="ij")
     interior = np.column_stack([xx.ravel(), yy.ravel()])  # (nx*nx, 2), row-major
     w_int = np.full(len(interior), h * h)
-
-    rec, w_rec = _circle_receivers(receiver_radius, n_receivers, receiver_phase)
     nodes = np.vstack([interior, rec])
     weights = np.concatenate([w_int, w_rec])
     grid = Grid(
@@ -303,13 +312,87 @@ def square_grid(
         weights=weights,
         receiver_idx=np.arange(len(interior), len(nodes)),
         interior_idx=np.arange(len(interior)),
-        wavelength_resolution=wavelength / h,
+        wavelength_resolution=resolution,
         interior_shape=(nx, nx),
         spacing=h,
         domain_measure=(2.0 * half_width) ** 2,
     )
     grid.validate()
     return grid
+
+
+def frequency_lattice(grid: Grid, ratio: float) -> Grid:
+    """The lattice of the frequency ratio * omega_max, for grid a square_grid
+    built for omega_max: the same block and receiver ring at side
+    ceil(n_x ratio), at least 3, so the lattice keeps grid's nodes per
+    wavelength at its own wavelength.
+
+    The receiver nodes and weights are copied, so the receiver quadrature is
+    the same to the bit.  A side of n_x, and ratio 1 on any grid, gives grid
+    itself.
+    """
+    if ratio == 1:
+        return grid
+    nx = _square_side(grid)
+    side = max(3, math.ceil(nx * ratio))
+    if side == nx:
+        return grid
+    rec_idx = grid.receiver_idx
+    return _square_block(
+        0.5 * nx * grid.spacing,
+        side,
+        grid.nodes[rec_idx],
+        grid.weights[rec_idx],
+        grid.wavelength_resolution * side / (nx * ratio),
+    )
+
+
+def lattice_interpolation(src: Grid, dst: Grid) -> sparse.csr_matrix:
+    """Bilinear interpolation (n_int of dst, n_int of src) between two
+    square_grid lattices of one block, dst no finer than src.
+
+    Every dst node lies within the hull of src's nodes, so each row holds at
+    most four weights, all in [0, 1], and sums to 1.  Each axis is the same
+    1-D map, mirror-symmetric about the block's centre.
+    """
+    nx, nf = _square_side(src), _square_side(dst)
+    if nf > nx:
+        raise UsageError(f"cannot interpolate a {nx}-lattice onto a finer {nf}-lattice")
+    s = (np.arange(nf) + 0.5) * (nx / nf) - 0.5  # dst centres in src cell units
+    lo = np.clip(np.floor(s).astype(int), 0, nx - 2)
+    frac = s - lo
+    rows = np.repeat(np.arange(nf), 2)
+    cols = np.column_stack([lo, lo + 1]).ravel()
+    vals = np.column_stack([1.0 - frac, frac]).ravel()
+    axis = sparse.csr_matrix((vals, (rows, cols)), shape=(nf, nx))
+    return sparse.kron(axis, axis, format="csr")  # row-major: node = ix * n + iy
+
+
+def _weighted_transpose(
+    j: sparse.csr_matrix, w_in: np.ndarray, w_out: Optional[np.ndarray] = None
+) -> sparse.csr_matrix:
+    """W_in^{-1} J^T W_out, the transpose of J (in to out) in the quadratures
+    of its two sides; w_out defaults to w_in.
+
+    Each side weighs a node by its weight, repeated per component of a
+    stacked flow.  Every entry is scaled by w_out/w_in, so a diagonal entry of
+    a map within one quadrature keeps its exact value.
+    """
+    w_out = w_in if w_out is None else w_out
+    jt = j.T.tocsr()
+    w_out = np.tile(w_out, j.shape[0] // len(w_out))
+    w_in = np.tile(w_in, j.shape[1] // len(w_in))
+    rows = np.repeat(np.arange(jt.shape[0]), np.diff(jt.indptr))
+    jt.data = jt.data * (w_out[jt.indices] / w_in[rows])
+    return jt
+
+
+def _square_side(grid: Grid) -> int:
+    """Interior nodes per side of a square_grid's lattice."""
+    shape = grid.interior_shape
+    if shape is None or len(shape) != 2 or shape[0] != shape[1] or grid.spacing is None:
+        raise UsageError("grid has no square interior lattice")
+    return int(shape[0])
 
 
 def square_grid_side(

@@ -49,7 +49,14 @@ import numpy as np
 from scipy import ndimage, sparse
 
 from .errors import MemoryBudgetError, UsageError
-from .greens import Grid, GreensOperator, _view, assemble_green, update_green
+from .greens import (
+    Grid,
+    GreensOperator,
+    _view,
+    _weighted_transpose,
+    assemble_green,
+    update_green,
+)
 from .medium import (
     FrequencyContext,
     HelmholtzParams,
@@ -244,20 +251,6 @@ def _slot_jacobians(
     jac = (None, j_v, *((None, None) if j_a is None else (j_a[:n], j_a[n:])))
     w = grid.interior_weights
     return jac, tuple(None if j is None else _weighted_transpose(j, w) for j in jac)
-
-
-def _weighted_transpose(j: sparse.csr_matrix, w: np.ndarray) -> sparse.csr_matrix:
-    """W_in^{-1} J^T W_out, the transpose of J in the interior quadrature.
-
-    Both sides weigh each node by w (a stacked flow repeats it per component).
-    Every entry is scaled by w_out/w_in, so a diagonal entry keeps its exact value.
-    """
-    jt = j.T.tocsr()
-    w_out = np.tile(w, j.shape[0] // len(w))
-    w_in = np.tile(w, j.shape[1] // len(w))
-    rows = np.repeat(np.arange(jt.shape[0]), np.diff(jt.indptr))
-    jt.data = jt.data * (w_out[jt.indices] / w_in[rows])
-    return jt
 
 
 def _is_index(i, n: int) -> bool:

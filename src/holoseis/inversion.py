@@ -41,6 +41,22 @@ then runs as plain CG.  The loop stops by a discrepancy rule whose noise
 level comes from the separable trace tr(C_4) = tr(C)^2 of the
 realization-noise covariance.
 
+Each frequency is modelled on its own lattice (FrequencyTerm): the same
+block and receiver ring as the parameter lattice, at side ceil(n_x omega /
+omega_max), so it keeps the parameter lattice's nodes per wavelength at its
+own wavelength (greens.frequency_lattice).  The top frequency runs on the
+parameter lattice itself, so a single-frequency run interpolates nothing.
+The iterate reaches frequency f through the transfer map L_f of
+medium.LatticeTransfer: scalars q_ref + P_f (q - q_ref), P_f bilinear, and
+flows Pi_f P_f u with Pi_f the divergence-free projector at the mapped
+density.  Frequency f's forward map is C_f o L_f, its derivative C'_f L_f and
+its adjoint the weighted transpose W^{-1} L_f^T W_f C'_f*, W and W_f the two
+interior quadratures; the receiver side, Corr, the weights, the misfit and
+the noise level keep their form.  On the invert-c benchmark workload the
+lattices are 15, 19 and 22 a side instead of 22 for all three: the LU cores
+shrink from 3 x 484 to 225, 361 and 484, and the normal apply scales with
+the sum of the n_int.
+
 Every frequency carries a noise weight, so the misfit, the normal operator
 and the right-hand side have one form.  An unweighted run uses the identity
 weight on the receiver quadrature, Gamma = W^{-1}, whose W Gamma W is W; a
@@ -56,13 +72,13 @@ constraint multiplier is ever formed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import NumericalBreakdownError, UsageError
-from .greens import Grid, GreensOperator, assemble_green
+from .greens import Grid, GreensOperator, assemble_green, frequency_lattice
 from .holography import (
     ALL_QUANTITIES,
     LinearizedModel,
@@ -76,6 +92,7 @@ from .holography import (
 )
 from .medium import (
     FrequencyContext,
+    LatticeTransfer,
     MediumParams,
     divergence_free_projector,
     flow_divergence_matrix,
@@ -408,32 +425,34 @@ def power_iteration(
 # ---------------------------------------------------------------------------
 # The Newton step machinery
 # ---------------------------------------------------------------------------
-def _build_stack(
-    params: MediumParams,
-    data: Sequence[FrequencyData],
-    config: InversionConfig,
-    greens_cache: Dict[float, GreensOperator],
-) -> List[Tuple[FrequencyData, LinearizedModel, CovarianceOperator, NoiseWeight]]:
-    """Per-frequency forward stack at the current iterate, each with its noise weight.
+@dataclass(frozen=True)
+class FrequencyTerm:
+    """One frequency of the inversion: its data, its lattice, the transfer map
+    L_f onto that lattice (None on the parameter lattice itself) and the
+    reference operator there; in a forward stack also the model, covariance
+    and noise weight of the iterate L_f q.
 
-    greens_cache keeps one reference operator per frequency across iterates:
-    its receiver rows, never its dense kernel.  An entry keeps the model's
-    receiver rows and ingressions, not its Green's operator, so the K0 and
-    the LU of each frequency's resolvent update are freed before the next
-    frequency is built: at most one of each is alive at a time.
+    The term reads parameter-lattice fields and returns parameter-lattice
+    duals: the derivative is C'_f L_f and the adjoint W^{-1} L_f^T W_f C'_f*.
     """
-    stack = []
-    for item in data:
-        omega = item.freq.omega
-        g_ref = greens_cache.get(omega)
-        if g_ref is None:
-            k_ref = params.reference_wavenumber(item.freq)
-            g_ref = greens_cache[omega] = assemble_green(config.grid, k_ref)
+
+    data: FrequencyData
+    lattice: Grid
+    transfer: Optional[LatticeTransfer]
+    g_ref: GreensOperator
+    iterate: Optional[MediumParams] = None  # L_f q
+    model: Optional[LinearizedModel] = None
+    cov: Optional[CovarianceOperator] = None
+    weight: Optional[NoiseWeight] = None
+
+    def linearize(self, params: MediumParams, config: InversionConfig) -> "FrequencyTerm":
+        """The term with the model, covariance and noise weight at the iterate params."""
+        iterate = params if self.transfer is None else self.transfer.medium(params)
         model = build_model(
-            params,
-            item.freq,
+            iterate,
+            self.data.freq,
             quantities=config.quantities,
-            g_ref=g_ref,
+            g_ref=self.g_ref,
             boundary_src=config.boundary_src,
         )
         cov = forward_covariance(model)
@@ -444,18 +463,82 @@ def _build_stack(
         else:
             # 0.1 tr(C_n)/dim, floored by the data trace so the weight
             # stays finite when the iterate produces no covariance yet
-            weight = lavrentiev_weight(cov, 0.1 * max(cov.trace(), item.corr.trace()) / cov.n)
-        stack.append((item, model, cov, weight))
-    return stack
+            level = 0.1 * max(cov.trace(), self.data.corr.trace()) / cov.n
+            weight = lavrentiev_weight(cov, level)
+        return replace(self, iterate=iterate, model=model, cov=cov, weight=weight)
+
+    def misfit_and_noise_sq(self) -> Tuple[float, float]:
+        """Squared weighted misfit of the data and squared noise level tr(Gamma C)^2 / N."""
+        resid = self.data.corr.matrix - self.cov.matrix
+        misfit_sq = hs_inner(weighted_residual(self.weight, resid), resid, self.cov.weights).real
+        noise_sq = weight_trace_product(self.weight, self.cov) ** 2 / self.data.n_realizations
+        return misfit_sq, noise_sq
+
+    def data_dual(self, quantities: Sequence[str]) -> Dict[str, np.ndarray]:
+        """C'* Gamma (Corr - C) Gamma on the parameter lattice."""
+        resid = self.data.corr.matrix - self.cov.matrix
+        return self._adjoint(weighted_residual(self.weight, resid), quantities)
+
+    def normal_dual(
+        self, dq: Dict[str, np.ndarray], quantities: Sequence[str]
+    ) -> Dict[str, np.ndarray]:
+        """C'* Gamma C' dq on the parameter lattice, of parameter-lattice fields dq."""
+        if self.transfer is not None:
+            dq = self.transfer.fields(dq, self.iterate.rho)
+        dc = apply_derivative(self.model, dq)
+        return self._adjoint(weighted_residual(self.weight, dc), quantities)
+
+    def _adjoint(self, d_matrix: np.ndarray, quantities: Sequence[str]) -> Dict[str, np.ndarray]:
+        duals = apply_adjoint(self.model, d_matrix, quantities)
+        return duals if self.transfer is None else self.transfer.duals(duals, self.iterate.rho)
 
 
-def _misfit_and_noise(stack) -> Tuple[float, float]:
+def _frequency_terms(
+    data: Sequence[FrequencyData], config: InversionConfig
+) -> List[FrequencyTerm]:
+    """One term per frequency, each on greens.frequency_lattice of the
+    parameter lattice at omega / omega_max, omega_max the top frequency: the
+    parameter lattice's nodes per wavelength at its own wavelength.  The top
+    frequency runs on the parameter lattice itself, and frequencies of one
+    lattice side share the lattice and its transfer map.
+    """
+    grid = config.grid
+    omega_max = max(item.freq.omega for item in data)
+    shared: Dict[Tuple[int, ...], Tuple[Grid, LatticeTransfer]] = {}
+    terms = []
+    for item in data:
+        lattice = frequency_lattice(grid, item.freq.omega / omega_max)
+        transfer = None
+        if lattice is not grid:
+            if lattice.interior_shape not in shared:
+                shared[lattice.interior_shape] = lattice, LatticeTransfer(grid, lattice)
+            lattice, transfer = shared[lattice.interior_shape]
+        g_ref = assemble_green(lattice, config.q0.reference_wavenumber(item.freq))
+        terms.append(FrequencyTerm(item, lattice, transfer, g_ref))
+    return terms
+
+
+def _build_stack(
+    params: MediumParams, terms: Sequence[FrequencyTerm], config: InversionConfig
+) -> List[FrequencyTerm]:
+    """The forward stack at the iterate params: each term linearized there.
+
+    A reference operator keeps its receiver rows, never its dense kernel,
+    and a linearized term keeps the model's receiver rows and ingressions,
+    not its Green's operator, so the K0 and the LU of each frequency's
+    resolvent update are freed before the next frequency is built: at most
+    one of each is alive at a time.
+    """
+    return [term.linearize(params, config) for term in terms]
+
+
+def _misfit_and_noise(stack: Sequence[FrequencyTerm]) -> Tuple[float, float]:
     misfit_sq = 0.0
     noise_sq = 0.0
-    for item, _model, cov, weight in stack:
-        resid = item.corr.matrix - cov.matrix
-        misfit_sq += hs_inner(weighted_residual(weight, resid), resid, cov.weights).real
-        noise_sq += weight_trace_product(weight, cov) ** 2 / item.n_realizations
+    for term in stack:
+        m_sq, n_sq = term.misfit_and_noise_sq()
+        misfit_sq += m_sq
+        noise_sq += n_sq
     return float(np.sqrt(max(misfit_sq, 0.0))), float(np.sqrt(noise_sq))
 
 
@@ -482,26 +565,22 @@ def _sandwich_operator(space: ParameterSpace, config: InversionConfig) -> Callab
 
 
 def _make_normal_operator(
-    stack, space: ParameterSpace, sandwich: Callable
+    stack: Sequence[FrequencyTerm], space: ParameterSpace, sandwich: Callable
 ) -> Callable[[np.ndarray], np.ndarray]:
     def normal(flat: np.ndarray) -> np.ndarray:
         dq = space.unpack(sandwich(flat))
         acc = np.zeros_like(flat)
-        for _item, model, _cov, weight in stack:
-            dc = apply_derivative(model, dq)
-            duals = apply_adjoint(model, weighted_residual(weight, dc), space.quantities)
-            acc += space.pack(duals)
+        for term in stack:
+            acc += space.pack(term.normal_dual(dq, space.quantities))
         return sandwich(acc)
 
     return normal
 
 
-def _stack_rhs(stack, space: ParameterSpace) -> np.ndarray:
+def _stack_rhs(stack: Sequence[FrequencyTerm], space: ParameterSpace) -> np.ndarray:
     acc = np.zeros(space.size)
-    for item, model, cov, weight in stack:
-        resid = item.corr.matrix - cov.matrix
-        duals = apply_adjoint(model, weighted_residual(weight, resid), space.quantities)
-        acc += space.pack(duals)
+    for term in stack:
+        acc += space.pack(term.data_dual(space.quantities))
     return acc
 
 
@@ -594,12 +673,12 @@ def run_irgnm(
     config.q0; only one forward stack is alive at a time, and its misfit is
     evaluated once.
     """
-    greens_cache: Dict[float, GreensOperator] = {}
+    terms = _frequency_terms(data, config)
     space = ParameterSpace(config.grid, config.quantities)
 
     # alpha_0: largest eigenvalue of the first (smoothed or projected) normal operator
     sandwich = _sandwich_operator(space, config)
-    stack = _build_stack(config.q0, data, config, greens_cache)
+    stack = _build_stack(config.q0, terms, config)
     pairs: List[Tuple[np.ndarray, np.ndarray]] = []
     data_term = None
     if config.alpha0 is not None:
@@ -624,6 +703,7 @@ def run_irgnm(
     diagnostics = {
         "alpha0": alpha0,
         "alpha0_applies": len(pairs),
+        "lattice_shapes": [list(term.lattice.interior_shape) for term in terms],
         "iterations": [],
         "stopped_by": "max_outer",
     }
@@ -659,7 +739,7 @@ def run_irgnm(
             entry["param_error"] = err
         diagnostics["iterations"].append(entry)
         stack = None  # release the current stack before building the next one
-        stack = _build_stack(state.q_n, data, config, greens_cache)
+        stack = _build_stack(state.q_n, terms, config)
         misfit, noise = _misfit_and_noise(stack)
 
     diagnostics["final_misfit"] = misfit

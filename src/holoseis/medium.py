@@ -36,7 +36,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import InvalidParameterError, UsageError
-from .greens import DeltaOperator, Grid
+from .greens import DeltaOperator, Grid, _weighted_transpose, lattice_interpolation
 
 __all__ = [
     "MediumParams",
@@ -52,6 +52,7 @@ __all__ = [
     "divergence_free_projector",
     "project_divergence_free",
     "stream_function_flow",
+    "LatticeTransfer",
 ]
 
 
@@ -303,6 +304,62 @@ def project_divergence_free(grid: Grid, rho: np.ndarray, u: np.ndarray) -> np.nd
     """Euclidean projection of a flow field (n_int, d) onto the kernel of div(rho .)."""
     flat = divergence_free_projector(grid, rho)(u.ravel(order="F").astype(float))
     return flat.reshape(u.shape, order="F")
+
+
+class LatticeTransfer:
+    """The map L from media on a parameter lattice to media on a coarser
+    lattice of the same block and receiver ring.
+
+    With P the bilinear interpolation between the lattices, a scalar field
+    maps to q_ref + P (q - q_ref), so a field at its reference value maps to
+    exactly that value, and S (reference 0) to P S.  A flow maps to
+    Pi P u, each component interpolated, with Pi the divergence-free
+    projector at the mapped density, so the mapped medium passes validate.
+    A perturbation maps by the linear part, P dq or Pi P du, and a dual
+    field back by the weighted transpose W^{-1} L^T W_f in the two interior
+    quadratures (Pi, symmetric, commutes with the uniform W_f).  The flow
+    maps take the mapped density rho; the last Pi is kept for the next call
+    at the same density.
+    """
+
+    def __init__(self, grid: Grid, lattice: Grid):
+        self.lattice = lattice
+        self.interp = lattice_interpolation(grid, lattice)
+        self.interp_adjoint = _weighted_transpose(
+            self.interp, grid.interior_weights, lattice.interior_weights
+        )
+        self._pi_at: Tuple[Optional[np.ndarray], Optional[Callable]] = (None, None)
+
+    def medium(self, params: MediumParams) -> MediumParams:
+        """The medium L(params) on the lattice."""
+        refs = (("c", params.c_ref), ("rho", params.rho_ref), ("gamma", params.gamma_ref))
+        mapped = {name: ref + self.interp @ (getattr(params, name) - ref) for name, ref in refs}
+        u = np.zeros((self.lattice.n_interior, self.lattice.dim))
+        if np.any(params.u):
+            u = self._pi(self.interp @ params.u, mapped["rho"])
+        return replace(params, grid=self.lattice, S=self.interp @ params.S, u=u, **mapped)
+
+    def fields(self, dq: Dict[str, np.ndarray], rho: np.ndarray) -> Dict[str, np.ndarray]:
+        """Perturbation fields L dq on the lattice, at the mapped density rho."""
+        return {
+            q: self._pi(self.interp @ f, rho) if q == "u" else self.interp @ f
+            for q, f in dq.items()
+        }
+
+    def duals(self, duals: Dict[str, np.ndarray], rho: np.ndarray) -> Dict[str, np.ndarray]:
+        """Dual fields W^{-1} L^T W_f z on the parameter lattice, at the mapped density rho."""
+        return {
+            q: self.interp_adjoint @ (self._pi(z, rho) if q == "u" else z)
+            for q, z in duals.items()
+        }
+
+    def _pi(self, u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """Pi u for a flow (n_int of the lattice, d) at density rho."""
+        at, project = self._pi_at
+        if at is None or not np.array_equal(at, rho):
+            project = divergence_free_projector(self.lattice, rho)
+            self._pi_at = rho.copy(), project
+        return project(u.ravel(order="F")).reshape(u.shape, order="F")
 
 
 def stream_function_flow(

@@ -267,6 +267,22 @@ class TestInvert:
                 assert applies == 0 and float(first["cg_start_residual"]) == 1.0
 
 
+    def test_summary_reports_lattice_shapes(self, tiny_config):
+        # each frequency's interior lattice, side ceil(15 f / f_max): the
+        # run states what it modelled each frequency on
+        path, cfg, tmp = tiny_config
+        cfg2 = json.loads(path.read_text())
+        cfg2["frequencies"].update(count=3, f_min_hz=1.0)
+        p2 = tmp / "band.json"
+        p2.write_text(json.dumps(cfg2))
+        out = tmp / "run"
+        assert cli.main(["synth", "--config", str(p2), "--out", str(out)]) == 0
+        assert cli.main(["invert", "--config", str(p2), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["lattice_shapes"] == [[8, 8], [12, 12], [15, 15]]
+        assert cli.build_grid(cfg2).interior_shape == (15, 15)
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -487,6 +503,25 @@ class TestExitCodes:
                 (command, "geometry", {"receiver_radius": 1000.0})
                 for command in ("synth", "hologram", "kernels", "invert")
             ),
+            # |k| = 5.7e3: 9.9e3 over the 3-ring's chord, 1.1e4 from a receiver
+            # to the far corner of the block, R + sqrt(2) half_width away
+            *(
+                (command, None, {
+                    "geometry": {"n_receivers": 3, "half_width": 0.69, "receiver_radius": 1.0},
+                    "medium": {"reference": {"c": 1.0, "rho": 1.0, "gamma": 1.345e6}},
+                    "frequencies": {"f_min_hz": 1 / 0.52, "f_max_hz": 1 / 0.52},
+                })
+                for command in ("synth", "hologram", "kernels", "invert")
+            ),
+            # c_ref**2 underflows to 0, which the reference wavenumber divides by
+            # (the wavelength c / f is 1, so the dense budget passes)
+            *(
+                (command, None, {
+                    "medium": {"reference": {"c": 1e-170, "rho": 1.0, "gamma": 0.0}},
+                    "frequencies": {"f_min_hz": 1e-170, "f_max_hz": 1e-170},
+                })
+                for command in ("synth", "hologram", "kernels", "invert")
+            ),
         ],
         ids=[
             "pair-name",
@@ -501,15 +536,19 @@ class TestExitCodes:
                 for command in ("synth", "hologram", "kernels", "invert")
             ),
             *(f"overflow-{command}" for command in ("synth", "hologram", "kernels", "invert")),
+            *(f"reach-{command}" for command in ("synth", "hologram", "kernels", "invert")),
+            *(f"c-squared-{command}" for command in ("synth", "hologram", "kernels", "invert")),
         ],
     )
     def test_checked_before_out_exists(self, tiny_config, command, block, value):
-        # faults that the command would find only after creating --out
+        # faults that the command would find only after creating --out; a
+        # block of None updates several blocks, value mapping each to its keys
         path, cfg, tmp = tiny_config
         archives = tmp / "archives"
         assert cli.main(["synth", "--config", str(path), "--out", str(archives)]) == 0
         cfg2 = json.loads(path.read_text())
-        cfg2.setdefault(block, {}).update(value)
+        for name, keys in (value if block is None else {block: value}).items():
+            cfg2.setdefault(name, {}).update(keys)
         with pytest.raises(UsageError):
             cli.validate_config(cfg2)
         p2 = tmp / "late.json"
@@ -536,6 +575,63 @@ class TestExitCodes:
         cfg["geometry"]["receiver_radius"] = 1.001 * bound
         with pytest.raises(UsageError, match="overflow guard"):
             cli.validate_config(cfg)
+
+    @pytest.mark.parametrize("factor", [0.999, 1.001])
+    def test_overflow_bound_reaches_the_far_corner(self, tiny_config, factor):
+        # three receivers around a wide block: the longest distance a kernel
+        # is evaluated at is a receiver's to the far corner of the interior,
+        # R + sqrt(2) half_width, not the ring's chord 2 R sin(pi / 3)
+        path, cfg, tmp = tiny_config
+        cfg["geometry"].update(n_receivers=3, half_width=0.69, receiver_radius=1.0)
+        reach = 1.0 + np.sqrt(2.0) * 0.69
+        assert reach > 2 * np.sin(np.pi / 3)
+        omega = 2 * np.pi * cfg["frequencies"]["f_max_hz"]
+        k = factor * specfun.OVERFLOW_GUARD / reach  # |k| at f_max, c = 1
+        cfg["medium"]["reference"]["gamma"] = np.sqrt(k**4 - omega**4) / (2 * omega)
+        grid = cli.build_grid(cfg)
+        freq = cli.build_frequencies(cfg)[-1]
+        assert abs(cli._reference_medium(cfg, grid).reference_wavenumber(freq)) == pytest.approx(
+            k, rel=1e-12
+        )
+        if factor < 1:
+            cli.validate_config(cfg)
+        else:
+            with pytest.raises(UsageError, match="overflow guard"):
+                cli.validate_config(cfg)
+
+    @pytest.mark.parametrize("c, f", [(1e-170, 1e-170), (1.4e-154, 1.4e-154), (1.4e154, 1.0)])
+    def test_reference_speed_square_leaves_float_range(self, tiny_config, c, f):
+        # the reference wavenumber divides by c_ref**2 as a Python float: a
+        # square that underflows to 0 (or is subnormal) or overflows is
+        # rejected; each wavelength c / f passes the dense budget
+        path, cfg, tmp = tiny_config
+        cfg["medium"]["reference"].update(c=c, gamma=0.0)
+        cfg["frequencies"].update(f_min_hz=f, f_max_hz=f)
+        with pytest.raises(UsageError, match="medium.reference.c"):
+            cli.validate_config(cfg)
+
+    def test_reference_wavenumber_underflow_is_2(self, tiny_config):
+        # omega^2 at f_min = 1e-170 Hz underflows to 0 and gamma is 0, so
+        # k_ref = 0: the Hankel singularity, found only after creating --out
+        path, cfg, tmp = tiny_config
+        cfg["medium"]["reference"].update(c=1.0, gamma=0.0)
+        cfg["frequencies"].update(f_min_hz=1e-170, f_max_hz=1e-170)
+        p2 = tmp / "k-zero.json"
+        p2.write_text(json.dumps(cfg))
+        out = tmp / "run"
+        assert cli.main(["synth", "--config", str(p2), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+        cfg["medium"]["reference"]["gamma"] = 1e-10  # 2i omega gamma survives
+        cli.validate_config(cfg)
+
+    @pytest.mark.parametrize("c, f", [(1.5e-154, 1.5e-154), (1.3e154, 1.0)])
+    def test_reference_speed_square_in_float_range(self, tiny_config, c, f):
+        path, cfg, tmp = tiny_config
+        cfg["medium"]["reference"].update(c=c, gamma=0.0)
+        cfg["frequencies"].update(f_min_hz=f, f_max_hz=f)
+        cli.validate_config(cfg)
+        medium = cli._reference_medium(cfg, cli.build_grid(cfg))
+        assert medium.reference_wavenumber(cli.build_frequencies(cfg)[0]) != 0
 
     @pytest.mark.parametrize("seed", ["-3", str(2**64)])
     def test_seed_override_out_of_range_is_2(self, tiny_config, seed):

@@ -439,25 +439,34 @@ class TestBackpropagation:
 
     def test_rhs_at_zero_source_is_hologram_sum(self):
         # at S_0 = 0 the model covariance vanishes, so the unweighted
-        # Gauss-Newton right-hand side is the frequency sum of the holograms
+        # Gauss-Newton right-hand side is the frequency sum of the holograms,
+        # each formed on its frequency's lattice and carried back by
+        # W^{-1} L^T W_f (the lower frequency runs on an 11-lattice, not 12)
         g = greens.square_grid(0.4, 0.5, 7.5, 1.0, n_receivers=12)
         truth = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=0.3)
         truth.S = np.exp(-np.sum(g.interior_nodes**2, axis=1) / 0.05)
         q0 = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=0.3)
         q0.S = np.zeros(g.n_interior)
         freqs = medium.frequency_band(2, 2 * np.pi / 0.55, 2 * np.pi / 0.5)
-        data, holos = [], []
+        data, runs = [], []
         for i, freq in enumerate(freqs):
             m = holography.build_model(truth, freq, quantities=("S",))
             r = stochastic.sample_wavefields(m, 40, seed=30 + i)
             corr = stochastic.empirical_corr(r, g.receiver_weights)
             data.append(inversion.FrequencyData(freq=freq, corr=corr, n_realizations=40))
-            pair = holography.lindsey_braun_pair(m)
-            holos.append(holography.backprop_realizations(pair, r, g.receiver_weights))
+            runs.append(r)
         config = inversion.InversionConfig(grid=g, q0=q0, quantities=("S",), weighted=False)
-        stack = inversion._build_stack(q0, data, config, {})
+        terms = inversion._frequency_terms(data, config)
+        assert [t.lattice.interior_shape for t in terms] == [(11, 11), (12, 12)]
+        stack = inversion._build_stack(q0, terms, config)
         rhs = inversion._stack_rhs(stack, inversion.ParameterSpace(g, ("S",)))
-        expect = sum(h.real for h in holos)
+        expect = np.zeros(g.n_interior)
+        for term, r in zip(stack, runs):
+            pair = holography.lindsey_braun_pair(term.model)
+            holo = holography.backprop_realizations(pair, r, g.receiver_weights).real
+            if term.transfer is not None:
+                holo = term.transfer.duals({"S": holo}, term.iterate.rho)["S"]
+            expect += holo
         assert np.max(np.abs(rhs - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize(

@@ -27,10 +27,15 @@ def setting():
     return g, params, freq, model, g_op, cov, blk
 
 
+def _stack(params, data, config):
+    """The forward stack at params, on run_irgnm's frequency lattices."""
+    return inversion._build_stack(params, inversion._frequency_terms(data, config), config)
+
+
 def _step(state, data, config, stack=None):
     """irgnm_step from the given stack, or from a fresh one at state.q_n."""
     if stack is None:
-        stack = inversion._build_stack(state.q_n, data, config, {})
+        stack = _stack(state.q_n, data, config)
     space = inversion.ParameterSpace(config.grid, config.quantities)
     return inversion.irgnm_step(
         state, stack, config, inversion._sandwich_operator(space, config)
@@ -406,7 +411,7 @@ class TestSeededFirstStep:
         config = inversion.InversionConfig(
             grid=g, q0=params, quantities=("S",), weighted=False, max_outer=1, tau=0.0
         )
-        stack = inversion._build_stack(params, data, config, {})
+        stack = _stack(params, data, config)
         space = inversion.ParameterSpace(g, ("S",))
         assert not np.any(inversion._stack_rhs(stack, space))
         q_fin, diag = inversion.run_irgnm(config, data)
@@ -623,14 +628,15 @@ def _null_space_oracle(stack, space, rho, alpha, prox):
     n = space.size
     normal = np.zeros((n, n))
     rhs = np.zeros(n)
-    for item, model, cov, weight in stack:
+    for term in stack:
+        model, weight = term.model, term.weight
         for j in range(n):
             e = np.zeros(n)
             e[j] = 1.0
             dc = holography.apply_derivative(model, space.unpack(e))
             dc = holography.weighted_residual(weight, dc)
             normal[:, j] += space.pack(holography.apply_adjoint(model, dc, ("u",)))
-        resid = holography.weighted_residual(weight, item.corr.matrix - cov.matrix)
+        resid = holography.weighted_residual(weight, term.data.corr.matrix - term.cov.matrix)
         rhs += space.pack(holography.apply_adjoint(model, resid, ("u",)))
     z = linalg.null_space(medium.flow_divergence_matrix(space.grid, rho).toarray())
     lhs = z.T @ (normal + alpha * np.eye(n)) @ z
@@ -661,7 +667,7 @@ class TestConstrainedFlow:
         config = inversion.InversionConfig(
             grid=g, q0=q0, quantities=("u",), weighted=False, max_cg=2000
         )
-        stack = inversion._build_stack(q_n, data, config, {})
+        stack = _stack(q_n, data, config)
         space = inversion.ParameterSpace(g, ("u",))
         lam, _ = inversion.power_iteration(
             inversion._make_normal_operator(stack, space, lambda x: x),
@@ -691,7 +697,7 @@ class TestConstrainedFlow:
         q0 = params.copy()
         config = inversion.InversionConfig(grid=g, q0=q0, quantities=("u",), max_cg=2000)
         state = inversion.InversionState(q_n=q0.copy(), q_0=q0, alpha_0=1.0)
-        stack = inversion._build_stack(q0, data, config, {})
+        stack = _stack(q0, data, config)
         du, _, info = _step(state, data, config, stack=stack)
         assert np.any(du["u"])
         assert info["divergence_residual"] <= 1e-8 * max(info["update_norm"], 1e-300)
@@ -715,7 +721,7 @@ class TestConstrainedFlow:
             data.append(inversion.FrequencyData(freq=fr, corr=cov, n_realizations=10))
         _, q_n = _flow_state(g, q0, amplitude=0.01)
         config = inversion.InversionConfig(grid=g, q0=q0, quantities=("u",), max_cg=5)
-        stack = inversion._build_stack(q_n, data, config, {})
+        stack = _stack(q_n, data, config)
         state = inversion.InversionState(q_n=q_n, q_0=q0, alpha_0=1.0)
         tracemalloc.start()
         try:
@@ -775,7 +781,7 @@ class TestOuterLoopMemory:
             gc.collect()
             alive_at_build.append(sum(ref() is not None for ref in models))
             stack = real(*args, **kwargs)
-            models.extend(weakref.ref(model) for _item, model, _cov, _w in stack)
+            models.extend(weakref.ref(term.model) for term in stack)
             return stack
 
         monkeypatch.setattr(inversion, "_build_stack", spy)
@@ -810,13 +816,14 @@ class TestOuterLoopMemory:
         gc.collect()
         tracemalloc.start()
         try:
-            greens_cache = {}  # run_irgnm keeps the reference operators across iterates
-            stack = inversion._build_stack(q0, data, config, greens_cache)
+            # run_irgnm keeps the terms' reference operators across iterates
+            terms = inversion._frequency_terms(data, config)
+            stack = inversion._build_stack(q0, terms, config)
             gc.collect()
             current, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(stack) == len(greens_cache) == 3
+        assert len(stack) == len(terms) == 3
         n, m, n_rec = g.n_nodes, g.n_interior, g.n_receivers
         # slack: per entry, the receiver rows and the two propagators
         # (n_rec, n_int), plus 64 kB for the sparse Jacobians, parameter
@@ -825,8 +832,8 @@ class TestOuterLoopMemory:
         assert current < 3 * 16 * n**2 + 16 * m**2 + slack, current
 
     def test_stack_holds_no_reference_kernel(self):
-        # the cached reference operators keep their receiver rows, never K0:
-        # after two iterates' builds on one cache, what stays alive is below
+        # the terms' reference operators keep their receiver rows, never K0:
+        # after two iterates' builds on one set of terms, what stays alive is below
         # one 16 n^2 kernel plus, per frequency, the entry's blocks and the
         # cached receiver rows
         g, q0, data, config = self._sound_speed_setting()
@@ -835,13 +842,13 @@ class TestOuterLoopMemory:
         gc.collect()
         tracemalloc.start()
         try:
-            greens_cache = {}
+            terms = inversion._frequency_terms(data, config)
             for params in (q0, config.q0.copy()):
                 stack = None
-                stack = inversion._build_stack(params, data, config, greens_cache)
+                stack = inversion._build_stack(params, terms, config)
                 gc.collect()
                 current, _ = tracemalloc.get_traced_memory()
-                assert len(stack) == len(greens_cache) == 3
+                assert len(stack) == len(terms) == 3
                 assert current < 16 * n**2 + slack, current
         finally:
             tracemalloc.stop()
@@ -893,8 +900,9 @@ class TestOneDataPath:
         corr = stochastic.empirical_corr(r, g.receiver_weights)
         data = [inversion.FrequencyData(freq=freq, corr=corr, n_realizations=50)]
         config = inversion.InversionConfig(grid=g, q0=params, quantities=("S",), weighted=False)
-        stack = inversion._build_stack(params, data, config, {})
-        [(_item, _model, model_cov, weight)] = stack
+        stack = _stack(params, data, config)
+        [term] = stack
+        model_cov, weight = term.cov, term.weight
         resid = corr.matrix - model_cov.matrix
         rw = holography.weighted_residual(weight, resid)
         assert np.max(np.abs(rw - resid)) <= 1e-14 * np.max(np.abs(resid))
@@ -902,3 +910,127 @@ class TestOneDataPath:
         plain = np.sqrt(stochastic.hs_inner(resid, resid, g.receiver_weights).real)
         assert misfit == pytest.approx(plain, rel=1e-13)
         assert noise == pytest.approx(model_cov.trace() / np.sqrt(50), rel=1e-13)
+
+
+def _invert_c_setting(n_rec=60):
+    """The benchmark's invert-c miniature of criterion 10: a c blob and two S
+    blobs on a 22-lattice, three frequencies over [0.65, 1] omega_max."""
+    f_max = 1.02 / 0.2
+    om = 2 * np.pi * f_max
+    g = greens.square_grid(0.3, 1.0 / f_max, 7.1, receiver_radius=1.0, n_receivers=n_rec)
+    pts = g.interior_nodes
+
+    def blob(centre, width):
+        return np.exp(-np.sum((pts - centre) ** 2, axis=1) / (2 * width**2))
+
+    truth = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=0.01 * om)
+    truth.c = 1.0 + 0.4 * blob([0.1, -0.05], 0.1)
+    truth.S = blob([-0.17, 0.13], 0.08) + blob([0.18, -0.2], 0.08)
+    return g, truth, medium.frequency_band(3, 0.65 * om, om)
+
+
+class TestFrequencyLattices:
+    def test_sides_follow_the_wavelength(self):
+        # side ceil(n_x omega / omega_max); the top frequency runs on the
+        # parameter lattice itself, and every lattice keeps >= 7.1 nodes per
+        # its own wavelength
+        g, truth, freqs = _invert_c_setting(n_rec=16)
+        data = [inversion.FrequencyData(freq=fr, corr=None, n_realizations=1) for fr in freqs]
+        config = inversion.InversionConfig(grid=g, q0=truth, quantities=("c",))
+        terms = inversion._frequency_terms(data, config)
+        assert [t.lattice.interior_shape for t in terms] == [(15, 15), (19, 19), (22, 22)]
+        assert terms[-1].lattice is g and terms[-1].transfer is None
+        for term in terms[:-1]:
+            assert term.lattice.wavelength_resolution >= g.wavelength_resolution
+            assert np.array_equal(term.lattice.receiver_nodes, g.receiver_nodes)
+            assert np.array_equal(term.lattice.receiver_weights, g.receiver_weights)
+
+    def test_factorization_sizes(self, monkeypatch):
+        # c perturbed on the whole interior: each build factors one core per
+        # frequency, of its own lattice's n_int
+        g, truth, freqs = _invert_c_setting(n_rec=16)
+        data = [inversion.FrequencyData(freq=fr, corr=None, n_realizations=1) for fr in freqs]
+        q0 = medium.uniform_medium(g, c=1.0, rho=1.0, gamma=truth.gamma_ref)
+        config = inversion.InversionConfig(grid=g, q0=q0, quantities=("c",), beta=1.0)
+        terms = inversion._frequency_terms(data, config)
+        sizes = []
+        real = greens.lu_factor
+
+        def spy(a, *args, **kwargs):
+            sizes.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(greens, "lu_factor", spy)
+        for params in (truth, q0, truth):
+            inversion._build_stack(params, terms, config)
+        # the reference medium itself factors nothing
+        assert sizes == [(225, 225), (361, 361), (484, 484)] * 2
+
+    def test_lattice_covariance_is_within_a_fraction_of_delta(self):
+        # at the truth, each frequency lattice's C differs from the shared
+        # lattice's by at most 0.15 delta in the weighted norm of the
+        # discrepancy rule, delta its noise level at 2000 realizations
+        # (measured: 0.078 and 0.086 delta, 0.116 delta over the band)
+        g, truth, freqs = _invert_c_setting()
+        data = []
+        for fr in freqs:
+            cov = stochastic.forward_covariance(holography.build_model(truth, fr, ("c",)))
+            data.append(inversion.FrequencyData(freq=fr, corr=cov, n_realizations=2000))
+        beta = float(np.mean([d.corr.trace() / d.corr.n for d in data]))
+        config = inversion.InversionConfig(grid=g, q0=truth, quantities=("c",), beta=beta)
+        stack = _stack(truth, data, config)
+        total, delta = inversion._misfit_and_noise(stack)
+        for term in stack:
+            resid = term.data.corr.matrix - term.cov.matrix
+            dist = np.sqrt(
+                stochastic.hs_inner(
+                    holography.weighted_residual(term.weight, resid), resid, term.cov.weights
+                ).real
+            )
+            assert dist <= 0.15 * delta, (term.lattice.interior_shape, dist / delta)
+        assert 0 < total <= 0.2 * delta
+
+    @pytest.mark.parametrize("q", ["S", "c", "gamma", "rho", "u"])
+    def test_transfer_adjoint_identity(self, setting, q):
+        # <C'_f L dq, D> = <dq, W^{-1} L^T W_f C'_f* D>_W: the transfer's
+        # dual map is the transpose of its field map in the two quadratures
+        g, params, freq, *_ = setting
+        lattice = greens.frequency_lattice(g, 0.7)
+        transfer = medium.LatticeTransfer(g, lattice)
+        mapped = transfer.medium(params)
+        model = holography.build_model(mapped, freq, quantities=(q,))
+        rng = np.random.default_rng(3)
+        shape = (g.n_interior, g.dim) if q == "u" else (g.n_interior,)
+        dq = rng.standard_normal(shape)
+        n_rec = g.n_receivers
+        d = rng.standard_normal((n_rec, n_rec)) + 1j * rng.standard_normal((n_rec, n_rec))
+        dc = holography.apply_derivative(model, transfer.fields({q: dq}, mapped.rho))
+        lhs = stochastic.hs_inner(dc, 0.5 * (d + d.conj().T), g.receiver_weights).real
+        dual = transfer.duals(holography.apply_adjoint(model, d, (q,)), mapped.rho)[q]
+        w = g.interior_weights[:, None] if q == "u" else g.interior_weights
+        rhs = float(np.sum(dq * dual * w))
+        assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    def test_reference_fields_map_exactly(self, setting, monkeypatch):
+        # q_ref + P (q - q_ref): a field at its reference value maps to it
+        # exactly, so a source-strength run on two lattices never updates a
+        # Green's operator
+        g, params, freq, model, g_op, cov, blk = setting
+        lattice = greens.frequency_lattice(g, 0.7)
+        mapped = medium.LatticeTransfer(g, lattice).medium(params)
+        for name in ("c", "rho", "gamma"):
+            assert np.all(getattr(mapped, name) == getattr(params, f"{name}_ref"))
+        calls = []
+        monkeypatch.setattr(holography, "update_green", lambda *a: calls.append(1))
+        low = medium.FrequencyContext(omega=0.7 * freq.omega)
+        data = [
+            inversion.FrequencyData(freq=fr, corr=cov, n_realizations=100) for fr in (low, freq)
+        ]
+        q0 = params.copy()
+        q0.S = np.zeros(g.n_interior)
+        config = inversion.InversionConfig(
+            grid=g, q0=q0, quantities=("S",), max_outer=2, tau=0.0, beta=1.0
+        )
+        _, diag = inversion.run_irgnm(config, data)
+        assert diag["lattice_shapes"] == [[11, 11], [15, 15]]
+        assert len(diag["iterations"]) == 2 and not calls
