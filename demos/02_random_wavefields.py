@@ -1,9 +1,9 @@
 """Randomly excited wavefields and their surface statistics.
 
-Draws circular Gaussian source realizations with variance matched to a
-source-strength field, propagates them to the receivers, and shows that the
-empirical correlation converges to the model covariance at the Monte Carlo
-rate, that the pseudo-covariance vanishes, and that the damping-equipartition
+Draws circular Gaussian surface wavefields whose law is the model covariance
+of a source-strength field (the law of circular Gaussian sources with variance
+matched to S, propagated to the receivers), and shows that the empirical
+correlation converges to the model covariance at the Monte Carlo rate, that the pseudo-covariance vanishes, and that the damping-equipartition
 source model reproduces the imaginary part of the Green's function.
 """
 

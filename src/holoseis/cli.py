@@ -290,8 +290,9 @@ def _reference_medium(cfg: dict, grid: greens.Grid) -> medium.MediumParams:
 
 
 def _frequency_seed(base: int, index: int) -> int:
-    # derived per-frequency seed; documented in the manifest
-    return int(base) + 1000003 * index
+    # derived per-frequency seed, recorded in each archive's u64 header
+    # field: wrapped modulo 2**64, which leaves every seed below the wrap as it was
+    return (int(base) + 1000003 * index) % 2**64
 
 
 def _archive_path(out: Path, index: int) -> Path:
@@ -340,7 +341,8 @@ def _map(fn, items, workers: int) -> list:
 # ---------------------------------------------------------------------------
 def cmd_synth(cfg: dict, out: Path, workers: int = 1) -> List[str]:
     if setting(cfg, "medium.boundary_source") is not None:
-        # the sampler draws interior sources only; invert models the key
+        # invert models the key, but synth builds its models without it and
+        # no archive records it: refused rather than silently dropped
         raise UsageError("synth does not model medium.boundary_source; remove it to synthesize")
     grid = build_grid(cfg)
     truth = _configured_medium(cfg, grid)

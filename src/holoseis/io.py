@@ -15,13 +15,16 @@ realization archive (per-frequency surface wavefield samples)
     32 bytes      sha256 digest of the grid
     f64           angular frequency omega
     u64           N realizations
-    u64           base RNG seed
+    u64           RNG seed the archive was drawn with (the per-frequency seed)
     u64           receiver count
     payload       (N, n_rec) row-major complex128
 
-Everything can be re-derived from (config, seed) under the package version
-that the manifest records; archives exist so expensive syntheses can be
-shared between the synth / hologram / invert stages.
+Everything can be re-derived from (config, seed) under the package version,
+the numpy and scipy versions and numpy's BLAS build that the manifest
+records, at the same BLAS thread count (the sampler's eigendecomposition and
+products tie the bytes to the LAPACK/BLAS build); archives exist so
+expensive syntheses can be shared between the synth / hologram / invert
+stages.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy
 
 from .errors import UsageError
 
@@ -176,13 +180,21 @@ def config_hash(config: dict) -> str:
 
 
 def write_manifest(path, config: dict, outputs: Sequence[str], extra: Optional[dict] = None) -> None:
-    """Run manifest: config + hash + produced files, enough to reproduce."""
+    """Run manifest: config + hash + produced files + software, enough to reproduce.
+
+    numpy's BLAS/LAPACK build is recorded with the versions because the
+    sampler's eigendecomposition and products round as that build does.
+    """
     from . import __version__
 
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     doc = {
         "config": config,
         "config_hash": config_hash(config),
         "package_version": __version__,
+        "numpy_version": np.__version__,
+        "numpy_blas": f"{blas.get('name')} {blas.get('version')}",
+        "scipy_version": scipy.__version__,
         "outputs": list(outputs),
     }
     if extra:

@@ -16,11 +16,15 @@ LinearizedModel of :func:`holoseis.holography.build_model`: its S, its
 receiver rows Tr G and its boundary source, so the sources and the Green's
 operator cannot come from two media.
 
-A node with S_i = 0 adds nothing to any wavefield, so draws and the
-synthesis product run over supp(S) only.  Sampling uses counter-based Philox
-streams split per realization index, so a fixed seed reproduces archives
-bit-identically regardless of batching; the stream of realization j is set by
-moving one bit generator's counter, without a new generator per realization.
+A surface wavefield is a circular Gaussian vector on the receivers, so its
+law is fixed by the n_rec x n_rec model covariance C alone.  Sampling
+therefore draws in receiver space, not source space: C = L L^H from one
+eigendecomposition, and realization j is L z_j with z_j circular standard
+normal.  The cost is one eigh of C plus N n_rec^2 multiply-adds and 2 N n_rec
+normals, whatever the size of supp(S).  One counter-based Philox stream per
+seed feeds the realizations in order, so a fixed seed reproduces archives
+bit-identically whatever the batch size, and the first k realizations of an
+N-draw are a k-draw.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .medium import FrequencyContext, MediumParams
 if TYPE_CHECKING:
     from .holography import LinearizedModel
 
-_SAMPLE_BATCH: int = 1024  # realizations per GEMM with the receiver rows
+_SAMPLE_BATCH: int = 256  # realizations per GEMM with the covariance factor
 
 __all__ = [
     "RealizationSet",
@@ -60,7 +64,7 @@ class RealizationSet:
     """N surface wavefield samples at one frequency.
 
     fields has shape (N, n_receivers); realization n lives in row n and is
-    reproducible from (seed, n) and the support of S alone.
+    reproducible from (seed, n) and the model covariance alone.
     """
 
     fields: np.ndarray
@@ -153,43 +157,40 @@ def forward_covariance(model: LinearizedModel) -> CovarianceOperator:
 
 
 def sample_wavefields(model: LinearizedModel, n_realizations: int, seed: int) -> RealizationSet:
-    """Draw N independent surface wavefields Tr(G s) for circular Gaussian s.
+    """Draw N independent surface wavefields with covariance forward_covariance(model).
 
-    Only the m nodes of supp(S) = {i : S_i != 0} of the model's S are drawn
-    and summed through its receiver rows.
-    Realization j takes 2m normals from the Philox stream
-    ``Philox(key=seed).jumped(j)``, whose counter is [0, 0, j, 0]: the real
-    parts on supp(S) in interior order, then the imaginary parts.  One bit
-    generator is reset to that counter per realization and fills one reused
-    buffer of draws.  When S has no zero entry this is the full 2 n_int draw.
+    The covariance is factored once, C = L L^H with L = V sqrt(Lambda) from
+    ``eigh`` (round-off negative eigenvalues clipped to 0), and realization j
+    is z_j L^T with z_j = (x_j + i y_j)/sqrt(2): x_j then y_j are the next
+    2 n_rec normals of the single stream ``Philox(key=seed)``.  So the sampled
+    law is exactly the model covariance, boundary source included, and the
+    draws run in realization order, _SAMPLE_BATCH rows at a time through one
+    reused buffer: the bytes do not depend on the batch size, and the first k
+    rows of an N-draw are a k-draw.  Cost: one eigh of C, 2 N n_rec normals
+    and N n_rec^2 complex multiply-adds.
     """
     if n_realizations < 1:
         raise UsageError("need at least one realization")
-    grid = model.grid
-    s_field = model.hp.S
-    supp = np.flatnonzero(s_field)
-    a_sup = model.h_alpha[:, supp]  # (n_rec, m)
-    w = grid.interior_weights[supp]
-    amp = np.sqrt(s_field[supp] / (2.0 * w))  # per-node std of Re and Im parts
+    n_rec = model.grid.n_receivers
+    lam, vec = np.linalg.eigh(forward_covariance(model).matrix)
+    lt = (vec * np.sqrt(np.maximum(lam, 0.0) / 2.0)).T  # L^T / sqrt(2)
+    # z L^T for real x, y is [x | y] [L^T ; i L^T]/sqrt(2): one real GEMM of
+    # the draws whose float64 output is the fields' interleaved Re/Im
+    factor = np.ascontiguousarray(np.concatenate([lt, 1j * lt])).view(np.float64)
 
-    bitgen = np.random.Philox(key=int(seed))
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state  # counter zero, buffer empty
-    counter = state["state"]["counter"]
-    draws = np.empty((2, supp.size))
-    block = np.empty((min(_SAMPLE_BATCH, n_realizations), supp.size), dtype=np.complex128)
-    fields = np.empty((n_realizations, grid.n_receivers), dtype=np.complex128)
+    gen = np.random.Generator(np.random.Philox(key=int(seed)))
+    # at least two rows: numpy multiplies a single row by gemv, which rounds
+    # differently from the rows of a GEMM
+    draws = np.zeros((max(min(_SAMPLE_BATCH, n_realizations), 2), 2 * n_rec))
+    fields = np.empty((n_realizations, n_rec), dtype=np.complex128)
+    out = fields.view(np.float64)
     for start in range(0, n_realizations, _SAMPLE_BATCH):
-        stop = min(start + _SAMPLE_BATCH, n_realizations)
-        blk = block[: stop - start]
-        for j, row in enumerate(blk, start):
-            counter[2] = j
-            bitgen.state = state
-            gen.standard_normal(out=draws)
-            np.multiply(amp, draws[0], out=row.real)
-            np.multiply(amp, draws[1], out=row.imag)
-        blk *= w
-        np.matmul(blk, a_sup.T, out=fields[start:stop])
+        rows = min(_SAMPLE_BATCH, n_realizations - start)
+        gen.standard_normal(out=draws[:rows])
+        if rows > 1:
+            np.matmul(draws[:rows], factor, out=out[start : start + rows])
+        else:
+            out[start] = (draws[:2] @ factor)[0]
     return RealizationSet(fields=fields, seed=int(seed), omega=model.hp.omega)
 
 

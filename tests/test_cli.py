@@ -104,6 +104,16 @@ class TestSynth:
         f2 = out2 / f1.name
         assert f1.read_bytes() != f2.read_bytes()
 
+    def test_largest_seed_wraps_frequency_seeds(self, tiny_config):
+        # seed 2**64 - 1 is valid; the second frequency's derived seed wraps
+        # into the u64 that the archive header holds
+        path, cfg, tmp = tiny_config
+        out = tmp / "run"
+        argv = ["synth", "--config", str(path), "--out", str(out), "--seed", str(2**64 - 1)]
+        assert cli.main(argv) == 0
+        seeds = [hio.read_realizations(f).seed for f in sorted(out.glob("*.hsr"))]
+        assert seeds == [2**64 - 1, 1000002]
+
     def test_zero_source_gives_zero_archives(self, tiny_config, tmp_path):
         path, cfg, tmp = tiny_config
         cfg2 = json.loads(Path(path).read_text())
@@ -992,7 +1002,8 @@ class TestShippedConfigs:
 
 class TestBoundarySource:
     def test_boundary_source_config_plumbs_through(self, tiny_config, tmp_path):
-        # synth samples interior sources only; invert models the boundary term
+        # synth refuses the key, so the archives come from a config without
+        # it; invert models the boundary term
         path, cfg, tmp = tiny_config
         cfg2 = json.loads(Path(path).read_text())
         cfg2["medium"]["boundary_source"] = {"value": 0.05}

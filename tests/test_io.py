@@ -5,7 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 
+import holoseis
 from holoseis import io as hio
 from holoseis.errors import UsageError
 
@@ -147,7 +149,12 @@ class TestManifest:
         assert doc["config_hash"] == hio.config_hash(cfg)
         assert doc["outputs"] == ["x.hsm"]
         assert doc["command"] == "synth"
-        assert "package_version" in doc
+        assert doc["package_version"] == holoseis.__version__
+        # the bytes depend on the numpy/scipy versions and numpy's BLAS build
+        assert doc["numpy_version"] == np.__version__
+        assert doc["scipy_version"] == scipy.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert doc["numpy_blas"] == f"{blas['name']} {blas['version']}"
 
     def test_config_hash_stable_under_key_order(self):
         assert hio.config_hash({"a": 1, "b": [2, 3]}) == hio.config_hash(

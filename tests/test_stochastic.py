@@ -84,45 +84,72 @@ class TestSampling:
         r2 = stochastic.sample_wavefields(model, 32, seed=7)
         assert np.array_equal(r1.fields, r2.fields)
 
-    @staticmethod
-    def _stream_oracle(g, g_op, s_field, n, seed, nodes):
-        # realization j is amp (x + i y) on the interior positions `nodes`,
-        # x then y the first 2 |nodes| normals of Philox(key=seed).jumped(j),
-        # weighted and summed over those receiver columns 1024 realizations
-        # at a time
-        batch = 1024
-        w = g.interior_weights[nodes]
-        amp = np.sqrt(s_field[nodes] / (2.0 * w))
-        a_cols = g_op.receiver_rows[:, g.interior_idx[nodes]]
-        base = np.random.Philox(key=seed)
-        block = np.empty((n, nodes.size), dtype=complex)
-        for j in range(n):
-            draws = np.random.Generator(base.jumped(j)).standard_normal((2, nodes.size))
-            block[j] = amp * (draws[0] + 1j * draws[1])
-        return np.concatenate(
-            [(block[s : s + batch] * w[None, :]) @ a_cols.T for s in range(0, n, batch)]
-        )
+    def test_negative_source_raises(self, setting):
+        # the same refusal as the model covariance, not a field of NaNs
+        g, params, freq, model, g_op, _ = setting
+        with pytest.raises(UsageError, match="source strength must be non-negative"):
+            stochastic.sample_wavefields(_with_source(model, -model.hp.S), 8, seed=1)
 
-    def test_realization_stream_pinned(self, setting):
-        # the archive format: draws and the sum run over supp(S) only; the
-        # source is zero on most nodes here
+    @pytest.mark.parametrize("kind", ["zeros", "full"])
+    def test_stream_is_the_covariance_factor(self, setting, kind):
+        # the archive format, with S zero on most nodes and with S nowhere
+        # zero: realization j is z_j L^T, z_j = (x_j + i y_j)/sqrt(2) and
+        # L = V sqrt(max(Lambda, 0)) from eigh of the model covariance; x_j
+        # then y_j are the next 2 n_rec normals of one Philox(key=seed) stream
         g, params, freq, model, g_op, _ = setting
         n, seed = 1100, 23
-        s = model.hp.S
+        if kind == "full":
+            model = _with_source(model, 0.25 + model.hp.S)
         r = stochastic.sample_wavefields(model, n, seed=seed)
-        expect = self._stream_oracle(g, g_op, s, n, seed, np.flatnonzero(s))
-        assert np.any(s == 0.0)
+        lam, vec = np.linalg.eigh(stochastic.forward_covariance(model).matrix)
+        lt = (vec * np.sqrt(np.maximum(lam, 0.0) / 2.0)).T
+        xy = np.random.Generator(np.random.Philox(key=seed)).standard_normal(
+            (n, 2, g.n_receivers)
+        )
+        # bit for bit: [x | y] times [L^T ; i L^T]/sqrt(2) in real arithmetic,
+        # read back as interleaved Re/Im
+        real = np.ascontiguousarray(np.concatenate([lt, 1j * lt])).view(np.float64)
+        expect = (xy.reshape(n, -1) @ real).view(np.complex128)
         assert np.array_equal(r.fields, expect)
+        # which is z L^T up to the round-off of the complex product
+        z = (xy[:, 0] + 1j * xy[:, 1]) @ lt
+        assert np.max(np.abs(r.fields - z)) <= 1e-14 * np.max(np.abs(z))
 
-    def test_full_support_stream_unchanged(self, setting):
-        # with no zero in S the stream is the full 2 n_int draw per realization
+    def test_batch_size_does_not_change_bytes(self, setting, monkeypatch):
+        # 1100 = 157 * 7 + 1: the last batch is a single row
         g, params, freq, model, g_op, _ = setting
-        n, seed = 1100, 5
-        s_full = 0.25 + model.hp.S
-        r = stochastic.sample_wavefields(_with_source(model, s_full), n, seed=seed)
-        expect = self._stream_oracle(g, g_op, s_full, n, seed, np.arange(g.n_interior))
-        assert np.all(s_full > 0.0)
-        assert np.array_equal(r.fields, expect)
+        r = stochastic.sample_wavefields(model, 1100, seed=23)
+        monkeypatch.setattr(stochastic, "_SAMPLE_BATCH", 7)
+        r7 = stochastic.sample_wavefields(model, 1100, seed=23)
+        assert np.array_equal(r7.fields, r.fields)
+
+    def test_first_realizations_are_a_shorter_draw(self, setting):
+        g, params, freq, model, g_op, _ = setting
+        r = stochastic.sample_wavefields(model, 1100, seed=23)
+        for k in (1, 2, 7, 256, 257, 1025):
+            head = stochastic.sample_wavefields(model, k, seed=23)
+            assert np.array_equal(head.fields, r.fields[:k])
+
+    @pytest.mark.parametrize("kind", ["zeros", "full", "boundary"])
+    def test_sample_covariance_near_model(self, setting, kind):
+        # relative HS error of Corr against C: its rms is tr(C)/|C| / sqrt(N)
+        # for circular Gaussian fields.  Over 300 seeds at N = 500 and 2000,
+        # sqrt(N) err / (tr(C)/|C|) peaked at 1.70 with S zero on most nodes,
+        # 1.18 with S nowhere zero and 1.25 with the boundary source: hence
+        # the multiple 2
+        g, params, freq, model, g_op, _ = setting
+        if kind == "full":
+            model = _with_source(model, 0.25 + model.hp.S)
+        elif kind == "boundary":
+            model = replace(model, boundary_src=np.full(g.n_receivers, 0.3))
+        n = 2000
+        cov = stochastic.forward_covariance(model)
+        corr = stochastic.empirical_corr(
+            stochastic.sample_wavefields(model, n, seed=61), g.receiver_weights
+        )
+        n_c = hs_norm(cov.matrix, cov.weights)
+        err = hs_norm(corr.matrix - cov.matrix, cov.weights) / n_c
+        assert err < 2.0 * cov.trace() / n_c / np.sqrt(n)
 
     def test_seed_changes_fields(self, setting):
         g, params, freq, model, g_op, _ = setting
