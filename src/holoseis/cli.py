@@ -391,7 +391,6 @@ def cmd_hologram(cfg: dict, out: Path, archives: Path, workers: int = 1) -> List
     reference = _reference_medium(cfg, grid)
     freqs = build_frequencies(cfg)
     pupils = setting(cfg, "hologram.pupils")
-    out.mkdir(parents=True, exist_ok=True)
     outputs: List[str] = []
     total = np.zeros(grid.n_interior, dtype=complex)
 
@@ -402,7 +401,10 @@ def cmd_hologram(cfg: dict, out: Path, archives: Path, workers: int = 1) -> List
         pair = holography.lindsey_braun_pair(model, pupils=pupils)
         return holography.backprop_realizations(pair, r, grid.receiver_weights)
 
-    for idx, holo in enumerate(_map(holo_one, enumerate(freqs), workers)):
+    # every archive is read and checked before --out exists
+    holos = _map(holo_one, enumerate(freqs), workers)
+    out.mkdir(parents=True, exist_ok=True)
+    for idx, holo in enumerate(holos):
         path = out / f"hologram_f{idx:03d}.hsm"
         hio.write_matrix(path, holo)
         outputs.append(str(path))

@@ -17,9 +17,10 @@ reference kernel is evaluated once per distinct lattice offset and gathered
 into the interior block whenever a block of it is needed.  Receiver rows, all
 that sampling and the Lindsey-Braun propagators read, need no gather: their
 interior columns are evaluated for one receiver per orbit of the grid's
-quarter-turn symmetry, the rest by permutation, and the receiver block
-directly.  A reference operator keeps its receiver rows, never the dense
-kernel, and nothing is kept on disk.
+symmetry group (the square's quarter turns and mirrors that the grid
+admits), the rest by permutation, and the receiver block once per distinct
+receiver pair, on a ring once per chord.  A reference operator keeps its
+receiver rows, never the dense kernel, and nothing is kept on disk.
 
 A perturbed medium enters through the second-kind identity
 
@@ -54,7 +55,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -133,9 +134,8 @@ class Grid:
     _stencils: Optional[Tuple[sparse.csr_matrix, ...]] = field(
         default=None, repr=False, compare=False
     )
-    _quarter_turn: Optional[Tuple[np.ndarray, ...]] = field(
-        default=None, repr=False, compare=False
-    )
+    _lattice: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _symmetry: Optional["_Symmetry"] = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -512,7 +512,14 @@ def _require_2d(grid: Grid) -> None:
 
 
 def _lattice_indices(grid: Grid) -> np.ndarray:
-    """Integer lattice index (n_int, d) of each interior node, from grid.spacing."""
+    """Integer lattice index (n_int, d) of each interior node, from
+    grid.spacing; checked once and cached on the grid, read-only."""
+    if grid._lattice is None:
+        object.__setattr__(grid, "_lattice", _find_lattice(grid))
+    return grid._lattice
+
+
+def _find_lattice(grid: Grid) -> np.ndarray:
     if grid.spacing is None:
         raise UsageError("grid has no lattice spacing")
     pts = grid.interior_nodes
@@ -520,49 +527,86 @@ def _lattice_indices(grid: Grid) -> np.ndarray:
     lattice = np.rint(scaled).astype(np.int64)
     if np.max(np.abs(scaled - lattice)) > 1e-9:
         raise UsageError("interior nodes do not lie on a lattice of step grid.spacing")
-    if len(np.unique(lattice, axis=0)) != len(lattice):
+    flat = np.ravel_multi_index(tuple(lattice.T), lattice.max(axis=0) + 1)
+    if len(np.unique(flat)) < len(lattice):
         raise UsageError("two interior nodes share a lattice point")
+    lattice.flags.writeable = False
     return lattice
 
 
-def _quarter_turn(grid: Grid) -> Tuple[np.ndarray, ...]:
-    """Interior permutations P^s of the grid's quarter-turn group, identity first.
+class _Map(NamedTuple):
+    """One of the square's eight maps x -> A x, as the grid admits it."""
 
-    The rotation (x, y) -> (-y, x) maps interior position j to P[j] and
-    receiver i to receiver i + n_rec/4 (mod n_rec).  The group is accepted
-    only when the rotated node coordinates equal the permuted ones to a few
-    ulps; otherwise (n_rec not a multiple of 4, no lattice, a non-square
-    lattice, an off-centre ring) it is the identity alone.  Cached on the grid.
+    matrix: np.ndarray  # (2, 2) A: a quarter turn, with or without the mirror
+    interior: np.ndarray  # interior position j goes to interior position interior[j]
+    receivers: np.ndarray  # receiver i goes to receiver receivers[i]
+
+
+@dataclass(frozen=True)
+class _Symmetry:
+    """The grid's symmetry group and the shape of its receiver set."""
+
+    maps: Tuple[_Map, ...]  # the subgroup of the square's eight maps, identity first
+    ring: bool  # receiver i + 1 is receiver i turned by 2 pi / n_rec about their centroid
+
+
+_TURN = np.array([[0, -1], [1, 0]])  # (x, y) -> (-y, x)
+_MIRROR = np.array([[1, 0], [0, -1]])  # (x, y) -> (x, -y)
+_SQUARE_MAPS = tuple(
+    np.linalg.matrix_power(_TURN, s) @ np.linalg.matrix_power(_MIRROR, m)
+    for m in (0, 1)
+    for s in range(4)
+)
+
+
+def _symmetry(grid: Grid) -> _Symmetry:
+    """The grid's symmetry group: the square's eight maps (the four quarter
+    turns, each with and without the mirror) that carry every interior node
+    to an interior node and every receiver to a receiver, identity first.
+
+    A map is accepted only when the mapped node coordinates equal the
+    permuted ones to a few ulps; a grid without the symmetry (no lattice, an
+    off-centre ring, a ring whose count or phase the map does not fit) has
+    the identity alone.  Cached on the grid with its ring test.
     """
-    if grid._quarter_turn is None:
-        object.__setattr__(grid, "_quarter_turn", _find_quarter_turn(grid))
-    return grid._quarter_turn
+    if grid._symmetry is None:
+        object.__setattr__(grid, "_symmetry", _find_symmetry(grid))
+    return grid._symmetry
 
 
-def _find_quarter_turn(grid: Grid) -> Tuple[np.ndarray, ...]:
-    identity = (np.arange(grid.n_interior),)
-    n_rec = grid.n_receivers
-    if n_rec % 4:
-        return identity
+def _find_symmetry(grid: Grid) -> _Symmetry:
+    rec = grid.receiver_nodes
+    # the ring's angles 2 pi i / n_rec round to about 4 ulps of the radius
+    tol = 16 * np.finfo(float).eps * np.max(np.abs(grid.nodes))
+    maps = [_Map(_SQUARE_MAPS[0], np.arange(grid.n_interior), np.arange(grid.n_receivers))]
     try:
         lattice = _lattice_indices(grid)
     except UsageError:
-        return identity
-    top = lattice.max()
-    turned = np.column_stack([top - lattice[:, 1], lattice[:, 0]])
-    position = np.full((top + 1, top + 1), -1)
-    position[tuple(lattice.T)] = np.arange(len(lattice))
-    perm = position[tuple(turned.T)]
-    if np.any(perm < 0):
-        return identity
-    src = np.concatenate([grid.interior_idx, grid.receiver_idx])
-    dst = np.concatenate([grid.interior_idx[perm], np.roll(grid.receiver_idx, -n_rec // 4)])
-    turned_nodes = grid.nodes[src][:, ::-1] * [-1.0, 1.0]  # exact: a swap and a sign
-    # the ring's angles 2 pi i / n_rec round to about 4 ulps of the radius
-    tol = 16 * np.finfo(float).eps * np.max(np.abs(grid.nodes))
-    if np.max(np.abs(turned_nodes - grid.nodes[dst])) > tol:
-        return identity
-    return identity + (perm, perm[perm], perm[perm[perm]])
+        lattice = None
+    if lattice is not None and grid.n_receivers:
+        position = np.full((lattice.max() + 1,) * 2, -1)
+        position[tuple(lattice.T)] = np.arange(len(lattice))
+        src = np.concatenate([grid.interior_idx, grid.receiver_idx])
+        points = grid.nodes[src]
+        for a in _SQUARE_MAPS[1:]:
+            image = lattice @ a.T
+            perm = position[tuple((image - image.min(axis=0)).T)]
+            # the nearest receiver to each mapped one: |y|^2 - 2 x.y is
+            # |x - y|^2 up to a constant per row
+            sigma = np.argmin(np.sum(rec**2, axis=1) - 2.0 * (rec @ a.T) @ rec.T, axis=1)
+            if np.any(perm < 0) or len(np.unique(sigma)) < len(sigma):
+                continue
+            dst = np.concatenate([grid.interior_idx[perm], grid.receiver_idx[sigma]])
+            if np.max(np.abs(points @ a.T - grid.nodes[dst])) <= tol:  # exact: swaps and signs
+                maps.append(_Map(a, perm, sigma))
+    ring = False
+    if len(rec):
+        centre = rec.mean(axis=0)
+        angle = 2.0 * np.pi / len(rec)
+        turn = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        turned = (rec - centre) @ turn.T + centre
+        ring = bool(np.max(np.abs(turned - np.roll(rec, -1, axis=0))) <= tol)
+    return _Symmetry(tuple(maps), ring)
 
 
 def assemble_green(
@@ -641,27 +685,52 @@ def assemble_receiver_rows(grid: Grid, k: complex) -> np.ndarray:
     """Receiver-row block G(x_r, y_j) for all grid nodes, without the full matrix.
 
     The interior columns are evaluated for one receiver per orbit of the
-    grid's quarter-turn group and permuted into the rest of the orbit,
-    rows[i + s n_rec/4, P^s j] = rows[i, j]; a grid without the symmetry has
-    the identity group, so every receiver is its own representative.  The
-    receiver block is evaluated directly and so is exactly symmetric, as the
-    gather's rows and rows.T require; its diagonal is the line average.
+    grid's symmetry group, its least, and mapped into the rest of the orbit,
+    rows[sigma_g(i), P_g(j)] = rows[i, j]; a grid without symmetry has the
+    identity group, so every receiver is its own representative.  The
+    receiver block is evaluated once per distinct receiver pair, on a ring
+    at the floor(n_rec/2) chords |x_0 - x_m|, and gathered, so it is exactly
+    symmetric, as the gather's rows and rows.T require; its diagonal is the
+    line average.
     """
     _require_2d(grid)
-    perms = _quarter_turn(grid)
-    n_rep = grid.n_receivers // len(perms)
+    sym = _symmetry(grid)
+    n_rec = grid.n_receivers
     rec = grid.receiver_nodes
-    rows = np.empty((grid.n_receivers, grid.n_nodes), dtype=np.complex128)
-    rep = _radial_kernel(k, _distances(rec[:n_rep], grid.interior_nodes))
-    for s, perm in enumerate(perms):
-        rows[s * n_rep : (s + 1) * n_rep][:, grid.interior_idx[perm]] = rep
-    r = _distances(rec, rec)
-    np.fill_diagonal(r, 1.0)
-    block = _radial_kernel(k, r)
+    rows = np.empty((n_rec, grid.n_nodes), dtype=np.complex128)
+    sigma = np.array([m.receivers for m in sym.maps])  # (n_maps, n_rec)
+    least = sigma.min(axis=0)  # each receiver's representative
+    reps, owner = np.unique(least, return_inverse=True)
+    via = np.argmax(sigma[:, least] == np.arange(n_rec), axis=0)  # a map from it
+    rep = _radial_kernel(k, _distances(rec[reps], grid.interior_nodes))
+    for g, m in enumerate(sym.maps):
+        targets = np.flatnonzero(via == g)
+        rows[np.ix_(targets, grid.interior_idx[m.interior])] = rep[owner[targets]]
+    first, second, pair = _receiver_pairs(n_rec, sym.ring)
+    table = np.empty(len(first) + 1, dtype=np.complex128)
+    table[0] = 0.0  # the diagonal, overwritten below
+    table[1:] = _radial_kernel(k, np.linalg.norm(rec[first] - rec[second], axis=1))
+    block = table[pair]
     # the average of ln(1/|s|) over a segment of length L is ln(2/L) + 1
     np.fill_diagonal(block, _self_term(k, np.log(2.0 / grid.receiver_weights) + 1.0))
     rows[:, grid.receiver_idx] = block
     return rows
+
+
+def _receiver_pairs(n: int, ring: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct receiver pairs (first[p], second[p]) of an n-receiver
+    block, and (n, n) indices into [diagonal, pair 0, pair 1, ...] that
+    gather the block from them.  A ring's pairs are the chords (0, m),
+    m <= n/2, and entry (i, j) is chord min(|i - j|, n - |i - j|); any other
+    receiver set has every pair i < j."""
+    if ring:
+        second = np.arange(1, n // 2 + 1)
+        gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        return np.zeros_like(second), second, np.minimum(gap, n - gap)
+    first, second = np.triu_indices(n, 1)
+    pair = np.zeros((n, n), dtype=np.int64)
+    pair[first, second] = pair[second, first] = np.arange(1, len(first) + 1)
+    return first, second, pair
 
 
 def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:

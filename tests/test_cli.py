@@ -793,6 +793,23 @@ class TestExitCodes:
         argv = [command, "--config", str(path), "--out", str(tmp / "run")]
         assert cli.main(argv + ["--archives", str(tmp / "nowhere")]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("fault", ["missing", "grid-hash"])
+    def test_hologram_archive_fault_leaves_no_out(self, tiny_config, caplog, fault):
+        # the output directory was made before the archives were read
+        path, cfg, tmp = tiny_config
+        archives = tmp / "archives"
+        if fault == "grid-hash":
+            assert cli.main(["synth", "--config", str(path), "--out", str(archives)]) == 0
+            cfg2 = json.loads(path.read_text())
+            cfg2["geometry"]["n_receivers"] = 8  # same interior, another ring
+            path = tmp / "ring.json"
+            path.write_text(json.dumps(cfg2))
+        out = tmp / "holo"
+        argv = ["hologram", "--config", str(path), "--out", str(out), "--archives", str(archives)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert not out.exists()
+        assert ("grid hash" in caplog.text) == (fault == "grid-hash")
+
     def test_truncated_archive_is_2(self, tiny_config):
         path, cfg, tmp = tiny_config
         out = tmp / "run"

@@ -237,6 +237,38 @@ def _split_interior(g):
     )
 
 
+def _square(n_rec, phase=0.0):
+    return greens.square_grid(0.6, 0.5, 7.5, 1.0, n_receivers=n_rec, receiver_phase=phase)
+
+
+def _with_nodes(g, nodes):
+    """The grid g with its nodes replaced."""
+    return greens.Grid(
+        nodes=nodes,
+        weights=g.weights,
+        receiver_idx=g.receiver_idx,
+        interior_idx=g.interior_idx,
+        wavelength_resolution=g.wavelength_resolution,
+        interior_shape=g.interior_shape,
+        spacing=g.spacing,
+    )
+
+
+def _moved_receivers(g, move):
+    """The same grid with each receiver moved by move, (2,) or (n_rec, 2)."""
+    nodes = g.nodes.copy()
+    nodes[g.receiver_idx] += move
+    return _with_nodes(g, nodes)
+
+
+def _jitter(n_rec):
+    """Radial moves of a few hundredths: the ring is no ring any more."""
+    theta = 2 * np.pi * np.arange(n_rec) / n_rec
+    return 0.03 * np.sin(3.0 * np.arange(n_rec))[:, None] * np.column_stack(
+        [np.cos(theta), np.sin(theta)]
+    )
+
+
 def _reference_kernel(g, k):
     """Off-diagonal kernel entries from green_uniform, node pair by node pair."""
     n = g.n_nodes
@@ -260,8 +292,14 @@ class TestLatticeAssembly:
                 0.4, 0.4, receiver_radius=0.3, n_receivers=12, receiver_phase=0.1
             ),
             lambda: _split_interior(greens.square_grid(0.6, 0.5, 7.5, 1.0, n_receivers=16)),
+            lambda: _square(17),
+            lambda: _moved_receivers(_square(16), [0.05, 0.03]),
+            lambda: _moved_receivers(_square(16), _jitter(16)),
         ],
-        ids=["square", "square-no-quarter-turn", "square-phase", "disk", "split-interior"],
+        ids=[
+            "square", "square-no-quarter-turn", "square-phase", "disk", "split-interior",
+            "square-mirror-only", "shifted-ring", "scattered-receivers",
+        ],
     )
     def test_every_offdiagonal_entry_matches_point_evaluation(self, make):
         g = make()
@@ -272,7 +310,7 @@ class TestLatticeAssembly:
         rel = np.abs(kernel[off] - ref[off]) / np.abs(ref[off])
         assert np.max(rel) <= 1e-13
 
-    def test_receiver_rows_evaluate_one_receiver_per_orbit(self, grid, monkeypatch):
+    def test_receiver_rows_evaluate_one_receiver_per_orbit(self, monkeypatch):
         points = []
         hankel = greens.hankel_h1_array
 
@@ -282,33 +320,34 @@ class TestLatticeAssembly:
 
         monkeypatch.setattr(greens, "hankel_h1_array", counted)
         k = 7.0 + 0.5j
-        n, n_rec = grid.n_nodes, grid.n_receivers
-        greens.assemble_receiver_rows(grid, k)
-        assert sum(points) <= n * n_rec // 4 + n_rec**2
-
-        # the same ring moved off the block's centre has no quarter turn
-        nodes = grid.nodes.copy()
-        nodes[grid.receiver_idx] += [0.05, 0.0]
-        shifted = greens.Grid(
-            nodes=nodes,
-            weights=grid.weights,
-            receiver_idx=grid.receiver_idx,
-            interior_idx=grid.interior_idx,
-            wavelength_resolution=grid.wavelength_resolution,
-            interior_shape=grid.interior_shape,
-            spacing=grid.spacing,
-        )
-        points.clear()
-        rows = greens.assemble_receiver_rows(shifted, k)
-        assert sum(points) == n * n_rec
-        ref = np.array(
-            [
-                [greens.green_uniform(k, x, y) if i != j else np.nan for j, y in enumerate(nodes)]
-                for i, x in zip(shifted.receiver_idx, shifted.receiver_nodes)
-            ]
-        )
-        off = ~np.isnan(ref)
-        assert np.max(np.abs(rows[off] - ref[off]) / np.abs(ref[off])) <= 1e-13
+        # (grid, group order, orbits, distinct receiver pairs): the interior
+        # columns cost one Hankel point per orbit and interior node, the
+        # receiver block one per chord of a ring, else one per pair
+        for g, n_maps, n_orbits, n_pairs in [
+            (_square(16), 8, 3, 8),  # all eight maps
+            (_square(16, phase=0.013), 4, 4, 8),  # the quarter turns only
+            (_square(18), 4, 5, 9),  # the half turn and the two axis mirrors
+            (_square(17), 2, 9, 8),  # the mirror only
+            (_moved_receivers(_square(16), [0.05, 0.03]), 1, 16, 8),  # the identity
+            (_moved_receivers(_square(16), _jitter(16)), 1, 16, 120),  # and no ring
+        ]:
+            points.clear()
+            rows = greens.assemble_receiver_rows(g, k)
+            assert len(greens._symmetry(g).maps) == n_maps
+            assert points == [n_orbits * g.n_interior, n_pairs]
+            block = rows[:, g.receiver_idx]
+            assert np.array_equal(block, block.T)
+            ref = np.array(
+                [
+                    [
+                        greens.green_uniform(k, x, y) if i != j else np.nan
+                        for j, y in enumerate(g.nodes)
+                    ]
+                    for i, x in zip(g.receiver_idx, g.receiver_nodes)
+                ]
+            )
+            off = ~np.isnan(ref)
+            assert np.max(np.abs(rows[off] - ref[off]) / np.abs(ref[off])) <= 1e-13
 
     def test_off_lattice_node_raises(self, grid):
         nodes = grid.nodes.copy()
@@ -324,6 +363,12 @@ class TestLatticeAssembly:
         )
         with pytest.raises(UsageError, match="lattice"):
             greens.assemble_green(moved, 7.0 + 0.5j)
+
+    def test_shared_lattice_point_raises(self, grid):
+        nodes = grid.nodes.copy()
+        nodes[grid.interior_idx[5]] = nodes[grid.interior_idx[6]]
+        with pytest.raises(UsageError, match="share a lattice point"):
+            greens.assemble_green(_with_nodes(grid, nodes), 7.0 + 0.5j)
 
     def test_allocation_peak_near_kernel_size(self):
         # the gather goes row block by row block, through slices on a
