@@ -10,7 +10,6 @@ Runtime is a few minutes (the per-frequency Green updates dominate).
 """
 
 import numpy as np
-from scipy import ndimage
 
 from holoseis import greens, medium, stochastic, holography, inversion
 
@@ -22,9 +21,7 @@ grid = greens.square_grid(0.5, lam_min / 1.02, 7.1, receiver_radius=1.0,
 pts = grid.interior_nodes
 block = ((np.abs(pts[:, 0] - 0.15) <= 0.22)
          & (np.abs(pts[:, 1] + 0.1) <= 0.22)).astype(float)
-nx, ny = grid.interior_shape
-block = ndimage.gaussian_filter(block.reshape(nx, ny), (lam_min / 6) / grid.spacing,
-                                mode="constant").ravel()
+block = holography.smooth_field(grid, block, lam_min / 6)
 freqs = medium.frequency_band(12, 0.65 * om_hi, om_hi)
 s_src = (np.exp(-np.sum((pts - [-0.25, 0.2]) ** 2, axis=1) / (2 * 0.10**2))
          + np.exp(-np.sum((pts - [0.3, -0.35]) ** 2, axis=1) / (2 * 0.10**2)))

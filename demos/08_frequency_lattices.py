@@ -18,7 +18,6 @@ Runtime is a few seconds (24 builds with the sound speed perturbed).
 import math
 
 import numpy as np
-from scipy import ndimage
 
 from holoseis import greens, medium, stochastic, holography, inversion
 
@@ -30,9 +29,7 @@ grid = greens.square_grid(0.5, lam_min / 1.02, 7.1, receiver_radius=1.0,
 pts = grid.interior_nodes
 block = ((np.abs(pts[:, 0] - 0.15) <= 0.22)
          & (np.abs(pts[:, 1] + 0.1) <= 0.22)).astype(float)
-nx, ny = grid.interior_shape
-block = ndimage.gaussian_filter(block.reshape(nx, ny), (lam_min / 6) / grid.spacing,
-                                mode="constant").ravel()
+block = holography.smooth_field(grid, block, lam_min / 6)
 freqs = medium.frequency_band(12, 0.65 * om_hi, om_hi)
 truth = medium.uniform_medium(grid, c=c0, rho=1.0, gamma=0.01 * om_hi)
 truth.c = c0 * (1.0 + 0.4 * block)
@@ -64,7 +61,8 @@ for fr in freqs:
     rows.append((fr.omega / om_hi, lattice.interior_shape[0], dist_sq))
 
 delta = math.sqrt(noise_sq)
-print(f"parameter lattice {nx} x {nx}; noise level delta = {delta:.3f}")
+print(f"parameter lattice {grid.interior_shape[0]} x {grid.interior_shape[1]}; "
+      f"noise level delta = {delta:.3f}")
 print("omega/omega_max  side  |C_f - C| / delta")
 for ratio, side, dist_sq in rows:
     print(f"{ratio:15.3f}  {side:4d}  {math.sqrt(dist_sq) / delta:.4f}")

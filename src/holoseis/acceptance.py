@@ -384,8 +384,6 @@ def criterion_10_sound_speed_irgnm() -> Tuple[bool, str]:
     data volume, which no method could recover; the mollified block carries
     the same quantitative-recovery content without that unreachable part.
     """
-    from scipy import ndimage
-
     c0 = 1.0
     lam_min = 0.2
     om_hi = 2 * np.pi / lam_min * c0
@@ -396,10 +394,7 @@ def criterion_10_sound_speed_irgnm() -> Tuple[bool, str]:
     blk = (
         (np.abs(pts[:, 0] - 0.15) <= 0.22) & (np.abs(pts[:, 1] + 0.1) <= 0.22)
     ).astype(float)
-    nx, ny = grid.interior_shape
-    blk_smooth = ndimage.gaussian_filter(
-        blk.reshape(nx, ny), (lam_min / 6) / grid.spacing, mode="constant"
-    ).ravel()
+    blk_smooth = holography.smooth_field(grid, blk, lam_min / 6)
     freqs = medium.frequency_band(12, 0.65 * om_hi, om_hi)
     s_src = np.exp(
         -np.sum((pts - [-0.25, 0.2]) ** 2, axis=1) / (2 * 0.10**2)

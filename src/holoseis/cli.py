@@ -204,7 +204,9 @@ def validate_config(cfg: dict) -> None:
     if model != "damping" and setting(cfg, "frequencies.power") != 1:  # Pi of S = Pi gamma/c^2
         raise UsageError(f"frequencies.power != 1 is read by the 'damping' model, not {model!r}")
     side = 2 * setting(cfg, "geometry.half_width")
-    if setting(cfg, "inversion.smoothing_width") > side:  # ndimage would ask for a huge kernel
+    # the smoothing kernel's radius floor(4 sigma + 1/2) grows with the width:
+    # a width of 1e300 overflows it
+    if setting(cfg, "inversion.smoothing_width") > side:
         raise UsageError(
             f"inversion.smoothing_width must not exceed the interior's side {side:g}"
         )

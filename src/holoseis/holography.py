@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
 
 from .errors import MemoryBudgetError, UsageError
 from .greens import (
@@ -503,17 +503,41 @@ def sensitivity_kernel(
 # ---------------------------------------------------------------------------
 # Sobolev-style smoothing of adjoint fields
 # ---------------------------------------------------------------------------
+def _gaussian_matrix(n: int, sigma: float) -> np.ndarray:
+    """The n x n banded Toeplitz matrix of a Gaussian truncated at 4 sigma.
+
+    Radius floor(4 sigma + 1/2), weights normalized over the whole kernel and
+    zero padding beyond the block: the matrix of a 1-D constant-mode Gaussian
+    filter.  Entry (i, j) is the weight at offset |i - j|, so the matrix
+    equals its transpose bit for bit.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    if radius == 0:  # one weight, 1; sigma * sigma may underflow
+        return np.eye(n)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    band = np.zeros(n)
+    reach = min(radius + 1, n)
+    band[:reach] = phi[radius : radius + reach] / phi.sum()
+    offsets = np.arange(n)
+    return band[np.abs(offsets[:, None] - offsets[None, :])]
+
+
 def smooth_field(grid: Grid, field: np.ndarray, width: float) -> np.ndarray:
     """Discrete Gaussian smoothing on the structured interior block.
 
-    Zero-padded (constant) boundary handling keeps the smoothing matrix
-    symmetric, so applying it on both sides of the normal operator preserves
-    self-adjointness.  width is the Gaussian sigma in physical length.
+    With the block X (interior_shape) and one Gaussian matrix S_a per axis
+    (see _gaussian_matrix), the smoothed block is S_0 X S_1^T.  Zero padding
+    makes each S_a an exactly symmetric matrix, so the operator applied on
+    both sides of the normal operator keeps it self-adjoint.  width is the
+    Gaussian sigma in physical length; width 0 is the identity.
     """
     if width <= 0:
         return field
     if grid.interior_shape is None or grid.spacing is None:
         raise UsageError("smoothing requires a structured interior block")
     sigma = width / grid.spacing
-    shaped = np.asarray(field).reshape(grid.interior_shape)
-    return ndimage.gaussian_filter(shaped, sigma, mode="constant").reshape(field.shape)
+    nx, ny = grid.interior_shape
+    shaped = np.asarray(field).reshape(nx, ny)
+    smoothed = _gaussian_matrix(nx, sigma) @ shaped @ _gaussian_matrix(ny, sigma).T
+    return smoothed.reshape(field.shape)

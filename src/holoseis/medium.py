@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .errors import InvalidParameterError, UsageError
 from .greens import DeltaOperator, Grid, _weighted_transpose, lattice_interpolation
@@ -287,6 +286,8 @@ def divergence_free_projector(
     passes push the residual to the admissibility tolerance.  The map is
     symmetric, and so self-adjoint in any uniform quadrature metric.
     """
+    from scipy.sparse.linalg import splu  # flows only: not loaded with holoseis
+
     r = flow_divergence_matrix(grid, rho)
     gram = (r @ r.T).tocsc()
     scale = abs(gram).max()

@@ -494,7 +494,8 @@ class TestExitCodes:
         [
             ("kernels", "kernels", {"pairs": [["x", "S"]]}),  # holography knows no "x"
             ("invert", "medium", {"boundary_source": {"value": [0.05] * 11}}),  # 12 receivers
-            # wider than the interior's side 1.0: a ValueError from ndimage
+            # wider than the interior's side 1.0: a kernel radius floor(4 sigma + 1/2)
+            # that overflows
             ("invert", "inversion", {"smoothing_width": 1e300}),
             ("hologram", "hologram", {"pupils": [[0, 999], [1, 2]]}),  # 12 receivers
             ("hologram", "hologram", {"pupils": [[-1, 0], [1, 2]]}),

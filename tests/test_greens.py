@@ -210,12 +210,6 @@ class TestAssembly:
         slope = np.polyfit(np.log(radii), np.log(vals), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.05)
 
-    def test_receiver_rows_match_full(self, grid):
-        k = 7.0 + 0.5j
-        op = greens.assemble_green(grid, k)
-        rows = greens.assemble_receiver_rows(grid, k)
-        assert np.allclose(rows, op.kernel[grid.receiver_idx, :], atol=0, rtol=1e-14)
-
     def test_memory_guard(self, grid):
         with pytest.raises(MemoryBudgetError):
             greens.assemble_green(grid, 1.0, budget_bytes=1024)

@@ -1,7 +1,11 @@
 """Holography tests: Diag operator, propagators, derivative/adjoint, kernels."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -641,6 +645,56 @@ class TestSmoothing:
         g, *_ = setting
         a = np.arange(g.n_interior, dtype=float)
         assert np.array_equal(holography.smooth_field(g, a, 0.0), a)
+
+    @pytest.mark.parametrize("reach", [0.5, 1.0, 3.0])
+    def test_matches_constant_mode_gaussian_filter(self, setting, reach):
+        # kernel radius floor(4 sigma + 1/2) below, at and beyond the side
+        from scipy import ndimage
+
+        g, *_ = setting
+        side = g.interior_shape[0]
+        radius = round(reach * side)
+        width = radius * g.spacing / 4
+        sigma = width / g.spacing
+        assert int(4 * sigma + 0.5) == radius
+        a = np.random.default_rng(7).standard_normal(g.n_interior)
+        oracle = ndimage.gaussian_filter(a.reshape(g.interior_shape), sigma, mode="constant")
+        got = holography.smooth_field(g, a, width)
+        assert np.max(np.abs(got - oracle.ravel())) <= 1e-14 * np.max(np.abs(oracle))
+        # the operator's matrix, column by column, is its own transpose bit for bit
+        matrix = np.column_stack(
+            [holography.smooth_field(g, e, width) for e in np.eye(g.n_interior)]
+        )
+        assert np.array_equal(matrix, matrix.T)
+
+    def test_kernel_of_one_weight_is_identity(self, setting):
+        # radius 0 below an eighth of the spacing; at 1e-300 sigma * sigma underflows
+        g, *_ = setting
+        a = np.random.default_rng(7).standard_normal(g.n_interior)
+        for width in (0.1 * g.spacing, 1e-300):
+            assert np.array_equal(holography.smooth_field(g, a, width), a)
+
+    def test_loads_no_ndimage_or_sparse_linalg(self):
+        # the CLI and a positive-width smoothing load neither subpackage; the
+        # flow projector imports splu where it factors
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from holoseis import cli, greens, holography\n"
+            "g = greens.square_grid(0.6, 0.5, 7.5, 1.0, n_receivers=16)\n"
+            "holography.smooth_field(g, np.ones(g.n_interior), 0.2)\n"
+            "print([m for m in ('scipy.ndimage', 'scipy.sparse.linalg') if m in sys.modules])\n"
+        )
+        src = str(Path(holography.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestHologramIntensity:
